@@ -8,9 +8,10 @@ Every command that produces data writes a self-describing bundle:
       *.csv, *.json   the data, floats at full 17-digit precision
 
 Bundles contain no timestamps, hostnames or other incidental state, so the
-same command line yields byte-identical bundles on any machine and with any
-thread count; `ammlab replay <bundle>` re-executes the manifest and verifies
-that.  Configuration is resolved in a fixed order: built-in defaults, then
+same command line yields byte-identical bundles on any machine; `ammlab
+replay <bundle>` re-executes the manifest and verifies that, and flags any
+file in the bundle directory that the manifest does not list.
+Configuration is resolved in a fixed order: built-in defaults, then
 --preset, then --config KEY=VALUE file, then explicit flags.
 
 Exit codes: 0 success, 1 replay mismatch, 2 configuration error,
@@ -66,9 +67,12 @@ from .stochastic import ProcessKind, derive_run_seed, pdf_bm, pdf_gbm
 
 def _cast_float(key: str, v: str) -> float:
     try:
-        return float(v)
+        f = float(v)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {v!r}") from None
+    if not isfinite(f):
+        raise ConfigError(f"{key}: expected a finite number, got {v!r}")
+    return f
 
 
 def _cast_int(key: str, v: str) -> int:
@@ -80,15 +84,6 @@ def _cast_int(key: str, v: str) -> int:
     if f != int(f):
         raise ConfigError(f"{key}: expected an integer, got {v!r}")
     return int(f)
-
-
-def _cast_bool(key: str, v: str) -> bool:
-    low = v.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {v!r}")
 
 
 def _cast_choice(*options: str):
@@ -163,13 +158,11 @@ _KEYS = {
     "steps_list": (_cast_int_list, "", "comma list of step counts for sweep-steps"),
     "total_variance": (_cast_opt_float, "",
                        "sigma^2 n held fixed across sweep-steps (default: from base config)"),
-    "streaming": (_cast_bool, "false",
-                  "two-pass histograms without the per-run table in memory"),
 }
 
 _CAMPAIGN_KEYS = (
     "process", "p0", "sigma", "n_steps", "liquidity", "n_runs", "seed",
-    "fee", "band_rule", "target", "observables", "bins", "streaming",
+    "fee", "band_rule", "target", "observables", "bins",
 )
 _DIST_KEYS = ("process", "p0", "liquidity", "sigma", "t", "seed")
 
@@ -403,7 +396,7 @@ _TABLE_CSV_COLUMNS = ["run_index", "il", "lvr", "volume", "fees", "n_arb_events"
                       "final_price"]
 
 
-def _run_simulate(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, list[str]]:
+def _run_simulate(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     both = cfg["process"] == "both"
     kinds = [ProcessKind.BM, ProcessKind.GBM] if both else [ProcessKind(cfg["process"])]
     bundle = Bundle(out)
@@ -412,7 +405,7 @@ def _run_simulate(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, li
     for kind in kinds:
         prefix = f"{kind.value}_" if both else ""
         conf = _campaign_config(cfg, kind)
-        result = run_campaign(conf, threads=threads, streaming=cfg["streaming"])
+        result = run_campaign(conf)
         summaries[kind.value] = result.summary
         bundle.write_json(
             f"{prefix}summary.json",
@@ -421,7 +414,7 @@ def _run_simulate(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, li
         )
         for name, hist in result.histograms.items():
             bundle.write_histogram(f"{prefix}hist_{name}.json", name, hist)
-        if result.table is not None and conf.observables is Observables.POOL:
+        if conf.observables is Observables.POOL:
             rows = ([i, *row] for i, row in enumerate(result.table))
             bundle.write_csv(f"{prefix}table.csv", _TABLE_CSV_COLUMNS, rows,
                              "per-run metrics, one row per seeded run")
@@ -451,7 +444,7 @@ def _run_simulate(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, li
     return bundle, notes
 
 
-def _run_il_pdf(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, list[str]]:
+def _run_il_pdf(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     params = _dist_params(cfg, "il-pdf")
     table = build_il_table(params)
     mean_density = analytic_il_mean(params)
@@ -498,7 +491,7 @@ def _params_payload(params: ILDistParams) -> dict:
     }
 
 
-def _run_il_mean(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, list[str]]:
+def _run_il_mean(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     params = _dist_params(cfg, "il-mean")
     payload = {
         "params": _params_payload(params),
@@ -517,7 +510,7 @@ def _run_il_mean(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, lis
     return bundle, [f"mean endpoint loss {payload['mean_via_price_integral']:.6g}"]
 
 
-def _run_lvr_mean(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, list[str]]:
+def _run_lvr_mean(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     process = _single_process(cfg, "lvr-mean")
     liq, p0, sigma, t = cfg["liquidity"], cfg["p0"], cfg["sigma"], cfg["t"]
     s2t = sigma * sigma * t
@@ -544,7 +537,7 @@ def _quiet_expected_lvr(liq, p0, sigma, t):
         return expected_lvr(liq, p0, sigma, t)
 
 
-def _run_sample_il(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, list[str]]:
+def _run_sample_il(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     params = _dist_params(cfg, "sample-il")
     table = build_il_table(params)
     draws = table.sample(cfg["n_samples"], cfg["seed"])
@@ -571,7 +564,7 @@ def _run_sample_il(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, l
     return bundle, [f"sample mean {mean:.6g} +- {stderr:.2g}"]
 
 
-def _run_clt_sum(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, list[str]]:
+def _run_clt_sum(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     params = _dist_params(cfg, "clt-sum")
     hist = clt_sum_experiment(params, cfg["n_per_sum"], cfg["n_repeats"], cfg["seed"])
     expected_mean = cfg["n_per_sum"] * analytic_il_mean(params)
@@ -599,7 +592,7 @@ def _run_clt_sum(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, lis
     ]
 
 
-def _run_first_passage(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, list[str]]:
+def _run_first_passage(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     from .stats import fit_loglog
 
     kind = StepKind(cfg["step_kind"])
@@ -684,11 +677,11 @@ def _sweep_rows_csv(bundle: Bundle, rows: list[dict], lead: list[str], descripti
                      description)
 
 
-def _run_sweep_fee(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, list[str]]:
+def _run_sweep_fee(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     if not cfg["fees"]:
         raise ConfigError("sweep-fee needs a nonempty fees list")
     base = _campaign_config(cfg, _single_process(cfg, "sweep-fee"))
-    result = sweep_fee(base, cfg["fees"], threads=threads)
+    result = sweep_fee(base, cfg["fees"])
     bundle = Bundle(out)
     _sweep_rows_csv(bundle, result["rows"], ["fee", "f_over_sigma"],
                     "campaign summaries per fee level")
@@ -704,11 +697,11 @@ def _run_sweep_fee(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, l
     return bundle, notes or ["sweep complete"]
 
 
-def _run_sweep_sigma(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, list[str]]:
+def _run_sweep_sigma(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     if not cfg["sigmas"]:
         raise ConfigError("sweep-sigma needs a nonempty sigmas list")
     base = _campaign_config(cfg, _single_process(cfg, "sweep-sigma"))
-    result = sweep_volume_vs_sigma(base, cfg["sigmas"], threads=threads)
+    result = sweep_volume_vs_sigma(base, cfg["sigmas"])
     bundle = Bundle(out)
     _sweep_rows_csv(bundle, result["rows"], ["sigma"], "campaign summaries per volatility")
     bundle.write_json(
@@ -721,13 +714,11 @@ def _run_sweep_sigma(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle,
                     f"loss ~ sigma^{result['lvr_slope']:.3f}"]
 
 
-def _run_sweep_steps(cfg: dict, out: Path, threads: int | None) -> tuple[Bundle, list[str]]:
+def _run_sweep_steps(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     if not cfg["steps_list"]:
         raise ConfigError("sweep-steps needs a nonempty steps_list")
     base = _campaign_config(cfg, _single_process(cfg, "sweep-steps"))
-    result = sweep_volume_vs_steps(
-        base, cfg["steps_list"], total_variance=cfg["total_variance"], threads=threads
-    )
+    result = sweep_volume_vs_steps(base, cfg["steps_list"], total_variance=cfg["total_variance"])
     bundle = Bundle(out)
     _sweep_rows_csv(bundle, result["rows"], ["n_steps", "sigma"],
                     "campaign summaries per step count at fixed total variance")
@@ -755,9 +746,9 @@ _RUNNERS = {
 }
 
 
-def _execute(command: tuple[str, ...], cfg: dict, out: Path, threads: int | None) -> list[str]:
+def _execute(command: tuple[str, ...], cfg: dict, out: Path) -> list[str]:
     mode, runner = _RUNNERS[command]
-    bundle, notes = runner(cfg, out, threads)
+    bundle, notes = runner(cfg, out)
     n_files = bundle.seal(list(command), cfg)
     return notes + [f"wrote {n_files} files to {bundle.dir}"]
 
@@ -766,8 +757,7 @@ def _cmd_bundle(args: argparse.Namespace, command: tuple[str, ...]) -> int:
     mode = _RUNNERS[command][0]
     cfg, preset_name = _resolve(args, mode)
     out = _out_dir(args, preset_name or mode)
-    threads = args.threads
-    for line in _execute(command, cfg, out, threads):
+    for line in _execute(command, cfg, out):
         print(line)
     return 0
 
@@ -787,11 +777,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"note: bundle written by version {manifest.get('version')}, "
               f"replaying under {__version__}")
     cfg = manifest["config"]
+    # bundles from before the streaming mode was removed carry its flag
+    if cfg.pop("streaming", False):
+        raise ConfigError(
+            "manifest asks for streaming mode, which no longer exists; "
+            "campaigns always keep the per-run table"
+        )
     bundle_dir = path.parent
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "replay"
-        _execute(command, cfg, out, args.threads)
+        _execute(command, cfg, out)
         stored = {entry["path"]: entry["sha256"] for entry in manifest["outputs"]}
         fresh = {}
         for name in sorted(p.name for p in out.iterdir() if p.name != "manifest.json"):
@@ -818,6 +814,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                     mismatches += 1
                 else:
                     print(f"ok        {name}")
+    for name in sorted(p.name for p in bundle_dir.iterdir()):
+        if name not in stored and name != path.name:
+            print(f"EXTRA     {name} (not in manifest)")
+            mismatches += 1
     if mismatches:
         print(f"replay differs in {mismatches} file(s)")
         return 1
@@ -853,8 +853,13 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
                         help="KEY=VALUE file applied over the preset")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="bundle directory (default $AMM_LAB_OUT/<name>)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: all cores; never changes results)")
+    _add_threads_flag(parser)
+
+
+def _add_threads_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--threads", type=int, default=None, metavar="N",
+                        help="ignored; kept so older command lines still parse "
+                             "(campaigns run on one thread)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -886,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser("replay", help="re-run a bundle's manifest and verify the bytes")
     rp.add_argument("manifest", help="bundle directory or manifest.json path")
-    rp.add_argument("--threads", type=int, default=None)
+    _add_threads_flag(rp)
     rp.set_defaults(func=_cmd_replay)
 
     lp = sub.add_parser("presets", help="list the canned study configurations")

@@ -3,28 +3,19 @@
 A campaign evaluates one experiment configuration over n_runs independent
 price paths.  Run i always consumes the generator seeded by
 derive_run_seed(seed, i), so any single row of a campaign can be reproduced
-bit for bit with the scalar engine, and results do not depend on chunking
-or the number of worker threads.
+bit for bit with the scalar engine, and results do not depend on chunking.
 
-Two execution styles:
-
-  * in-memory (default): the per-run metric table is materialized and
-    histograms are built from it,
-  * streaming: two deterministic passes over the same chunks, the first for
-    moments and ranges, the second for bin counts; the table is never held.
-
-Chunks are sized by a byte budget on the chunk price matrix, never by the
-thread count, so the chunk boundaries (and therefore all floating-point
-reduction orders) are a pure function of the configuration.
+A campaign is one pass over fixed run chunks: each chunk fills its rows of
+the per-run metric table, then the summary and the histograms are built
+from the whole table.  Chunks are sized by a byte budget on the chunk price
+matrix, so the chunk boundaries are a pure function of the configuration.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from math import log, sqrt
+from math import isfinite, log, sqrt
 
 import numpy as np
 
@@ -122,6 +113,10 @@ class ExperimentConfig:
     bins: int = 50
 
     def __post_init__(self) -> None:
+        for name in ("p0", "sigma", "liquidity"):
+            value = getattr(self, name)
+            if not isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.p0 <= 0.0 or self.liquidity <= 0.0:
             raise ConfigError("p0 and liquidity must be positive")
         if self.sigma < 0.0:
@@ -157,19 +152,17 @@ class ExperimentConfig:
 class CampaignResult:
     """Output of run_campaign.
 
-    table is the (n_runs, 6) per-run metric matrix in TABLE_COLUMNS order,
-    or None for a streaming campaign.  summary holds means with standard
-    errors plus the pooled trade statistics and the regime label.
+    table is the (n_runs, 6) per-run metric matrix in TABLE_COLUMNS order.
+    summary holds means with standard errors plus the pooled trade
+    statistics and the regime label.
     """
 
     config: ExperimentConfig
-    table: np.ndarray | None
+    table: np.ndarray
     histograms: dict[str, Histogram]
     summary: dict
 
     def column(self, name: str) -> np.ndarray:
-        if self.table is None:
-            raise ValueError("streaming campaign kept no per-run table")
         return self.table[:, TABLE_COLUMNS.index(name)]
 
 
@@ -345,143 +338,36 @@ def _summarize(config: ExperimentConfig, table: np.ndarray) -> dict:
     return summary
 
 
-def _map_chunks(worker, chunks, threads: int | None):
-    if threads is None:
-        threads = os.cpu_count() or 1
-    threads = max(1, min(threads, len(chunks)))
-    if threads == 1:
-        return [worker(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, chunks))
-
-
 def run_campaign(
     config: ExperimentConfig,
-    threads: int | None = None,
-    streaming: bool = False,
+    *,
     max_table_bytes: int = DEFAULT_TABLE_BYTES,
     chunk_bytes: int = DEFAULT_CHUNK_BYTES,
 ) -> CampaignResult:
     """Evaluate the configuration over its run ensemble.
 
-    Raises ResourceLimitError when the in-memory table would exceed
-    max_table_bytes (streaming mode lifts that) or when one path alone
-    overflows the chunk budget.
+    Raises ResourceLimitError when the per-run table would exceed
+    max_table_bytes or when one path alone overflows the chunk budget.
     """
     table_bytes = config.n_runs * _N_COLS * 8
-    if not streaming and table_bytes > max_table_bytes:
+    if table_bytes > max_table_bytes:
         raise ResourceLimitError(
             f"per-run table needs {table_bytes} bytes (> {max_table_bytes}); "
-            "lower n_runs or run with streaming=True"
+            "lower n_runs or raise max_table_bytes"
         )
-    chunks = plan_chunks(config.n_runs, config.n_steps, chunk_bytes)
-    names = config.histogram_names()
-
-    if not streaming:
-        full = np.empty((config.n_runs, _N_COLS), dtype=float)
-
-        def worker(span: tuple[int, int]):
-            lo, hi = span
-            full[lo:hi] = _compute_chunk(config, lo, hi)
-
-        _map_chunks(worker, chunks, threads)
-        histograms = {
-            name: Histogram.from_samples(_observable_values(full, name), bins=config.bins)
-            for name in names
-        }
-        summary = _summarize(config, full)
-        return CampaignResult(
-            config=config,
-            table=full[:, : len(TABLE_COLUMNS)].copy(),
-            histograms=histograms,
-            summary=summary,
-        )
-
-    # streaming: pass 1 for ranges, moments and the summary, pass 2 for counts
-    pool_cols = () if config.observables is Observables.PRICES else (
-        "il", "lvr", "volume", "fees"
+    full = np.empty((config.n_runs, _N_COLS), dtype=float)
+    for lo, hi in plan_chunks(config.n_runs, config.n_steps, chunk_bytes):
+        full[lo:hi] = _compute_chunk(config, lo, hi)
+    histograms = {
+        name: Histogram.from_samples(_observable_values(full, name), bins=config.bins)
+        for name in config.histogram_names()
+    }
+    return CampaignResult(
+        config=config,
+        table=full[:, : len(TABLE_COLUMNS)].copy(),
+        histograms=histograms,
+        summary=_summarize(config, full),
     )
-
-    def pass_one(span: tuple[int, int]):
-        rows = _compute_chunk(config, *span)
-        per_obs = {}
-        for name in names + (("final_price",) if "final_price" not in names else ()):
-            v = _observable_values(rows, name)
-            per_obs[name] = (
-                float(v.min()),
-                float(v.max()),
-                float(v.sum()),
-                float((v * v).sum()),
-                float((v * v * v).sum()),
-            )
-        core = {
-            col: (float(c.sum()), float((c * c).sum()))
-            for col, c in ((k, rows[:, TABLE_COLUMNS.index(k)]) for k in pool_cols)
-        }
-        return per_obs, core, float(rows[:, 4].sum()), float(rows[:, _LAST_EVENT].sum())
-
-    partials = _map_chunks(pass_one, chunks, threads)
-
-    n = config.n_runs
-    summary = {"n_runs": n, "sigma2_t": config.sigma2_t, "regime": config.regime.value}
-    for col in pool_cols:
-        s1 = sum(p[1][col][0] for p in partials)
-        s2 = sum(p[1][col][1] for p in partials)
-        mean = s1 / n
-        var = max(0.0, (s2 / n - mean * mean))
-        summary[f"mean_{col}"] = mean
-        summary[f"stderr_{col}"] = sqrt(var * n / (n - 1) / n) if n > 1 else 0.0
-    if config.observables is Observables.PRICES:
-        s1, s2 = (sum(p[0]["final_price"][k] for p in partials) for k in (2, 3))
-        mean = s1 / n
-        var = max(0.0, s2 / n - mean * mean)
-        summary["mean_final_price"] = mean
-        summary["stderr_final_price"] = sqrt(var * n / (n - 1) / n) if n > 1 else 0.0
-    else:
-        total_events = sum(p[2] for p in partials)
-        summary["mean_events"] = total_events / n
-        summary["mean_wait"] = (
-            sum(p[3] for p in partials) / total_events if total_events > 0 else float("nan")
-        )
-
-    edges = {}
-    moments = {}
-    for name in names:
-        lo = min(p[0][name][0] for p in partials)
-        hi = max(p[0][name][1] for p in partials)
-        if lo == hi:
-            span = max(abs(lo) * 1e-9, 1e-12)
-            lo, hi = lo - span, hi + span
-        edges[name] = np.linspace(lo, hi, config.bins + 1)
-        s1 = sum(p[0][name][2] for p in partials)
-        s2 = sum(p[0][name][3] for p in partials)
-        s3 = sum(p[0][name][4] for p in partials)
-        mean = s1 / n
-        m2 = max(0.0, s2 / n - mean * mean)
-        m3 = s3 / n - 3.0 * mean * m2 - mean**3
-        moments[name] = (mean, m2, m3 / m2**1.5 if m2 > 0 else 0.0)
-
-    def pass_two(span: tuple[int, int]):
-        rows = _compute_chunk(config, *span)
-        return {
-            name: np.histogram(_observable_values(rows, name), bins=edges[name])[0]
-            for name in names
-        }
-
-    counted = _map_chunks(pass_two, chunks, threads)
-    histograms = {}
-    for name in names:
-        counts = np.sum([c[name] for c in counted], axis=0)
-        mean, m2, skew = moments[name]
-        histograms[name] = Histogram(
-            bin_edges=edges[name],
-            counts=counts.astype(np.int64),
-            n_total=int(counts.sum()),
-            mean=mean,
-            variance=m2,
-            skewness=skew,
-        )
-    return CampaignResult(config=config, table=None, histograms=histograms, summary=summary)
 
 
 def _rowset(result: CampaignResult, extra: dict) -> dict:
@@ -492,9 +378,7 @@ def _rowset(result: CampaignResult, extra: dict) -> dict:
     return row
 
 
-def sweep_volume_vs_sigma(
-    base: ExperimentConfig, sigmas, threads: int | None = None
-) -> dict:
+def sweep_volume_vs_sigma(base: ExperimentConfig, sigmas) -> dict:
     """Campaigns across volatilities on common random numbers.
 
     All campaigns reuse base.seed, so run i sees the same Gaussian
@@ -507,7 +391,7 @@ def sweep_volume_vs_sigma(
         raise ConfigError("need at least two positive volatilities")
     rows = []
     for s in sig:
-        res = run_campaign(replace(base, sigma=s), threads=threads)
+        res = run_campaign(replace(base, sigma=s))
         rows.append(_rowset(res, {"sigma": s}))
     vol_slope, vol_err = fit_loglog(sig, [r["mean_volume"] for r in rows])
     lvr_slope, lvr_err = fit_loglog(sig, [r["mean_lvr"] for r in rows])
@@ -524,7 +408,6 @@ def sweep_volume_vs_steps(
     base: ExperimentConfig,
     steps_list,
     total_variance: float | None = None,
-    threads: int | None = None,
 ) -> dict:
     """Campaigns across step counts at fixed total price variance.
 
@@ -542,7 +425,7 @@ def sweep_volume_vs_steps(
     rows = []
     for n in steps:
         sigma_n = sqrt(total_variance / n)
-        res = run_campaign(replace(base, n_steps=n, sigma=sigma_n), threads=threads)
+        res = run_campaign(replace(base, n_steps=n, sigma=sigma_n))
         rows.append(_rowset(res, {"n_steps": n, "sigma": sigma_n}))
     vol_slope, vol_err = fit_loglog(steps, [r["mean_volume"] for r in rows])
     lvr_means = np.asarray([r["mean_lvr"] for r in rows])
@@ -565,7 +448,7 @@ def _interp_crossover(fees, waits, level: float = 2.0) -> float | None:
     return None
 
 
-def sweep_fee(base: ExperimentConfig, fees, threads: int | None = None) -> dict:
+def sweep_fee(base: ExperimentConfig, fees) -> dict:
     """Campaigns across fee levels plus a fee-free baseline on the same seeds.
 
     Rows carry f / sigma alongside the loss, volume and trade-frequency
@@ -579,10 +462,10 @@ def sweep_fee(base: ExperimentConfig, fees, threads: int | None = None) -> dict:
         raise ConfigError("fee sweep needs positive fees")
     if any(b <= a for a, b in zip(fee_list, fee_list[1:])):
         raise ConfigError("fees must be strictly increasing")
-    baseline = run_campaign(replace(base, fee=0.0), threads=threads)
+    baseline = run_campaign(replace(base, fee=0.0))
     rows = []
     for f in fee_list:
-        res = run_campaign(replace(base, fee=f), threads=threads)
+        res = run_campaign(replace(base, fee=f))
         row = _rowset(res, {"fee": f, "f_over_sigma": f / base.sigma})
         row["lvr_ratio"] = row["mean_lvr"] / baseline.summary["mean_lvr"]
         row["volume_ratio"] = row["mean_volume"] / baseline.summary["mean_volume"]

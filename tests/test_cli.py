@@ -53,6 +53,18 @@ def test_bad_flag_value_exits_2(tmp_path, capsys):
     assert "expected a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--sigma", "nan"], "sigma"),
+    (["simulate", "--p0", "inf"], "p0"),
+    (["sweep", "fee", "--fees", "0.001,nan"], "fees"),
+], ids=["sigma-nan", "p0-inf", "fees-nan"])
+def test_non_finite_number_exits_2(tmp_path, capsys, argv, key):
+    rc = main(argv + ["--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"{key}: expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_bad_choice_exits_2(tmp_path, capsys):
     rc = main(["simulate", "--target", "midpoint", "--out", str(tmp_path / "x")])
     assert rc == 2
@@ -151,13 +163,15 @@ def test_csv_cells_round_trip_to_the_exact_double(tmp_path):
         assert float(cells[6]) == result.table[i, 5]
 
 
-def test_streaming_flag_drops_the_table(tmp_path):
-    out = tmp_path / "b"
-    rc = main(SIM_ARGS + ["--streaming", "true", "--out", str(out)])
-    assert rc == 0
-    names = {p.name for p in out.iterdir()}
-    assert "table.csv" not in names
-    assert "summary.json" in names
+def test_streaming_is_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("streaming=true\n")
+    rc = main(SIM_ARGS + ["--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "unknown key 'streaming'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(SIM_ARGS + ["--streaming", "true", "--out", str(tmp_path / "y")])
+    assert exc.value.code == 2
 
 
 def test_both_processes_share_seeds_and_compare(tmp_path):
@@ -215,6 +229,44 @@ def test_replay_detects_corruption(tmp_path, capsys):
     rc = main(["replay", str(out)])
     assert rc == 1
     assert "MISMATCH  table.csv" in capsys.readouterr().out
+
+
+def test_replay_flags_files_the_manifest_does_not_list(tmp_path, capsys):
+    out = tmp_path / "b"
+    common = ["--n-runs", "50", "--n-steps", "40", "--seed", "3", "--out", str(out)]
+    assert main(["simulate", "--process", "both"] + common) == 0
+    assert main(["simulate", "--process", "gbm"] + common) == 0
+    capsys.readouterr()
+    rc = main(["replay", str(out)])
+    assert rc == 1
+    text = capsys.readouterr().out
+    stale = [line for line in text.splitlines() if line.endswith("(not in manifest)")]
+    assert len(stale) == 19
+    assert "EXTRA     compare.json (not in manifest)" in stale
+    assert "ok        table.csv" in text
+
+
+def _edit_manifest_config(out, **changes):
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"].update(changes)
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def test_replay_accepts_a_manifest_with_streaming_off(tmp_path, capsys):
+    out = _run_sim(tmp_path / "b")
+    _edit_manifest_config(out, streaming=False)
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 0
+    assert "byte for byte" in capsys.readouterr().out
+
+
+def test_replay_refuses_a_manifest_with_streaming_on(tmp_path, capsys):
+    out = _run_sim(tmp_path / "b")
+    _edit_manifest_config(out, streaming=True)
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 2
+    assert "streaming mode" in capsys.readouterr().err
 
 
 def test_replay_missing_manifest_exits_2(tmp_path):
