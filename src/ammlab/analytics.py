@@ -18,20 +18,25 @@ step:
 
 from __future__ import annotations
 
+# scipy is imported inside the functions that integrate, tabulate or run a
+# chi-square test: it takes over a second to load, and `simulate` and
+# `sweep` import this module without calling any of them.
+
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import exp, expm1, sqrt
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
-from scipy.interpolate import PchipInterpolator
-from scipy.stats import chi2
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .metrics import il_between
 from .stats import Histogram
 from .stochastic import ProcessKind, make_generator, pdf_bm, pdf_gbm
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "ILDistParams",
@@ -75,9 +80,9 @@ class ILDistParams:
 
     def __post_init__(self) -> None:
         if self.p0 <= 0.0 or self.liquidity <= 0.0:
-            raise ValueError("p0 and liquidity must be positive")
+            raise ConfigError("p0 and liquidity must be positive")
         if self.sigma <= 0.0 or self.t <= 0.0:
-            raise ValueError("sigma and t must be positive")
+            raise ConfigError("sigma and t must be positive")
 
     @property
     def scale(self) -> float:
@@ -91,6 +96,11 @@ def _price_density(params: ILDistParams):
     return lambda p: pdf_gbm(p, params.p0, params.sigma, params.t)
 
 
+def _check_positive_inputs(liquidity: float, p0: float, sigma: float, t: float) -> None:
+    if liquidity <= 0.0 or p0 <= 0.0 or sigma <= 0.0 or t <= 0.0:
+        raise ConfigError("all inputs must be positive")
+
+
 def expected_lvr(liquidity: float, p0: float, sigma: float, t: float) -> float:
     """Mean rebalancing loss L sigma^2 t / (4 sqrt(p0)).
 
@@ -98,8 +108,7 @@ def expected_lvr(liquidity: float, p0: float, sigma: float, t: float) -> float:
     regime; warns once sigma^2 t reaches 1 where the price level spreads
     enough for the running prefactor to matter.
     """
-    if liquidity <= 0.0 or p0 <= 0.0 or sigma <= 0.0 or t <= 0.0:
-        raise ValueError("all inputs must be positive")
+    _check_positive_inputs(liquidity, p0, sigma, t)
     s2t = sigma * sigma * t
     if s2t >= 1.0:
         warnings.warn(
@@ -108,11 +117,6 @@ def expected_lvr(liquidity: float, p0: float, sigma: float, t: float) -> float:
             stacklevel=2,
         )
     return liquidity * s2t / (4.0 * sqrt(p0))
-
-
-def _check_positive_inputs(liquidity: float, p0: float, sigma: float, t: float) -> None:
-    if liquidity <= 0.0 or p0 <= 0.0 or sigma <= 0.0 or t <= 0.0:
-        raise ValueError("all inputs must be positive")
 
 
 def expected_il_gbm(liquidity: float, p0: float, sigma: float, t: float) -> float:
@@ -153,6 +157,8 @@ def expected_il_quadrature(params: ILDistParams) -> float:
     Gaussian; for the multiplicative process the log-price is integrated
     over +-14 standard deviations.
     """
+    from scipy.integrate import quad
+
     p0, liq = params.p0, params.liquidity
     sst = params.sigma * sqrt(params.t)
     norm = 1.0 / sqrt(2.0 * np.pi)
@@ -271,7 +277,7 @@ class IlTable:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
+            raise ConfigError(f"n must be positive, got {n}")
         rng = make_generator(seed)
         grid = np.minimum(rng.random(n), self._quantile_top)
         u = self._quantile(grid)
@@ -283,6 +289,9 @@ class IlTable:
 
 def build_il_table(params: ILDistParams, n_knots: int = 4096) -> IlTable:
     """Tabulate the loss density on log-spaced knots in u = sqrt(il)."""
+    from scipy.integrate import cumulative_trapezoid
+    from scipy.interpolate import PchipInterpolator
+
     if n_knots < 16:
         raise ValueError("n_knots must be at least 16")
     lo_price, hi_price = _extreme_prices(params)
@@ -318,6 +327,8 @@ def analytic_il_mean(params: ILDistParams) -> float:
     comparing it against expected_il_quadrature exercises the two routes
     independently.
     """
+    from scipy.integrate import quad
+
     lo_price, hi_price = _extreme_prices(params)
     il_lo = il_between(params.liquidity, params.p0, lo_price)
     il_hi = il_between(params.liquidity, params.p0, hi_price)
@@ -347,7 +358,7 @@ def clt_sum_experiment(
     Gaussian shape.
     """
     if n_per_sum < 1 or n_repeats < 1:
-        raise ValueError("n_per_sum and n_repeats must be positive")
+        raise ConfigError("n_per_sum and n_repeats must be positive")
     table = build_il_table(params)
     draws = table.sample(n_per_sum * n_repeats, seed)
     sums = draws.reshape(n_repeats, n_per_sum).sum(axis=1)
@@ -369,7 +380,7 @@ class BarrierSpec:
 
     def __post_init__(self) -> None:
         if not self.lower < 0.0 < self.upper:
-            raise ValueError("need lower < 0 < upper")
+            raise ConfigError("need lower < 0 < upper")
 
 
 @dataclass(frozen=True)
@@ -388,7 +399,7 @@ def first_passage(spec: BarrierSpec, n_walks: int, seed: int) -> FirstPassageRes
     probability upper / (upper + |lower|).
     """
     if n_walks < 1:
-        raise ValueError(f"n_walks must be positive, got {n_walks}")
+        raise ConfigError(f"n_walks must be positive, got {n_walks}")
     rng = make_generator(seed)
     exit_time = np.zeros(n_walks, dtype=np.int64)
     hit_lower = np.zeros(n_walks, dtype=bool)
@@ -438,6 +449,8 @@ def gof_chi_square(counts, bin_edges, cdf, min_expected: float = 5.0):
     merged left to right until each group expects at least min_expected
     counts.  Returns (statistic, dof, pvalue).
     """
+    from scipy.stats import chi2
+
     obs = np.asarray(counts, dtype=float)
     edges = np.asarray(bin_edges, dtype=float)
     if obs.size != edges.size - 1:

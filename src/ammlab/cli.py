@@ -14,8 +14,15 @@ file in the bundle directory that the manifest does not list.
 Configuration is resolved in a fixed order: built-in defaults, then
 --preset, then --config KEY=VALUE file, then explicit flags.
 
+A bundle is written into a hidden sibling of <out> and renamed into place
+once sealed, so it appears whole or not at all.  A rerun into a bundle
+directory replaces it whole; an existing <out> that is neither empty nor a
+bundle (a file, or a directory holding anything its manifest does not
+list) is refused with exit 2 before any work starts.
+
 Exit codes: 0 success, 1 replay mismatch, 2 configuration error,
-3 resource-guard refusal, 4 numerical failure.
+3 resource-guard refusal, 4 numerical failure.  Other errors are bugs and
+end in a traceback.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 from math import isfinite, sqrt
@@ -268,11 +276,10 @@ def _fmt_cell(v) -> str:
 
 
 class Bundle:
-    """Accumulates output files, then seals them under a manifest."""
+    """Accumulates output files in an existing directory, then seals them under a manifest."""
 
     def __init__(self, out_dir: Path):
         self.dir = out_dir
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.schema: dict[str, dict] = {}
 
     def write_json(self, name: str, payload: dict, description: str) -> None:
@@ -446,6 +453,8 @@ def _run_simulate(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
 
 def _run_il_pdf(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     params = _dist_params(cfg, "il-pdf")
+    if cfg["il_points"] < 1:
+        raise ConfigError(f"il_points must be positive, got {cfg['il_points']}")
     table = build_il_table(params)
     mean_density = analytic_il_mean(params)
     mean_price = expected_il_quadrature(params)
@@ -539,6 +548,8 @@ def _quiet_expected_lvr(liq, p0, sigma, t):
 
 def _run_sample_il(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     params = _dist_params(cfg, "sample-il")
+    if cfg["bins"] < 1:
+        raise ConfigError(f"bins must be positive, got {cfg['bins']}")
     table = build_il_table(params)
     draws = table.sample(cfg["n_samples"], cfg["seed"])
     hist = Histogram.from_samples(draws, bins=cfg["bins"])
@@ -615,6 +626,9 @@ def _run_first_passage(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
         )
         return bundle, [f"mean absorption time {res.mean_steps:.4g} +- {res.stderr:.2g}"]
 
+    if len(cfg["k_list"]) < 2:
+        raise ConfigError("k_list needs at least two entries to fit a slope "
+                          "(or none for a single barrier pair)")
     rows = []
     for i, k in enumerate(cfg["k_list"]):
         if k < 1:
@@ -746,11 +760,55 @@ _RUNNERS = {
 }
 
 
+def _check_replaceable(out: Path) -> None:
+    """Refuse an existing out path unless it is empty or holds one bundle and nothing else."""
+    if not os.path.lexists(out):
+        return
+    if out.is_symlink() or not out.is_dir():
+        raise ConfigError(f"{out} is not a bundle directory; refusing to replace it")
+    listed = set()
+    try:
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        listed = {"manifest.json", *(entry["path"] for entry in outputs)}
+    except (OSError, ValueError, KeyError, TypeError):
+        pass  # no readable manifest: every entry is offending
+    for entry in sorted(out.iterdir()):
+        if entry.name not in listed or entry.is_symlink() or not entry.is_file():
+            raise ConfigError(
+                f"{out} is not a bundle directory ({entry.name} is not a file its "
+                "manifest lists); refusing to replace it"
+            )
+
+
 def _execute(command: tuple[str, ...], cfg: dict, out: Path) -> list[str]:
+    """Run a command into a staging sibling of out, seal it, then move it into place.
+
+    A run that fails leaves out as it was; a run that succeeds replaces an
+    earlier bundle at out whole, so no stale file survives next to the new
+    manifest.
+    """
     mode, runner = _RUNNERS[command]
-    bundle, notes = runner(cfg, out)
-    n_files = bundle.seal(list(command), cfg)
-    return notes + [f"wrote {n_files} files to {bundle.dir}"]
+    _check_replaceable(out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    try:
+        bundle, notes = runner(cfg, stage)
+        n_files = bundle.seal(list(command), cfg)
+        # mkdtemp makes a private (0700) directory; publish with mkdir's mode
+        umask = os.umask(0)
+        os.umask(umask)
+        stage.chmod(0o777 & ~umask)
+        if os.path.lexists(out):
+            old = stage.with_name(stage.name + ".old")
+            os.rename(out, old)
+            os.rename(stage, out)
+            shutil.rmtree(old)
+        else:
+            os.rename(stage, out)
+    finally:
+        # after a successful rename the stage is gone and this does nothing
+        shutil.rmtree(stage, ignore_errors=True)
+    return notes + [f"wrote {n_files} files to {out}"]
 
 
 def _cmd_bundle(args: argparse.Namespace, command: tuple[str, ...]) -> int:
@@ -760,6 +818,20 @@ def _cmd_bundle(args: argparse.Namespace, command: tuple[str, ...]) -> int:
     for line in _execute(command, cfg, out):
         print(line)
     return 0
+
+
+def _manifest_config(cfg: dict, mode: str) -> dict:
+    """A manifest's config checked by the same casters as flags and config files."""
+    keys = _MODE_KEYS[mode]
+    if set(cfg) != set(keys):
+        raise ConfigError(f"manifest config keys {sorted(cfg)} do not match {mode}")
+
+    def text(value) -> str:
+        if isinstance(value, list):
+            return ",".join(str(v) for v in value)
+        return "" if value is None else str(value)
+
+    return {k: _KEYS[k][0](k, text(cfg[k])) for k in keys}
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -783,6 +855,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             "manifest asks for streaming mode, which no longer exists; "
             "campaigns always keep the per-run table"
         )
+    cfg = _manifest_config(cfg, _RUNNERS[command][0])
     bundle_dir = path.parent
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -905,9 +978,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

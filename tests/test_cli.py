@@ -3,14 +3,17 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ammlab import ExperimentConfig, ProcessKind, run_campaign
+from ammlab import cli
 from ammlab.cli import build_parser, main, read_config_file
 from ammlab.presets import preset_names
 
@@ -41,6 +44,28 @@ def test_parser_builds_and_reports_version(capsys):
     assert "ammlab" in capsys.readouterr().out
 
 
+def test_campaign_commands_start_without_scipy(tmp_path):
+    # scipy takes over a second to import; simulate and sweep never call it
+    script = """
+import sys
+from ammlab.cli import build_parser, main
+build_parser()
+out = sys.argv[1]
+small = ["--n-runs", "20", "--n-steps", "10", "--out"]
+assert main(["simulate"] + small + [out + "/sim"]) == 0
+assert main(["sweep", "fee", "--fees", "0.001,0.01"] + small + [out + "/fee"]) == 0
+assert main(["analytic", "lvr-mean", "--out", out + "/lvr"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -63,6 +88,36 @@ def test_non_finite_number_exits_2(tmp_path, capsys, argv, key):
     assert rc == 2
     assert f"{key}: expected a finite number" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analytic", "il-mean", "--sigma", "0"], "sigma and t must be positive"),
+    (["analytic", "il-mean", "--t", "-1"], "sigma and t must be positive"),
+    (["analytic", "il-pdf", "--liquidity", "-1"], "p0 and liquidity must be positive"),
+    (["analytic", "il-pdf", "--il-points", "-1"], "il_points must be positive, got -1"),
+    (["analytic", "lvr-mean", "--sigma", "0"], "all inputs must be positive"),
+    (["analytic", "first-passage", "--n-walks", "0"], "n_walks must be positive, got 0"),
+    (["analytic", "first-passage", "--k-list", "3"], "k_list needs at least two entries"),
+    (["analytic", "sample-il", "--n-samples", "0"], "n must be positive, got 0"),
+    (["analytic", "sample-il", "--bins", "0"], "bins must be positive, got 0"),
+    (["analytic", "clt-sum", "--n-per-sum", "0"], "n_per_sum and n_repeats must be positive"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_library_input_check_exits_2(tmp_path, capsys, argv, message):
+    rc = main(argv + ["--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_plain_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    def broken_runner(cfg, out):
+        raise ValueError("internal slip")
+
+    monkeypatch.setitem(cli._RUNNERS, ("analytic", "lvr-mean"), ("lvr-mean", broken_runner))
+    with pytest.raises(ValueError, match="internal slip"):
+        main(["analytic", "lvr-mean", "--out", str(tmp_path / "x")])
+    assert "config error" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_choice_exits_2(tmp_path, capsys):
@@ -236,14 +291,68 @@ def test_replay_flags_files_the_manifest_does_not_list(tmp_path, capsys):
     common = ["--n-runs", "50", "--n-steps", "40", "--seed", "3", "--out", str(out)]
     assert main(["simulate", "--process", "both"] + common) == 0
     assert main(["simulate", "--process", "gbm"] + common) == 0
+    listed = {e["path"] for e in json.loads((out / "manifest.json").read_text())["outputs"]}
+    assert {p.name for p in out.iterdir()} == listed | {"manifest.json"}
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 0
+    (out / "stray.txt").write_text("not sealed\n")
     capsys.readouterr()
     rc = main(["replay", str(out)])
     assert rc == 1
     text = capsys.readouterr().out
     stale = [line for line in text.splitlines() if line.endswith("(not in manifest)")]
-    assert len(stale) == 19
-    assert "EXTRA     compare.json (not in manifest)" in stale
+    assert stale == ["EXTRA     stray.txt (not in manifest)"]
     assert "ok        table.csv" in text
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+def test_rerun_replaces_the_bundle_whole(tmp_path, capsys):
+    out = tmp_path / "b"
+    common = ["--n-runs", "50", "--n-steps", "40", "--seed", "3", "--out", str(out)]
+    out.mkdir()  # an empty directory is replaced too
+    assert main(["simulate", "--process", "both"] + common) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--process", "gbm"] + common) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote 11 files to {out}"
+    fresh = tmp_path / "fresh"
+    assert main(["simulate", "--process", "gbm"] + common[:-1] + [str(fresh)]) == 0
+    assert _tree(out) == _tree(fresh)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b", "fresh"]
+    (tmp_path / "made-by-mkdir").mkdir()
+    assert out.stat().st_mode == (tmp_path / "made-by-mkdir").stat().st_mode
+
+
+def test_failed_run_leaves_an_existing_bundle_untouched(tmp_path, capsys):
+    out = _run_sim(tmp_path / "b")
+    before = _tree(out)
+    rc = main(["simulate", "--n-runs", "100000000", "--n-steps", "10", "--out", str(out)])
+    assert rc == 3
+    assert _tree(out) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["b"]
+
+
+@pytest.mark.parametrize("setup, offender", [
+    (lambda d: (d.mkdir(), (d / "notes.txt").write_text("mine\n")), "notes.txt"),
+    (lambda d: (_run_sim(d), (d / "extra.csv").write_text("1\n")), "extra.csv"),
+    (lambda d: (_run_sim(d), (d / "sub").mkdir()), "sub"),
+    (lambda d: d.write_text("a file\n"), None),
+], ids=["plain-dir", "bundle-plus-file", "bundle-plus-dir", "file"])
+def test_out_that_is_not_a_bundle_is_refused(tmp_path, capsys, setup, offender):
+    out = tmp_path / "b"
+    setup(out)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    rc = main(SIM_ARGS + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{out} is not a bundle directory" in err
+    if offender is not None:
+        assert f"({offender} is not a file its manifest lists)" in err
+    assert _tree(tmp_path) == before
 
 
 def _edit_manifest_config(out, **changes):
@@ -267,6 +376,14 @@ def test_replay_refuses_a_manifest_with_streaming_on(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", str(out)]) == 2
     assert "streaming mode" in capsys.readouterr().err
+
+
+def test_replay_refuses_a_manifest_with_a_bad_config_value(tmp_path, capsys):
+    out = _run_sim(tmp_path / "b")
+    _edit_manifest_config(out, band_rule="midpoint")
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 2
+    assert "band_rule: expected one of" in capsys.readouterr().err
 
 
 def test_replay_missing_manifest_exits_2(tmp_path):
@@ -461,6 +578,7 @@ def test_resource_guard_exits_3(tmp_path, capsys):
     ])
     assert rc == 3
     assert "resource guard" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_failure_exits_4(tmp_path, capsys):
@@ -470,6 +588,7 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
     ])
     assert rc == 4
     assert "numerical failure" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_prices_with_fee_exits_2(tmp_path, capsys):
