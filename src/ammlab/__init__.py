@@ -28,25 +28,15 @@ from .analytics import (
     sample_il,
 )
 from .cfmm import Pool, hodl_value, position_value, reserves_at_price, swap_to_price
-from .engine import (
-    ArbEvent,
-    ArbitrageConfig,
-    BandRule,
-    EngineMode,
-    TradeTarget,
-    WaitStats,
-    arb_wait_statistics,
-    no_trade_band,
-    run_no_fee,
-    run_with_fees,
-    trade_target,
-)
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .harness import (
+    BandRule,
     CampaignResult,
     ExperimentConfig,
     Observables,
     RegimeLabel,
+    TradeTarget,
+    arbitrage,
     classify_regime,
     run_campaign,
     simulate_price_matrix,
@@ -54,14 +44,7 @@ from .harness import (
     sweep_volume_vs_sigma,
     sweep_volume_vs_steps,
 )
-from .metrics import (
-    RunMetrics,
-    accumulate,
-    il_between,
-    lvr_step,
-    rebalance_quantities,
-    volume_step,
-)
+from .metrics import il_between, lvr_step, rebalance_quantities, volume_step
 from .presets import PRESETS, get_preset, preset_names
 from .stats import Histogram, fit_loglog, mean_stderr, sample_skewness
 from .stochastic import (
@@ -73,11 +56,9 @@ from .stochastic import (
     make_generator,
     pdf_bm,
     pdf_gbm,
-    step_bm,
-    step_gbm,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "__version__",
@@ -86,14 +67,10 @@ __all__ = [
     # price processes
     "ProcessKind", "PriceProcessSpec", "PricePath", "generate_path",
     "make_generator", "derive_run_seed", "pdf_bm", "pdf_gbm",
-    "step_bm", "step_gbm",
-    # per-path metrics
-    "RunMetrics", "il_between", "lvr_step", "rebalance_quantities",
-    "volume_step", "accumulate",
-    # arbitrage engine
-    "EngineMode", "BandRule", "TradeTarget", "ArbitrageConfig", "ArbEvent",
-    "WaitStats", "no_trade_band", "trade_target", "run_no_fee",
-    "run_with_fees", "arb_wait_statistics",
+    # per-step metrics
+    "il_between", "lvr_step", "rebalance_quantities", "volume_step",
+    # arbitrage kernel
+    "BandRule", "TradeTarget", "arbitrage",
     # analytics
     "ILDistParams", "Branch", "StepKind", "BarrierSpec", "FirstPassageResult",
     "IlTable", "expected_lvr", "expected_lvr_gbm", "expected_il_gbm",

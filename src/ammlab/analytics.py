@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .metrics import il_between
-from .stats import Histogram
+from .stats import Histogram, mean_stderr
 from .stochastic import ProcessKind, make_generator, pdf_bm, pdf_gbm
 
 if TYPE_CHECKING:
@@ -422,9 +422,7 @@ def first_passage(spec: BarrierSpec, n_walks: int, seed: int) -> FirstPassageRes
             keep = ~done
             alive = alive[keep]
             pos = pos[keep]
-    n = float(n_walks)
-    mean = float(exit_time.mean())
-    stderr = float(exit_time.std(ddof=1) / sqrt(n)) if n_walks > 1 else 0.0
+    mean, stderr = mean_stderr(exit_time)
     return FirstPassageResult(
         mean_steps=mean, stderr=stderr, frac_lower=float(hit_lower.mean()), n_walks=n_walks
     )

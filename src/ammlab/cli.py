@@ -10,7 +10,9 @@ Every command that produces data writes a self-describing bundle:
 Bundles contain no timestamps, hostnames or other incidental state, so the
 same command line yields byte-identical bundles on any machine; `ammlab
 replay <bundle>` re-executes the manifest and verifies that, and flags any
-file in the bundle directory that the manifest does not list.
+file in the bundle directory that the manifest does not list.  A bundle
+written by another ammlab version is refused with exit 2, since output
+bytes may differ between versions.
 Configuration is resolved in a fixed order: built-in defaults, then
 --preset, then --config KEY=VALUE file, then explicit flags.
 
@@ -54,11 +56,12 @@ from .analytics import (
     first_passage,
     il_pdf,
 )
-from .engine import BandRule, TradeTarget
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .harness import (
+    BandRule,
     ExperimentConfig,
     Observables,
+    TradeTarget,
     classify_regime,
     run_campaign,
     sweep_fee,
@@ -66,7 +69,7 @@ from .harness import (
     sweep_volume_vs_steps,
 )
 from .presets import get_preset, preset_names
-from .stats import Histogram
+from .stats import Histogram, fit_loglog, mean_stderr
 from .stochastic import ProcessKind, derive_run_seed, pdf_bm, pdf_gbm
 
 # ---------------------------------------------------------------------------
@@ -553,8 +556,7 @@ def _run_sample_il(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     table = build_il_table(params)
     draws = table.sample(cfg["n_samples"], cfg["seed"])
     hist = Histogram.from_samples(draws, bins=cfg["bins"])
-    mean = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / sqrt(draws.size)) if draws.size > 1 else 0.0
+    mean, stderr = mean_stderr(draws)
     bundle = Bundle(out)
     bundle.write_csv("samples.csv", ["il"], ([v] for v in draws),
                      "independent draws from the endpoint-loss distribution")
@@ -604,8 +606,6 @@ def _run_clt_sum(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
 
 
 def _run_first_passage(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
-    from .stats import fit_loglog
-
     kind = StepKind(cfg["step_kind"])
     bundle = Bundle(out)
     if not cfg["k_list"]:
@@ -629,6 +629,8 @@ def _run_first_passage(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     if len(cfg["k_list"]) < 2:
         raise ConfigError("k_list needs at least two entries to fit a slope "
                           "(or none for a single barrier pair)")
+    if len(set(cfg["k_list"])) < len(cfg["k_list"]):
+        raise ConfigError(f"k_list entries must be distinct to fit a slope, got {cfg['k_list']}")
     rows = []
     for i, k in enumerate(cfg["k_list"]):
         if k < 1:
@@ -842,20 +844,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         manifest = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load manifest {path}: {exc}") from None
+    if manifest.get("version") != __version__:
+        raise ConfigError(
+            f"bundle written by ammlab {manifest.get('version')} cannot be replayed by "
+            f"ammlab {__version__}: output bytes differ between versions (since 0.2.0 "
+            "fee-free lvr and volume are summed step by step, not pairwise); rerun the "
+            "command to write a fresh bundle"
+        )
     command = tuple(manifest["command"])
     if command not in _RUNNERS:
         raise ConfigError(f"manifest names unknown command {list(command)}")
-    if manifest.get("version") != __version__:
-        print(f"note: bundle written by version {manifest.get('version')}, "
-              f"replaying under {__version__}")
-    cfg = manifest["config"]
-    # bundles from before the streaming mode was removed carry its flag
-    if cfg.pop("streaming", False):
-        raise ConfigError(
-            "manifest asks for streaming mode, which no longer exists; "
-            "campaigns always keep the per-run table"
-        )
-    cfg = _manifest_config(cfg, _RUNNERS[command][0])
+    cfg = _manifest_config(manifest["config"], _RUNNERS[command][0])
     bundle_dir = path.parent
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -2,13 +2,39 @@
 
 A campaign evaluates one experiment configuration over n_runs independent
 price paths.  Run i always consumes the generator seeded by
-derive_run_seed(seed, i), so any single row of a campaign can be reproduced
-bit for bit with the scalar engine, and results do not depend on chunking.
+derive_run_seed(seed, i), so any single run of a campaign can be reproduced
+bit for bit from generate_path and the arbitrage kernel, and results do not
+depend on chunking.
 
-A campaign is one pass over fixed run chunks: each chunk fills its rows of
-the per-run metric table, then the summary and the histograms are built
+A campaign is one pass over fixed run chunks: each chunk builds a step-major
+price matrix, one column per run, and the arbitrage kernel fills its rows of
+the per-run metric table; then the summary and the histograms are built
 from the whole table.  Chunks are sized by a byte budget on the chunk price
 matrix, so the chunk boundaries are a pure function of the configuration.
+
+Arbitrage against the reference price.  With a proportional fee f the pool
+is only worth trading once the reference price leaves a no-trade band
+around the pool spot price p:
+
+    exact band:      [p * (1 - f), p / (1 - f)]
+    linearized band: [p * (1 - f), p * (1 + f)]
+
+A fee-free pool is the same rule with a band of zero width: every step whose
+price differs from the pool's is a trade, and the pool replays the path.
+
+Two post-trade conventions are supported; the oracle rule is the default
+of ExperimentConfig and the CLI.  The marginal rule swaps until the
+marginal profit net of fee vanishes, which parks the pool at the price
+whose band edge sits exactly on the reference price: after an upward
+breakout the reference price is the upper edge of the new band, so one more
+move in the same direction triggers the next trade immediately, while a
+reversal must traverse the whole band.  The oracle rule swaps all the way
+to the reference price, which re-centers the band instead.  The marginal
+rule is the one that yields the linear growth of waiting times with f and
+the 1/f fee suppression of the rebalancing loss; the oracle rule keeps the
+expected loss at its fee-free value because the traded increments still
+telescope the full quadratic variation.  At f = 0 both rules trade to the
+reference price.
 """
 
 from __future__ import annotations
@@ -19,13 +45,16 @@ from math import isfinite, log, sqrt
 
 import numpy as np
 
-from .engine import BandRule, TradeTarget
 from .errors import ConfigError, NumericalError, ResourceLimitError
-from .stats import Histogram, fit_loglog
+from .stats import Histogram, fit_loglog, mean_stderr
 from .stochastic import ProcessKind, derive_run_seed, make_generator, prices_from_increments
 
 __all__ = [
     "TABLE_COLUMNS",
+    "KERNEL_COLUMNS",
+    "BandRule",
+    "TradeTarget",
+    "arbitrage",
     "RegimeLabel",
     "Observables",
     "ExperimentConfig",
@@ -40,9 +69,10 @@ __all__ = [
 ]
 
 TABLE_COLUMNS = ("il", "lvr", "volume", "fees", "n_arb_events", "final_price")
+# the kernel adds the step index of the last trade (0 if none), for pooled waits
+KERNEL_COLUMNS = TABLE_COLUMNS + ("last_trade",)
 
-# one extra internal column: step index of the last trade, for pooled waits
-_N_COLS = len(TABLE_COLUMNS) + 1
+_N_COLS = len(KERNEL_COLUMNS)
 _LAST_EVENT = _N_COLS - 1
 
 DEFAULT_CHUNK_BYTES = 64 << 20
@@ -50,6 +80,16 @@ DEFAULT_TABLE_BYTES = 1 << 30
 
 SHORT_REGIME_MAX = 0.01
 LONG_REGIME_MIN = 1.0
+
+
+class BandRule(str, Enum):
+    EXACT = "exact"
+    LINEARIZED = "linearized"
+
+
+class TradeTarget(str, Enum):
+    MARGINAL = "marginal"
+    ORACLE = "oracle"
 
 
 class RegimeLabel(str, Enum):
@@ -170,29 +210,29 @@ def plan_chunks(
     n_runs: int, n_steps: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES
 ) -> list[tuple[int, int]]:
     """Fixed [start, stop) run ranges whose price matrices fit chunk_bytes."""
-    row_bytes = (n_steps + 1) * 8
-    if row_bytes > chunk_bytes:
+    path_bytes = (n_steps + 1) * 8
+    if path_bytes > chunk_bytes:
         raise ResourceLimitError(
-            f"a single path of {n_steps} steps needs {row_bytes} bytes, over the "
+            f"a single path of {n_steps} steps needs {path_bytes} bytes, over the "
             f"{chunk_bytes}-byte chunk budget; lower n_steps or raise the budget"
         )
-    rows = max(1, chunk_bytes // row_bytes)
-    return [(a, min(a + rows, n_runs)) for a in range(0, n_runs, rows)]
+    runs = max(1, chunk_bytes // path_bytes)
+    return [(a, min(a + runs, n_runs)) for a in range(0, n_runs, runs)]
 
 
 def simulate_price_matrix(
     kind: ProcessKind, p0: float, sigma: float, n_steps: int, seeds
 ) -> np.ndarray:
-    """Price paths for the given per-run seeds, one row per run.
+    """Price paths for the given per-run seeds, shape (n_steps + 1, runs).
 
-    Row j is bit-identical to generate_path with seed seeds[j]: each row
+    Column j is bit-identical to generate_path with seed seeds[j]: each run
     draws its increments from its own counter-based generator.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     dw = np.empty((seeds.size, n_steps), dtype=float)
     for j, s in enumerate(seeds):
         dw[j] = make_generator(int(s)).standard_normal(n_steps)
-    return prices_from_increments(kind, p0, sigma, dw)
+    return prices_from_increments(kind, p0, sigma, dw.T)
 
 
 def _chunk_seeds(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
@@ -210,53 +250,49 @@ def _require_positive_prices(prices: np.ndarray, config: ExperimentConfig) -> No
         )
 
 
-def _metrics_no_fee(prices: np.ndarray, liquidity: float) -> np.ndarray:
-    roots = np.sqrt(prices)
-    r_prev = roots[:, :-1]
-    r_next = roots[:, 1:]
-    droot = r_next - r_prev
-    out = np.empty((prices.shape[0], _N_COLS), dtype=float)
-    out[:, 0] = liquidity / roots[:, 0] * (1.0 - roots[:, 0] / roots[:, -1]) ** 2
-    out[:, 1] = (liquidity * droot * droot / (r_prev * r_next * r_next)).sum(axis=1)
-    out[:, 2] = (liquidity * np.abs(droot) / (r_prev * r_next)).sum(axis=1)
-    out[:, 3] = 0.0
-    moved = droot != 0.0
-    out[:, 4] = moved.sum(axis=1)
-    out[:, 5] = prices[:, -1]
-    n_steps = prices.shape[1] - 1
-    any_move = moved.any(axis=1)
-    last = n_steps - np.argmax(moved[:, ::-1], axis=1)
-    out[:, _LAST_EVENT] = np.where(any_move, last, 0)
-    return out
-
-
-def _metrics_fee_band(
-    prices: np.ndarray,
+def arbitrage(
+    prices,
     liquidity: float,
-    fee: float,
-    band_rule: BandRule,
-    target: TradeTarget,
+    fee: float = 0.0,
+    band_rule: BandRule = BandRule.EXACT,
+    target: TradeTarget = TradeTarget.ORACLE,
 ) -> np.ndarray:
-    """Band arbitrage across a whole chunk, stepping all runs together.
+    """Band arbitrage over step-major price paths, all runs stepped together.
 
-    Mirrors engine.run_with_fees trade for trade: same band test, same
-    post-trade price, loss charged over the executed jump, fees tallied on
-    the x leg without compounding.
+    prices has shape (n_steps + 1, runs), one column per run; a 1-d path is
+    a batch of one.  Returns one row per run in KERNEL_COLUMNS order.  A
+    trade happens at each step whose reference price leaves the band around
+    the pool price; fee 0 is the band of zero width.  The loss is charged
+    over the executed jump only (pre-trade pool price to post-trade pool
+    price), so steps the pool sits out are coarse grained into the next
+    trade.  Losses and volumes are summed step by step; fees are tallied on
+    the x leg without compounding; il runs from the path start to the final
+    pool price.
     """
-    n_rows, m = prices.shape
+    prices = np.asarray(prices, dtype=float)
+    if prices.ndim == 1:
+        prices = prices[:, None]
+    if prices.ndim != 2 or prices.shape[0] < 2:
+        raise ValueError("prices must hold at least two steps, shape (n_steps + 1, runs)")
+    if not liquidity > 0.0:
+        raise ValueError(f"liquidity must be positive, got {liquidity}")
+    if not 0.0 <= fee < 1.0:
+        raise ValueError(f"fee must lie in [0, 1), got {fee}")
+    if not prices.min() > 0.0:
+        raise ValueError("pool arbitrage requires positive prices")
     keep = 1.0 - fee
-    p_amm = prices[:, 0].copy()
-    lvr = np.zeros(n_rows)
-    vol = np.zeros(n_rows)
-    n_ev = np.zeros(n_rows, dtype=np.int64)
-    last_ev = np.zeros(n_rows, dtype=np.int64)
-    for step in range(1, m):
-        p_ref = prices[:, step]
+    p_amm = prices[0].copy()
+    r0 = ra = np.sqrt(p_amm)
+    lvr = np.zeros(p_amm.size)
+    vol = np.zeros(p_amm.size)
+    n_ev = np.zeros(p_amm.size, dtype=np.int64)
+    last_ev = np.zeros(p_amm.size, dtype=np.int64)
+    for step in range(1, prices.shape[0]):
+        p_ref = prices[step]
         lower = p_amm * keep
         upper = p_amm / keep if band_rule is BandRule.EXACT else p_amm * (1.0 + fee)
         up = p_ref > upper
-        dn = p_ref < lower
-        hit = up | dn
+        hit = up | (p_ref < lower)
         if not hit.any():
             continue
         if target is TradeTarget.ORACLE:
@@ -265,18 +301,17 @@ def _metrics_fee_band(
             tgt = np.where(up, p_ref * keep, p_ref / keep)
         else:
             tgt = np.where(up, p_ref / (1.0 + fee), p_ref / keep)
-        p_new = np.where(hit, tgt, p_amm)
-        ra = np.sqrt(p_amm)
-        rh = np.sqrt(p_new)
+        p_amm = np.where(hit, tgt, p_amm)
+        rh = np.sqrt(p_amm)
         dr = rh - ra
         lvr += liquidity * dr * dr / (ra * rh * rh)
         vol += liquidity * np.abs(dr) / (ra * rh)
         n_ev += hit
-        last_ev = np.where(hit, step, last_ev)
-        p_amm = p_new
-    out = np.empty((n_rows, _N_COLS), dtype=float)
-    r0 = np.sqrt(prices[:, 0])
-    out[:, 0] = liquidity / r0 * (1.0 - r0 / np.sqrt(p_amm)) ** 2
+        np.putmask(last_ev, hit, step)
+        ra = rh
+    out = np.empty((p_amm.size, _N_COLS), dtype=float)
+    # ra is now the root of the final pool price
+    out[:, 0] = liquidity / r0 * (1.0 - r0 / ra) ** 2
     out[:, 1] = lvr
     out[:, 2] = vol
     out[:, 3] = fee * vol
@@ -287,9 +322,9 @@ def _metrics_fee_band(
 
 
 def _metrics_prices_only(prices: np.ndarray) -> np.ndarray:
-    out = np.full((prices.shape[0], _N_COLS), np.nan)
+    out = np.full((prices.shape[1], _N_COLS), np.nan)
     out[:, 4] = 0.0
-    out[:, 5] = prices[:, -1]
+    out[:, 5] = prices[-1]
     out[:, _LAST_EVENT] = 0.0
     return out
 
@@ -301,11 +336,7 @@ def _compute_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
         return _metrics_prices_only(prices)
     if config.kind is ProcessKind.BM:
         _require_positive_prices(prices, config)
-    if config.fee == 0.0:
-        return _metrics_no_fee(prices, config.liquidity)
-    return _metrics_fee_band(
-        prices, config.liquidity, config.fee, config.band_rule, config.target
-    )
+    return arbitrage(prices, config.liquidity, config.fee, config.band_rule, config.target)
 
 
 def _observable_values(rows: np.ndarray, name: str) -> np.ndarray:
@@ -320,15 +351,11 @@ def _summarize(config: ExperimentConfig, table: np.ndarray) -> dict:
     n = table.shape[0]
     summary: dict = {"n_runs": n, "sigma2_t": config.sigma2_t, "regime": config.regime.value}
     if config.observables is Observables.PRICES:
-        col = table[:, 5]
-        summary["mean_final_price"] = float(col.mean())
-        summary["stderr_final_price"] = float(col.std(ddof=1) / sqrt(n)) if n > 1 else 0.0
+        summary["mean_final_price"], summary["stderr_final_price"] = mean_stderr(table[:, 5])
         return summary
     for name in ("il", "lvr", "volume", "fees"):
         col = table[:, TABLE_COLUMNS.index(name)]
-        mean = float(col.mean())
-        summary[f"mean_{name}"] = mean
-        summary[f"stderr_{name}"] = float(col.std(ddof=1) / sqrt(n)) if n > 1 else 0.0
+        summary[f"mean_{name}"], summary[f"stderr_{name}"] = mean_stderr(col)
     total_events = float(table[:, 4].sum())
     summary["mean_events"] = total_events / n
     # pooled wait: elapsed trading time over number of trades, run start anchored
@@ -387,8 +414,8 @@ def sweep_volume_vs_sigma(base: ExperimentConfig, sigmas) -> dict:
     mean trading volume and mean loss against sigma.
     """
     sig = [float(s) for s in sigmas]
-    if len(sig) < 2 or any(s <= 0.0 for s in sig):
-        raise ConfigError("need at least two positive volatilities")
+    if len(set(sig)) < len(sig) or len(sig) < 2 or any(s <= 0.0 for s in sig):
+        raise ConfigError("need at least two distinct positive volatilities")
     rows = []
     for s in sig:
         res = run_campaign(replace(base, sigma=s))
@@ -416,8 +443,8 @@ def sweep_volume_vs_steps(
     cumulative loss should stay put while volume grows like sqrt(n_steps).
     """
     steps = [int(v) for v in steps_list]
-    if len(steps) < 2 or any(v < 1 for v in steps):
-        raise ConfigError("need at least two positive step counts")
+    if len(set(steps)) < len(steps) or len(steps) < 2 or any(v < 1 for v in steps):
+        raise ConfigError("need at least two distinct positive step counts")
     if total_variance is None:
         total_variance = base.sigma2_t
     if total_variance <= 0.0:
@@ -462,6 +489,8 @@ def sweep_fee(base: ExperimentConfig, fees) -> dict:
         raise ConfigError("fee sweep needs positive fees")
     if any(b <= a for a, b in zip(fee_list, fee_list[1:])):
         raise ConfigError("fees must be strictly increasing")
+    if base.sigma <= 0.0:
+        raise ConfigError("fee sweep needs a positive sigma: its rows report f / sigma")
     baseline = run_campaign(replace(base, fee=0.0))
     rows = []
     for f in fee_list:

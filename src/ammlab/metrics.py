@@ -9,38 +9,20 @@ prices p0 and p is
 which depends only on the endpoints.  Charging the same expression per step
 and summing gives the loss against a continuously rebalanced shadow
 portfolio; that sum is path dependent and never smaller than any single-step
-view of the same move.
+view of the same move.  This module holds the per-step formulas;
+harness.arbitrage sums them along paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 
-import numpy as np
-
-from .stochastic import PricePath
-
 __all__ = [
-    "RunMetrics",
     "il_between",
     "lvr_step",
     "rebalance_quantities",
     "volume_step",
-    "accumulate",
 ]
-
-
-@dataclass(frozen=True)
-class RunMetrics:
-    """Aggregated token-x metrics of one simulated run."""
-
-    il: float
-    lvr: float
-    volume: float
-    fees: float
-    n_arb_events: int
-    final_price: float
 
 
 def _check_positive(**named: float) -> None:
@@ -92,52 +74,3 @@ def volume_step(liquidity: float, price: float, next_price: float) -> float:
     """Unsigned x-reserve change |x(next) - x(now)| caused by one step."""
     _check_positive(liquidity=liquidity, price=price, next_price=next_price)
     return abs(liquidity / sqrt(next_price) - liquidity / sqrt(price))
-
-
-def _path_prices(path) -> np.ndarray:
-    prices = path.prices if isinstance(path, PricePath) else np.asarray(path, dtype=float)
-    if prices.ndim != 1 or prices.size < 2:
-        raise ValueError("path must hold at least two prices")
-    if np.any(prices <= 0.0):
-        raise ValueError("path prices must be positive for pool metrics")
-    return prices
-
-
-def accumulate(path, liquidity: float, checkpoints=None) -> list[RunMetrics]:
-    """Metrics of one fee-free path at the requested step checkpoints.
-
-    path may be a PricePath or a plain price array.  checkpoints defaults to
-    the final step.  Per-step losses and volumes are summed up to each
-    checkpoint; il is always measured from the path start to the checkpoint
-    price.  Every step with a price change counts as one trade event.
-    """
-    _check_positive(liquidity=liquidity)
-    prices = _path_prices(path)
-    n_steps = prices.size - 1
-    if checkpoints is None:
-        checkpoints = [n_steps]
-    roots = np.sqrt(prices)
-    droot = roots[1:] - roots[:-1]
-    lvr_steps = liquidity * droot * droot / (roots[:-1] * roots[1:] * roots[1:])
-    vol_steps = liquidity * np.abs(droot) / (roots[:-1] * roots[1:])
-    moved = prices[1:] != prices[:-1]
-    lvr_cum = np.concatenate(([0.0], np.cumsum(lvr_steps)))
-    vol_cum = np.concatenate(([0.0], np.cumsum(vol_steps)))
-    moved_cum = np.concatenate(([0], np.cumsum(moved)))
-
-    out: list[RunMetrics] = []
-    for cp in checkpoints:
-        cp = int(cp)
-        if not 1 <= cp <= n_steps:
-            raise ValueError(f"checkpoint {cp} outside 1..{n_steps}")
-        out.append(
-            RunMetrics(
-                il=il_between(liquidity, float(prices[0]), float(prices[cp])),
-                lvr=float(lvr_cum[cp]),
-                volume=float(vol_cum[cp]),
-                fees=0.0,
-                n_arb_events=int(moved_cum[cp]),
-                final_price=float(prices[cp]),
-            )
-        )
-    return out

@@ -29,8 +29,6 @@ __all__ = [
     "ProcessKind",
     "PriceProcessSpec",
     "PricePath",
-    "step_bm",
-    "step_gbm",
     "pdf_bm",
     "pdf_gbm",
     "generate_path",
@@ -121,19 +119,6 @@ def derive_run_seed(campaign_seed: int, run_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def step_bm(p_prev: float, p0: float, sigma: float, dw: float) -> float:
-    """One additive update; increments scale with the initial price p0."""
-    return p_prev + p0 * sigma * dw
-
-
-def step_gbm(p_prev: float, sigma: float, dw: float) -> float:
-    """One multiplicative update with the positivity clamp applied."""
-    factor = 1.0 + sigma * dw
-    if factor <= 0.0:
-        factor = GBM_FACTOR_FLOOR
-    return p_prev * factor
-
-
 def _as_float_array(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
@@ -165,36 +150,31 @@ def pdf_gbm(p, p0: float, sigma: float, t: float):
     return out.item() if out.ndim == 0 else out
 
 
-def increments_for_spec(spec: PriceProcessSpec) -> np.ndarray:
-    """The standard normal draws backing generate_path for this spec."""
-    rng = make_generator(spec.seed)
-    return rng.standard_normal(spec.n_steps)
-
-
 def prices_from_increments(
     kind: ProcessKind, p0: float, sigma: float, dw: np.ndarray
 ) -> np.ndarray:
-    """Apply the update rule along the last axis of a block of increments.
+    """Apply the update rule along the first axis of a block of increments.
 
-    Accepts either a single path of draws (shape (n,)) or a batch
-    (shape (runs, n)); returns prices with the start column prepended.
+    Accepts either a single path of draws (shape (n,)) or a step-major batch
+    (shape (n, runs), one column per run); returns prices with the start row
+    prepended, shape (n + 1,) or (n + 1, runs).
     """
     dw = np.asarray(dw, dtype=float)
-    out = np.empty(dw.shape[:-1] + (dw.shape[-1] + 1,), dtype=float)
-    out[..., 0] = p0
+    out = np.empty((dw.shape[0] + 1,) + dw.shape[1:], dtype=float)
+    out[0] = p0
     if kind is ProcessKind.BM:
-        np.cumsum(dw, axis=-1, out=out[..., 1:])
-        out[..., 1:] *= p0 * sigma
-        out[..., 1:] += p0
+        np.cumsum(dw, axis=0, out=out[1:])
+        out[1:] *= p0 * sigma
+        out[1:] += p0
     else:
         factors = 1.0 + sigma * dw
         factors = np.where(factors <= 0.0, GBM_FACTOR_FLOOR, factors)
-        np.cumprod(factors, axis=-1, out=out[..., 1:])
-        out[..., 1:] *= p0
+        np.cumprod(factors, axis=0, out=out[1:])
+        out[1:] *= p0
     return out
 
 
 def generate_path(spec: PriceProcessSpec) -> PricePath:
     """Simulate one path; identical specs (seed included) give identical bits."""
-    prices = prices_from_increments(spec.kind, spec.p0, spec.sigma, increments_for_spec(spec))
-    return PricePath(prices=prices, spec=spec)
+    dw = make_generator(spec.seed).standard_normal(spec.n_steps)
+    return PricePath(prices=prices_from_increments(spec.kind, spec.p0, spec.sigma, dw), spec=spec)

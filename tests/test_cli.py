@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ammlab
 from ammlab import ExperimentConfig, ProcessKind, run_campaign
 from ammlab import cli
 from ammlab.cli import build_parser, main, read_config_file
@@ -42,6 +43,17 @@ def test_parser_builds_and_reports_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "ammlab" in capsys.readouterr().out
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in ammlab.__all__ if not hasattr(ammlab, name)]
+    assert missing == []
+    assert len(set(ammlab.__all__)) == len(ammlab.__all__)
+
+
+def test_package_version_matches_pyproject():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert f'\nversion = "{ammlab.__version__}"\n' in pyproject
 
 
 def test_campaign_commands_start_without_scipy(tmp_path):
@@ -101,6 +113,10 @@ def test_non_finite_number_exits_2(tmp_path, capsys, argv, key):
     (["analytic", "sample-il", "--n-samples", "0"], "n must be positive, got 0"),
     (["analytic", "sample-il", "--bins", "0"], "bins must be positive, got 0"),
     (["analytic", "clt-sum", "--n-per-sum", "0"], "n_per_sum and n_repeats must be positive"),
+    (["analytic", "first-passage", "--k-list", "3,3"], "k_list entries must be distinct"),
+    (["sweep", "fee", "--fees", "0.001", "--sigma", "0"], "fee sweep needs a positive sigma"),
+    (["sweep", "sigma", "--sigmas", "0.001,0.001"], "need at least two distinct positive"),
+    (["sweep", "steps", "--steps-list", "10,10"], "need at least two distinct positive"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_library_input_check_exits_2(tmp_path, capsys, argv, message):
     rc = main(argv + ["--out", str(tmp_path / "x")])
@@ -362,20 +378,15 @@ def _edit_manifest_config(out, **changes):
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def test_replay_accepts_a_manifest_with_streaming_off(tmp_path, capsys):
-    out = _run_sim(tmp_path / "b")
-    _edit_manifest_config(out, streaming=False)
-    capsys.readouterr()
-    assert main(["replay", str(out)]) == 0
-    assert "byte for byte" in capsys.readouterr().out
-
-
 def test_replay_refuses_a_manifest_with_streaming_on(tmp_path, capsys):
-    out = _run_sim(tmp_path / "b")
-    _edit_manifest_config(out, streaming=True)
-    capsys.readouterr()
-    assert main(["replay", str(out)]) == 2
-    assert "streaming mode" in capsys.readouterr().err
+    # streaming mode left before 0.2.0, and older bundles are refused by
+    # version, so a streaming key in either state is an unknown key
+    for value in (True, False):
+        out = _run_sim(tmp_path / f"b{value}")
+        _edit_manifest_config(out, streaming=value)
+        capsys.readouterr()
+        assert main(["replay", str(out)]) == 2
+        assert "manifest config keys" in capsys.readouterr().err
 
 
 def test_replay_refuses_a_manifest_with_a_bad_config_value(tmp_path, capsys):
@@ -384,6 +395,19 @@ def test_replay_refuses_a_manifest_with_a_bad_config_value(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", str(out)]) == 2
     assert "band_rule: expected one of" in capsys.readouterr().err
+
+
+def test_replay_refuses_a_bundle_from_another_version(tmp_path, capsys):
+    out = _run_sim(tmp_path / "b")
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["version"] = "0.1.0"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"written by ammlab 0.1.0 cannot be replayed by ammlab {ammlab.__version__}" in err
+    assert "summed step by step, not pairwise" in err
 
 
 def test_replay_missing_manifest_exits_2(tmp_path):

@@ -5,9 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scalar_engine import run_no_fee, run_with_fees
 
 from ammlab import (
-    ArbitrageConfig,
     CampaignResult,
     ConfigError,
     ExperimentConfig,
@@ -22,8 +22,6 @@ from ammlab import (
     derive_run_seed,
     generate_path,
     run_campaign,
-    run_no_fee,
-    run_with_fees,
     sweep_fee,
     sweep_volume_vs_sigma,
     sweep_volume_vs_steps,
@@ -91,7 +89,6 @@ def test_campaign_rows_match_scalar_engine_with_fee():
     config = replace(BASE, fee=0.003, n_runs=6, n_steps=120)
     result = run_campaign(config)
     pool = Pool.from_price(config.liquidity, config.p0)
-    arb = ArbitrageConfig(fee=config.fee, band_rule=config.band_rule, target=config.target)
     for i in range(config.n_runs):
         spec = PriceProcessSpec(
             kind=config.kind,
@@ -100,7 +97,9 @@ def test_campaign_rows_match_scalar_engine_with_fee():
             n_steps=config.n_steps,
             seed=derive_run_seed(config.seed, i),
         )
-        metrics, _ = run_with_fees(generate_path(spec), pool, arb)
+        metrics, _ = run_with_fees(
+            generate_path(spec), pool, config.fee, config.band_rule, config.target
+        )
         row = result.table[i]
         assert row[0] == pytest.approx(metrics.il, rel=1e-10)
         assert row[1] == pytest.approx(metrics.lvr, rel=1e-10)
@@ -323,6 +322,13 @@ def test_sweep_validation():
         sweep_fee(base, [0.01, 0.01])
     with pytest.raises(ConfigError):
         sweep_fee(base, [-0.01, 0.02])
+    with pytest.raises(ConfigError, match="positive sigma"):
+        sweep_fee(replace(base, sigma=0.0), [0.01])
+    # a slope needs distinct abscissae
+    with pytest.raises(ConfigError, match="distinct"):
+        sweep_volume_vs_sigma(base, [0.001, 0.001])
+    with pytest.raises(ConfigError, match="distinct"):
+        sweep_volume_vs_steps(base, [10, 10])
 
 
 def test_result_column_accessor():

@@ -1,4 +1,5 @@
-"""Per-step loss, rebalancing, and volume formulas plus their identities."""
+"""Per-step loss, rebalancing, and volume formulas plus their identities, and
+the arbitrage kernel's sums of them along fee-free paths."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from ammlab import (
     PriceProcessSpec,
     ProcessKind,
-    accumulate,
+    arbitrage,
     generate_path,
     hodl_value,
     il_between,
@@ -17,8 +18,15 @@ from ammlab import (
     rebalance_quantities,
     volume_step,
 )
+from ammlab.harness import KERNEL_COLUMNS
 
 prices = st.floats(min_value=1e-3, max_value=1e6)
+
+
+def _free(path, liquidity: float) -> dict:
+    """Fee-free kernel metrics of one path, by column name."""
+    row = arbitrage(np.asarray(path, dtype=float), liquidity)[0]
+    return dict(zip(KERNEL_COLUMNS, row))
 
 
 def test_il_zero_at_entry():
@@ -50,6 +58,20 @@ def test_one_step_loss_equals_il(liquidity, p, q):
     step = lvr_step(liquidity, p, q)
     il = il_between(liquidity, p, q)
     assert step == pytest.approx(il, rel=1e-12, abs=1e-300)
+
+
+@given(
+    liquidity=st.floats(min_value=1e-3, max_value=1e9),
+    p=prices,
+    log_move=st.floats(min_value=1e-6, max_value=2.0),
+    up=st.booleans(),
+)
+def test_kernel_one_step_loss_equals_il(liquidity, p, log_move, up):
+    q = p * np.exp(log_move if up else -log_move)
+    m = _free([p, q], liquidity)
+    assert m["lvr"] == pytest.approx(m["il"], rel=1e-8)
+    assert m["il"] == pytest.approx(il_between(liquidity, p, q), rel=1e-8)
+    assert m["volume"] == pytest.approx(volume_step(liquidity, p, q), rel=1e-8)
 
 
 def test_small_step_quadratic_law():
@@ -105,62 +127,68 @@ def test_volume_step_is_reserve_difference(p, q):
 
 
 def test_accumulate_constant_path():
-    m = accumulate([50.0, 50.0, 50.0, 50.0], 1000.0)[-1]
-    assert m.il == 0.0 and m.lvr == 0.0 and m.volume == 0.0
-    assert m.n_arb_events == 0
+    m = _free([50.0, 50.0, 50.0, 50.0], 1000.0)
+    assert m["il"] == 0.0 and m["lvr"] == 0.0 and m["volume"] == 0.0
+    assert m["n_arb_events"] == 0
 
 
 def test_accumulate_round_trip_path():
-    m = accumulate([100.0, 121.0, 100.0], 10000.0)[-1]
-    assert m.il == 0.0
+    m = _free([100.0, 121.0, 100.0], 10000.0)
+    assert m["il"] == 0.0
     expected = lvr_step(10000.0, 100.0, 121.0) + lvr_step(10000.0, 121.0, 100.0)
-    assert m.lvr == pytest.approx(expected, rel=1e-12)
-    assert m.lvr > 0.0
+    assert m["lvr"] == pytest.approx(expected, rel=1e-12)
+    assert m["lvr"] > 0.0
 
 
 def test_accumulate_is_per_step_sum():
     path = [100.0, 104.0, 109.0]
-    m = accumulate(path, 10000.0)[-1]
+    m = _free(path, 10000.0)
     brute = sum(lvr_step(10000.0, path[i], path[i + 1]) for i in range(2))
-    assert m.lvr == pytest.approx(brute, rel=1e-12)
+    assert m["lvr"] == pytest.approx(brute, rel=1e-12)
+    brute = sum(volume_step(10000.0, path[i], path[i + 1]) for i in range(2))
+    assert m["volume"] == pytest.approx(brute, rel=1e-12)
 
 
 def test_accumulate_checkpoints_measure_il_from_start():
+    # every path prefix: il from the start, loss summed up to that step
     path = [100.0, 105.0, 95.0, 100.0, 110.0]
-    series = accumulate(path, 10000.0, checkpoints=[1, 2, 3, 4])
+    series = [_free(path[: cp + 1], 10000.0) for cp in (1, 2, 3, 4)]
     for cp, m in zip([1, 2, 3, 4], series):
-        assert m.il == pytest.approx(il_between(10000.0, 100.0, path[cp]), rel=1e-12)
-        assert m.final_price == path[cp]
-    lvrs = [m.lvr for m in series]
+        assert m["il"] == pytest.approx(il_between(10000.0, 100.0, path[cp]), rel=1e-12)
+        assert m["final_price"] == path[cp]
+    lvrs = [m["lvr"] for m in series]
     assert lvrs == sorted(lvrs)  # cumulative loss never decreases
-    assert series[2].il == 0.0 and series[2].lvr > 0.0
+    assert series[2]["il"] == 0.0 and series[2]["lvr"] > 0.0
 
 
 def test_accumulate_checkpoint_bounds():
-    with pytest.raises(ValueError):
-        accumulate([1.0, 2.0], 10.0, checkpoints=[2])
-    with pytest.raises(ValueError):
-        accumulate([1.0, 2.0], 10.0, checkpoints=[0])
+    # a path needs at least one step, laid out as (n_steps + 1, runs)
+    with pytest.raises(ValueError, match="at least two steps"):
+        arbitrage([1.0], 10.0)
+    with pytest.raises(ValueError, match="at least two steps"):
+        arbitrage(np.ones((3, 2, 2)), 10.0)
+    with pytest.raises(ValueError, match="liquidity"):
+        arbitrage([1.0, 2.0], 0.0)
 
 
 def test_il_ignores_intermediate_order():
     base = [100.0, 90.0, 130.0, 105.0, 112.0]
     shuffled = [100.0, 130.0, 90.0, 112.0, 105.0]
     shuffled[-1] = base[-1]
-    a = accumulate(base, 500.0)[-1]
-    b = accumulate(shuffled, 500.0)[-1]
-    assert a.il == pytest.approx(b.il, rel=1e-12)
-    assert a.lvr != pytest.approx(b.lvr, rel=1e-6)
+    a = _free(base, 500.0)
+    b = _free(shuffled, 500.0)
+    assert a["il"] == pytest.approx(b["il"], rel=1e-12)
+    assert a["lvr"] != pytest.approx(b["lvr"], rel=1e-6)
 
 
 def test_accumulate_accepts_price_path():
     spec = PriceProcessSpec(kind=ProcessKind.GBM, p0=100.0, sigma=0.01, n_steps=50, seed=12)
     path = generate_path(spec)
-    m = accumulate(path, 10000.0)[-1]
-    assert m.final_price == path.prices[-1]
-    assert m.lvr > 0.0 and m.volume > 0.0
+    m = _free(path.prices, 10000.0)
+    assert m["final_price"] == path.prices[-1]
+    assert m["lvr"] > 0.0 and m["volume"] > 0.0
 
 
 def test_accumulate_rejects_nonpositive_prices():
     with pytest.raises(ValueError):
-        accumulate([100.0, -3.0], 10.0)
+        arbitrage([100.0, -3.0], 10.0)

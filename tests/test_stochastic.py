@@ -14,27 +14,39 @@ from ammlab import (
     pdf_bm,
     pdf_gbm,
     simulate_price_matrix,
-    step_bm,
-    step_gbm,
 )
-from ammlab.stochastic import GBM_FACTOR_FLOOR
+from ammlab.stochastic import GBM_FACTOR_FLOOR, prices_from_increments
+
+BM, GBM = ProcessKind.BM, ProcessKind.GBM
+
+
+def _one_step(kind, p0, sigma, dw):
+    prices = prices_from_increments(kind, p0, sigma, [dw])
+    assert prices.shape == (2,) and prices[0] == p0
+    return prices[1]
 
 
 def test_step_bm_cases():
-    assert step_bm(100.0, 100.0, 0.001, 0.0) == 100.0
-    assert step_bm(100.0, 100.0, 0.001, 1.5) == pytest.approx(100.15)
+    assert _one_step(BM, 100.0, 0.001, 0.0) == 100.0
+    assert _one_step(BM, 100.0, 0.001, 1.5) == pytest.approx(100.15)
     # additive increments scale with the start price, not the current one
-    assert step_bm(50.0, 100.0, 0.01, -2.0) == pytest.approx(48.0)
+    two = prices_from_increments(BM, 100.0, 0.01, [-50.0, -2.0])
+    assert two[1] == pytest.approx(50.0)
+    assert two[2] == pytest.approx(48.0)
 
 
 def test_step_gbm_cases():
-    assert step_gbm(100.0, 0.001, 0.0) == 100.0
-    assert step_gbm(100.0, 0.015, 1.0) == pytest.approx(101.5)
-    assert step_gbm(200.0, 0.015, 1.0) == pytest.approx(203.0)
+    assert _one_step(GBM, 100.0, 0.001, 0.0) == 100.0
+    assert _one_step(GBM, 100.0, 0.015, 1.0) == pytest.approx(101.5)
+    assert _one_step(GBM, 200.0, 0.015, 1.0) == pytest.approx(203.0)
+    # a step-major block: one column per run, the start row prepended
+    block = prices_from_increments(GBM, 100.0, 0.015, [[1.0, -1.0, 0.0]])
+    assert block.shape == (2, 3)
+    np.testing.assert_allclose(block[1], [101.5, 98.5, 100.0], rtol=1e-15)
 
 
 def test_step_gbm_clamps_sign_flip():
-    assert step_gbm(100.0, 0.5, -3.0) == pytest.approx(100.0 * GBM_FACTOR_FLOOR)
+    assert _one_step(GBM, 100.0, 0.5, -3.0) == pytest.approx(100.0 * GBM_FACTOR_FLOOR)
 
 
 def test_pdf_bm_peak_and_symmetry():
@@ -89,12 +101,12 @@ def test_path_starts_at_p0_and_gbm_positive():
 
 
 def test_matrix_rows_match_single_paths():
-    # campaign batching must not change any run's draws
+    # campaign batching must not change any run's draws: column i is run i
     seeds = [derive_run_seed(17, i) for i in range(8)]
     block = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.004, 64, seeds)
     for i, seed in enumerate(seeds):
         spec = PriceProcessSpec(kind=ProcessKind.GBM, p0=100.0, sigma=0.004, n_steps=64, seed=seed)
-        assert np.array_equal(block[i], generate_path(spec).prices)
+        assert np.array_equal(block[:, i], generate_path(spec).prices)
 
 
 def test_derive_run_seed_is_stable_and_distinct():
@@ -115,7 +127,7 @@ def test_make_generator_reproducible():
 def test_final_price_spread_short_horizon():
     seeds = [derive_run_seed(40401, i) for i in range(40000)]
     block = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.001, 200, seeds)
-    spread = block[:, -1].std(ddof=1)
+    spread = block[-1].std(ddof=1)
     assert spread == pytest.approx(100.0 * 0.001 * np.sqrt(200.0), rel=0.02)
 
 
@@ -123,16 +135,16 @@ def test_short_horizon_processes_agree():
     # matched seeds: the additive and multiplicative rules stay within a
     # small KS distance while sigma^2 t is tiny
     seeds = [derive_run_seed(40402, i) for i in range(40000)]
-    bm = simulate_price_matrix(ProcessKind.BM, 100.0, 0.001, 200, seeds)[:, -1]
-    gbm = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.001, 200, seeds)[:, -1]
+    bm = simulate_price_matrix(ProcessKind.BM, 100.0, 0.001, 200, seeds)[-1]
+    gbm = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.001, 200, seeds)[-1]
     stat = scipy.stats.ks_2samp(bm, gbm).statistic
     assert stat < 0.02
 
 
 def test_long_horizon_gbm_grows_right_skew():
     seeds = [derive_run_seed(40403, i) for i in range(40000)]
-    bm = simulate_price_matrix(ProcessKind.BM, 100.0, 0.015, 200, seeds)[:, -1]
-    gbm = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.015, 200, seeds)[:, -1]
+    bm = simulate_price_matrix(ProcessKind.BM, 100.0, 0.015, 200, seeds)[-1]
+    gbm = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.015, 200, seeds)[-1]
     skew_bm = scipy.stats.skew(bm)
     skew_gbm = scipy.stats.skew(gbm)
     stderr = np.sqrt(6.0 / 40000.0)
@@ -144,7 +156,7 @@ def test_bm_variance_grows_linearly():
     seeds = [derive_run_seed(40404, i) for i in range(40000)]
     block = simulate_price_matrix(ProcessKind.BM, 100.0, 0.001, 200, seeds)
     steps = np.arange(25, 201, 25)
-    variances = block[:, steps].var(axis=0, ddof=1)
+    variances = block[steps].var(axis=1, ddof=1)
     slope = np.polyfit(steps, variances, 1)[0]
     assert slope == pytest.approx(100.0**2 * 0.001**2, rel=0.05)
 
