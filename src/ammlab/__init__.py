@@ -48,11 +48,8 @@ from .metrics import il_between, lvr_step, rebalance_quantities, volume_step
 from .presets import PRESETS, get_preset, preset_names
 from .stats import Histogram, fit_loglog, mean_stderr, sample_skewness
 from .stochastic import (
-    PricePath,
-    PriceProcessSpec,
     ProcessKind,
     derive_run_seed,
-    generate_path,
     make_generator,
     pdf_bm,
     pdf_gbm,
@@ -65,8 +62,7 @@ __all__ = [
     # pool mechanics
     "Pool", "reserves_at_price", "position_value", "hodl_value", "swap_to_price",
     # price processes
-    "ProcessKind", "PriceProcessSpec", "PricePath", "generate_path",
-    "make_generator", "derive_run_seed", "pdf_bm", "pdf_gbm",
+    "ProcessKind", "make_generator", "derive_run_seed", "pdf_bm", "pdf_gbm",
     # per-step metrics
     "il_between", "lvr_step", "rebalance_quantities", "volume_step",
     # arbitrage kernel

@@ -349,9 +349,9 @@ def sample_il(params: ILDistParams, n: int, seed: int) -> np.ndarray:
 
 
 def clt_sum_experiment(
-    params: ILDistParams, n_per_sum: int, n_repeats: int, seed: int
+    params: ILDistParams, n_per_sum: int, n_repeats: int, seed: int, bins: int = 50
 ) -> Histogram:
-    """Histogram of n_repeats independent sums of n_per_sum loss draws.
+    """Histogram, in `bins` bins, of n_repeats independent sums of n_per_sum loss draws.
 
     Despite the 1 / sqrt(il) origin spike and the hard branch cutoff, the
     single-draw distribution has finite variance, so the sums pull into a
@@ -359,10 +359,12 @@ def clt_sum_experiment(
     """
     if n_per_sum < 1 or n_repeats < 1:
         raise ConfigError("n_per_sum and n_repeats must be positive")
+    if bins < 1:
+        raise ConfigError(f"bins must be positive, got {bins}")
     table = build_il_table(params)
     draws = table.sample(n_per_sum * n_repeats, seed)
     sums = draws.reshape(n_repeats, n_per_sum).sum(axis=1)
-    return Histogram.from_samples(sums, bins=50)
+    return Histogram.from_samples(sums, bins=bins)
 
 
 class StepKind(str, Enum):

@@ -36,6 +36,7 @@ import os
 import shutil
 import sys
 import tempfile
+from dataclasses import asdict, fields
 from math import isfinite, sqrt
 from pathlib import Path
 
@@ -58,10 +59,8 @@ from .analytics import (
 )
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .harness import (
-    BandRule,
     ExperimentConfig,
     Observables,
-    TradeTarget,
     classify_regime,
     run_campaign,
     sweep_fee,
@@ -337,18 +336,7 @@ def _out_dir(args: argparse.Namespace, default_name: str) -> Path:
 
 def _campaign_config(cfg: dict, kind: ProcessKind) -> ExperimentConfig:
     return ExperimentConfig(
-        kind=kind,
-        p0=cfg["p0"],
-        sigma=cfg["sigma"],
-        n_steps=cfg["n_steps"],
-        liquidity=cfg["liquidity"],
-        n_runs=cfg["n_runs"],
-        seed=cfg["seed"],
-        fee=cfg["fee"],
-        band_rule=BandRule(cfg["band_rule"]),
-        target=TradeTarget(cfg["target"]),
-        observables=Observables(cfg["observables"]),
-        bins=cfg["bins"],
+        kind=kind, **{f.name: cfg[f.name] for f in fields(ExperimentConfig) if f.name != "kind"}
     )
 
 
@@ -360,29 +348,9 @@ def _single_process(cfg: dict, context: str) -> ProcessKind:
 
 def _dist_params(cfg: dict, context: str) -> ILDistParams:
     return ILDistParams(
-        p0=cfg["p0"],
-        liquidity=cfg["liquidity"],
-        sigma=cfg["sigma"],
-        t=cfg["t"],
         process=_single_process(cfg, context),
+        **{f.name: cfg[f.name] for f in fields(ILDistParams) if f.name != "process"},
     )
-
-
-def _config_payload(conf: ExperimentConfig) -> dict:
-    return {
-        "kind": conf.kind.value,
-        "p0": conf.p0,
-        "sigma": conf.sigma,
-        "n_steps": conf.n_steps,
-        "liquidity": conf.liquidity,
-        "n_runs": conf.n_runs,
-        "seed": conf.seed,
-        "fee": conf.fee,
-        "band_rule": conf.band_rule.value,
-        "target": conf.target.value,
-        "observables": conf.observables.value,
-        "bins": conf.bins,
-    }
 
 
 def _price_density_rows(hist: Histogram, kind: ProcessKind, p0, sigma, t):
@@ -419,7 +387,7 @@ def _run_simulate(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
         summaries[kind.value] = result.summary
         bundle.write_json(
             f"{prefix}summary.json",
-            {"config": _config_payload(conf), "summary": result.summary},
+            {"config": asdict(conf), "summary": result.summary},
             "campaign configuration and ensemble summary",
         )
         for name, hist in result.histograms.items():
@@ -476,7 +444,7 @@ def _run_il_pdf(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     bundle.write_json(
         "pdf_meta.json",
         {
-            "params": _params_payload(params),
+            "params": asdict(params),
             "mass_in_table": table.total,
             "mass_under_tabulated_points": trapz_mass,
             "mean_via_density": mean_density,
@@ -493,20 +461,10 @@ def _run_il_pdf(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     return bundle, notes
 
 
-def _params_payload(params: ILDistParams) -> dict:
-    return {
-        "process": params.process.value,
-        "p0": params.p0,
-        "liquidity": params.liquidity,
-        "sigma": params.sigma,
-        "t": params.t,
-    }
-
-
 def _run_il_mean(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     params = _dist_params(cfg, "il-mean")
     payload = {
-        "params": _params_payload(params),
+        "params": asdict(params),
         "sigma2_t": params.sigma * params.sigma * params.t,
         "regime": classify_regime(params.sigma * params.sigma * params.t).value,
         "small_sigma_mean": params.scale,
@@ -525,6 +483,9 @@ def _run_il_mean(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
 def _run_lvr_mean(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     process = _single_process(cfg, "lvr-mean")
     liq, p0, sigma, t = cfg["liquidity"], cfg["p0"], cfg["sigma"], cfg["t"]
+    if process is ProcessKind.GBM and t != int(t):
+        raise ConfigError(f"t must be a whole number under gbm, got {t}: the any-horizon "
+                          "mean sums the per-step loss over whole steps")
     s2t = sigma * sigma * t
     with_warning = expected_lvr if s2t < 1.0 else _quiet_expected_lvr
     payload = {
@@ -535,7 +496,7 @@ def _run_lvr_mean(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
         "small_sigma_mean": with_warning(liq, p0, sigma, t),
     }
     if process is ProcessKind.GBM:
-        payload["gbm_any_horizon_mean"] = expected_lvr_gbm(liq, p0, sigma, int(round(t)))
+        payload["gbm_any_horizon_mean"] = expected_lvr_gbm(liq, p0, sigma, int(t))
     bundle = Bundle(out)
     bundle.write_json("analytic.json", payload, "mean cumulative rebalancing loss")
     return bundle, [f"mean rebalancing loss {payload['small_sigma_mean']:.6g}"]
@@ -564,7 +525,7 @@ def _run_sample_il(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     bundle.write_json(
         "summary.json",
         {
-            "params": _params_payload(params),
+            "params": asdict(params),
             "n_samples": cfg["n_samples"],
             "seed": cfg["seed"],
             "sample_mean": mean,
@@ -579,7 +540,8 @@ def _run_sample_il(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
 
 def _run_clt_sum(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     params = _dist_params(cfg, "clt-sum")
-    hist = clt_sum_experiment(params, cfg["n_per_sum"], cfg["n_repeats"], cfg["seed"])
+    hist = clt_sum_experiment(params, cfg["n_per_sum"], cfg["n_repeats"], cfg["seed"],
+                              cfg["bins"])
     expected_mean = cfg["n_per_sum"] * analytic_il_mean(params)
     stderr = sqrt(hist.variance / hist.n_total)
     bundle = Bundle(out)
@@ -587,7 +549,7 @@ def _run_clt_sum(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     bundle.write_json(
         "summary.json",
         {
-            "params": _params_payload(params),
+            "params": asdict(params),
             "n_per_sum": cfg["n_per_sum"],
             "n_repeats": cfg["n_repeats"],
             "seed": cfg["seed"],

@@ -3,8 +3,8 @@
 A campaign evaluates one experiment configuration over n_runs independent
 price paths.  Run i always consumes the generator seeded by
 derive_run_seed(seed, i), so any single run of a campaign can be reproduced
-bit for bit from generate_path and the arbitrage kernel, and results do not
-depend on chunking.
+bit for bit by simulate_price_matrix with that one seed and the arbitrage
+kernel, and results do not depend on chunking.
 
 A campaign is one pass over fixed run chunks: each chunk builds a step-major
 price matrix, one column per run, and the arbitrage kernel fills its rows of
@@ -47,7 +47,13 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .stats import Histogram, fit_loglog, mean_stderr
-from .stochastic import ProcessKind, derive_run_seed, make_generator, prices_from_increments
+from .stochastic import (
+    GBM_FACTOR_FLOOR,
+    ProcessKind,
+    derive_run_seed,
+    make_generator,
+    prices_from_increments,
+)
 
 __all__ = [
     "TABLE_COLUMNS",
@@ -137,7 +143,11 @@ _PRICE_HISTOGRAMS = ("final_price",)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a campaign needs; hashable and JSON-friendly."""
+    """Everything a campaign needs; hashable and JSON-friendly.
+
+    The enum fields also accept their string values, so the record round
+    trips through dataclasses.asdict and JSON.
+    """
 
     kind: ProcessKind
     p0: float
@@ -153,6 +163,9 @@ class ExperimentConfig:
     bins: int = 50
 
     def __post_init__(self) -> None:
+        for name, enum in (("kind", ProcessKind), ("band_rule", BandRule),
+                           ("target", TradeTarget), ("observables", Observables)):
+            object.__setattr__(self, name, enum(getattr(self, name)))
         for name in ("p0", "sigma", "liquidity"):
             value = getattr(self, name)
             if not isfinite(value):
@@ -225,8 +238,9 @@ def simulate_price_matrix(
 ) -> np.ndarray:
     """Price paths for the given per-run seeds, shape (n_steps + 1, runs).
 
-    Column j is bit-identical to generate_path with seed seeds[j]: each run
-    draws its increments from its own counter-based generator.
+    Column j depends only on seeds[j]: each run draws its increments from
+    its own counter-based generator.  A single run is
+    simulate_price_matrix(kind, p0, sigma, n_steps, [seed])[:, 0].
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     dw = np.empty((seeds.size, n_steps), dtype=float)
@@ -242,12 +256,19 @@ def _chunk_seeds(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
 
 
 def _require_positive_prices(prices: np.ndarray, config: ExperimentConfig) -> None:
-    if prices.min() <= 0.0:
+    if prices.min() > 0.0:
+        return
+    if config.kind is ProcessKind.BM:
         raise NumericalError(
             "a path reached a nonpositive price; the additive process with "
             f"sigma*sqrt(t) = {config.sigma * sqrt(config.n_steps):.3g} leaks through zero, "
             "use a shorter horizon or the multiplicative process"
         )
+    raise NumericalError(
+        f"a multiplicative path underflowed to zero: with sigma = {config.sigma:.3g}, step "
+        f"factors 1 + sigma*dW <= 0 were clamped to GBM_FACTOR_FLOOR = {GBM_FACTOR_FLOOR:g} "
+        "until the price fell below the smallest double; lower sigma"
+    )
 
 
 def arbitrage(
@@ -334,8 +355,7 @@ def _compute_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     prices = simulate_price_matrix(config.kind, config.p0, config.sigma, config.n_steps, seeds)
     if config.observables is Observables.PRICES:
         return _metrics_prices_only(prices)
-    if config.kind is ProcessKind.BM:
-        _require_positive_prices(prices, config)
+    _require_positive_prices(prices, config)
     return arbitrage(prices, config.liquidity, config.fee, config.band_rule, config.target)
 
 

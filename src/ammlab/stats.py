@@ -70,8 +70,8 @@ class Histogram:
         object.__setattr__(self, "counts", counts)
 
     @classmethod
-    def from_samples(cls, values, bins: int = 50, value_range=None) -> "Histogram":
-        """Bin a sample into `bins` uniform bins over [min, max] by default.
+    def from_samples(cls, values, bins: int = 50) -> "Histogram":
+        """Bin a sample into `bins` uniform bins over [min, max].
 
         A degenerate sample (all values equal) gets a hair-width symmetric
         range so the edges stay strictly increasing.
@@ -81,26 +81,20 @@ class Histogram:
             raise ValueError("cannot histogram an empty sample")
         if bins < 1:
             raise ValueError(f"bins must be positive, got {bins}")
-        if value_range is None:
-            lo, hi = float(arr.min()), float(arr.max())
-            if lo == hi:
-                span = max(abs(lo) * 1e-9, 1e-12)
-                lo, hi = lo - span, hi + span
-        else:
-            lo, hi = map(float, value_range)
-            if not lo < hi:
-                raise ValueError("value_range must be an increasing pair")
+        lo, hi = float(arr.min()), float(arr.max())
+        if lo == hi:
+            span = max(abs(lo) * 1e-9, 1e-12)
+            lo, hi = lo - span, hi + span
         counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
-        kept = arr[(arr >= lo) & (arr <= hi)]
-        centered = kept - kept.mean()
+        centered = arr - arr.mean()
         m2 = float(np.mean(centered * centered))
         return cls(
             bin_edges=edges,
             counts=counts,
             n_total=int(counts.sum()),
-            mean=float(kept.mean()),
+            mean=float(arr.mean()),
             variance=m2,
-            skewness=sample_skewness(kept),
+            skewness=sample_skewness(arr),
         )
 
     def to_dict(self) -> dict:
@@ -114,15 +108,3 @@ class Histogram:
                 "skewness": self.skewness,
             },
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Histogram":
-        moments = payload["moments"]
-        return cls(
-            bin_edges=np.asarray(payload["bin_edges"], dtype=float),
-            counts=np.asarray(payload["counts"], dtype=np.int64),
-            n_total=int(payload["n_total"]),
-            mean=float(moments["mean"]),
-            variance=float(moments["variance"]),
-            skewness=float(moments["skewness"]),
-        )

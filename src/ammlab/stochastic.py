@@ -19,7 +19,6 @@ of execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
 
@@ -27,78 +26,22 @@ import numpy as np
 
 __all__ = [
     "ProcessKind",
-    "PriceProcessSpec",
-    "PricePath",
     "pdf_bm",
     "pdf_gbm",
-    "generate_path",
     "make_generator",
     "derive_run_seed",
     "GBM_FACTOR_FLOOR",
 ]
 
-# multiplicative factors 1 + sigma*dW <= 0 are clamped here to keep prices positive
+# multiplicative factors 1 + sigma*dW <= 0 are clamped here so every factor stays positive
 GBM_FACTOR_FLOOR = 1e-12
 
 _SQRT_TWO_PI = sqrt(2.0 * np.pi)
-_MAX_SEED = 2**64
 
 
 class ProcessKind(str, Enum):
     BM = "bm"
     GBM = "gbm"
-
-
-@dataclass(frozen=True)
-class PriceProcessSpec:
-    """Parameters of one simulated price path."""
-
-    kind: ProcessKind
-    p0: float
-    sigma: float
-    n_steps: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.p0 <= 0.0:
-            raise ValueError(f"p0 must be positive, got {self.p0}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
-class PricePath:
-    """A realized path of n_steps + 1 prices, prices[0] being the start."""
-
-    prices: np.ndarray
-    spec: PriceProcessSpec | None = None
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.prices, dtype=float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("prices must be a 1-d array with at least two entries")
-        object.__setattr__(self, "prices", arr)
-        if self.spec is not None:
-            if arr.size != self.spec.n_steps + 1:
-                raise ValueError("path length does not match spec.n_steps + 1")
-            if self.spec.kind is ProcessKind.GBM and np.any(arr <= 0.0):
-                raise ValueError("multiplicative paths must stay positive")
-
-    @property
-    def n_steps(self) -> int:
-        return self.prices.size - 1
-
-    @property
-    def p0(self) -> float:
-        return float(self.prices[0])
-
-    @property
-    def final_price(self) -> float:
-        return float(self.prices[-1])
 
 
 def make_generator(seed: int) -> np.random.Generator:
@@ -172,9 +115,3 @@ def prices_from_increments(
         np.cumprod(factors, axis=0, out=out[1:])
         out[1:] *= p0
     return out
-
-
-def generate_path(spec: PriceProcessSpec) -> PricePath:
-    """Simulate one path; identical specs (seed included) give identical bits."""
-    dw = make_generator(spec.seed).standard_normal(spec.n_steps)
-    return PricePath(prices=prices_from_increments(spec.kind, spec.p0, spec.sigma, dw), spec=spec)

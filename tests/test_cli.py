@@ -108,11 +108,14 @@ def test_non_finite_number_exits_2(tmp_path, capsys, argv, key):
     (["analytic", "il-pdf", "--liquidity", "-1"], "p0 and liquidity must be positive"),
     (["analytic", "il-pdf", "--il-points", "-1"], "il_points must be positive, got -1"),
     (["analytic", "lvr-mean", "--sigma", "0"], "all inputs must be positive"),
+    (["analytic", "lvr-mean", "--t", "0.4"], "t must be a whole number under gbm, got 0.4"),
+    (["analytic", "lvr-mean", "--t", "2.5"], "t must be a whole number under gbm, got 2.5"),
     (["analytic", "first-passage", "--n-walks", "0"], "n_walks must be positive, got 0"),
     (["analytic", "first-passage", "--k-list", "3"], "k_list needs at least two entries"),
     (["analytic", "sample-il", "--n-samples", "0"], "n must be positive, got 0"),
     (["analytic", "sample-il", "--bins", "0"], "bins must be positive, got 0"),
     (["analytic", "clt-sum", "--n-per-sum", "0"], "n_per_sum and n_repeats must be positive"),
+    (["analytic", "clt-sum", "--bins", "0"], "bins must be positive, got 0"),
     (["analytic", "first-passage", "--k-list", "3,3"], "k_list entries must be distinct"),
     (["sweep", "fee", "--fees", "0.001", "--sigma", "0"], "fee sweep needs a positive sigma"),
     (["sweep", "sigma", "--sigmas", "0.001,0.001"], "need at least two distinct positive"),
@@ -509,9 +512,10 @@ def test_clt_sum_command(tmp_path):
     out = tmp_path / "b"
     rc = main([
         "analytic", "clt-sum", "--n-per-sum", "8", "--n-repeats", "500",
-        "--sigma", "0.1", "--t", "1", "--seed", "22", "--out", str(out),
+        "--sigma", "0.1", "--t", "1", "--seed", "22", "--bins", "7", "--out", str(out),
     ])
     assert rc == 0
+    assert len(json.loads((out / "hist_sums.json").read_text())["counts"]) == 7
     summary = json.loads((out / "summary.json").read_text())
     assert summary["mean"] == pytest.approx(
         summary["expected_mean"], abs=5 * summary["stderr_of_mean"]
@@ -606,13 +610,18 @@ def test_resource_guard_exits_3(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_4(tmp_path, capsys):
-    rc = main([
-        "simulate", "--process", "bm", "--sigma", "0.05", "--n-steps", "1000",
-        "--n-runs", "100", "--seed", "13", "--out", str(tmp_path / "x"),
-    ])
-    assert rc == 4
-    assert "numerical failure" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    # an additive path leaks through zero; a multiplicative one underflows
+    # to zero once enough of its step factors are clamped
+    for argv, reason in (
+        (["--process", "bm", "--sigma", "0.05", "--seed", "13", "--n-runs", "100"],
+         "leaks through zero"),
+        (["--sigma", "1", "--n-runs", "10"], "clamped to GBM_FACTOR_FLOOR"),
+    ):
+        rc = main(["simulate", "--n-steps", "1000", "--out", str(tmp_path / "x"), *argv])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and reason in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_prices_with_fee_exits_2(tmp_path, capsys):

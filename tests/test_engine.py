@@ -19,12 +19,10 @@ from ammlab import (
     BandRule,
     ExperimentConfig,
     Pool,
-    PriceProcessSpec,
     ProcessKind,
     TradeTarget,
     arbitrage,
     derive_run_seed,
-    generate_path,
     run_campaign,
     simulate_price_matrix,
     sweep_fee,
@@ -43,8 +41,7 @@ RULES = [(0.0, BandRule.EXACT, TradeTarget.ORACLE)] + [
 
 
 def _gbm_path(seed: int, sigma: float = 0.004, n_steps: int = 400) -> np.ndarray:
-    spec = PriceProcessSpec(kind=ProcessKind.GBM, p0=100.0, sigma=sigma, n_steps=n_steps, seed=seed)
-    return generate_path(spec).prices
+    return simulate_price_matrix(ProcessKind.GBM, 100.0, sigma, n_steps, [seed])[:, 0]
 
 
 def _row(prices, fee=0.0, band_rule=BandRule.EXACT, target=TradeTarget.ORACLE) -> np.ndarray:

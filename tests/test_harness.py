@@ -1,27 +1,29 @@
 """Campaign driver: determinism, resource guards, sweeps."""
 
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from scalar_engine import run_no_fee, run_with_fees
 
 from ammlab import (
+    BandRule,
     CampaignResult,
     ConfigError,
     ExperimentConfig,
     NumericalError,
     Observables,
     Pool,
-    PriceProcessSpec,
     ProcessKind,
     RegimeLabel,
     ResourceLimitError,
+    TradeTarget,
     classify_regime,
     derive_run_seed,
-    generate_path,
     run_campaign,
+    simulate_price_matrix,
     sweep_fee,
     sweep_volume_vs_sigma,
     sweep_volume_vs_steps,
@@ -63,19 +65,17 @@ def test_chunk_size_does_not_change_results():
         np.testing.assert_array_equal(small.histograms[name].counts, hist.counts)
 
 
+def _run_path(config: ExperimentConfig, i: int) -> np.ndarray:
+    seed = derive_run_seed(config.seed, i)
+    return simulate_price_matrix(config.kind, config.p0, config.sigma, config.n_steps, [seed])[:, 0]
+
+
 def test_campaign_rows_match_scalar_engine_no_fee():
     config = replace(BASE, fee=0.0, n_runs=6, n_steps=120)
     result = run_campaign(config)
     pool = Pool.from_price(config.liquidity, config.p0)
     for i in range(config.n_runs):
-        spec = PriceProcessSpec(
-            kind=config.kind,
-            p0=config.p0,
-            sigma=config.sigma,
-            n_steps=config.n_steps,
-            seed=derive_run_seed(config.seed, i),
-        )
-        metrics, _ = run_no_fee(generate_path(spec), pool)
+        metrics, _ = run_no_fee(_run_path(config, i), pool)
         row = result.table[i]
         assert row[0] == pytest.approx(metrics.il, rel=1e-12)
         assert row[1] == pytest.approx(metrics.lvr, rel=1e-12)
@@ -90,15 +90,8 @@ def test_campaign_rows_match_scalar_engine_with_fee():
     result = run_campaign(config)
     pool = Pool.from_price(config.liquidity, config.p0)
     for i in range(config.n_runs):
-        spec = PriceProcessSpec(
-            kind=config.kind,
-            p0=config.p0,
-            sigma=config.sigma,
-            n_steps=config.n_steps,
-            seed=derive_run_seed(config.seed, i),
-        )
         metrics, _ = run_with_fees(
-            generate_path(spec), pool, config.fee, config.band_rule, config.target
+            _run_path(config, i), pool, config.fee, config.band_rule, config.target
         )
         row = result.table[i]
         assert row[0] == pytest.approx(metrics.il, rel=1e-10)
@@ -245,6 +238,14 @@ def test_config_validation():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ConfigError, match=f"{key} must be finite"):
                 ExperimentConfig(**{**good, key: bad})
+
+
+def test_config_round_trips_through_json():
+    # the enum fields take their string values, as asdict and JSON give them back
+    config = replace(BASE, band_rule=BandRule.LINEARIZED, target=TradeTarget.MARGINAL)
+    again = ExperimentConfig(**json.loads(json.dumps(asdict(config))))
+    assert again == config
+    assert again.kind is ProcessKind.GBM and again.target is TradeTarget.MARGINAL
 
 
 def test_histogram_names_by_observables():

@@ -7,15 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ammlab import (
-    PriceProcessSpec,
     ProcessKind,
     arbitrage,
-    generate_path,
     hodl_value,
     il_between,
     lvr_step,
     position_value,
     rebalance_quantities,
+    simulate_price_matrix,
     volume_step,
 )
 from ammlab.harness import KERNEL_COLUMNS
@@ -182,10 +181,9 @@ def test_il_ignores_intermediate_order():
 
 
 def test_accumulate_accepts_price_path():
-    spec = PriceProcessSpec(kind=ProcessKind.GBM, p0=100.0, sigma=0.01, n_steps=50, seed=12)
-    path = generate_path(spec)
-    m = _free(path.prices, 10000.0)
-    assert m["final_price"] == path.prices[-1]
+    prices = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.01, 50, [12])[:, 0]
+    m = _free(prices, 10000.0)
+    assert m["final_price"] == prices[-1]
     assert m["lvr"] > 0.0 and m["volume"] > 0.0
 
 

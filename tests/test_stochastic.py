@@ -6,10 +6,8 @@ import scipy.integrate
 import scipy.stats
 
 from ammlab import (
-    PriceProcessSpec,
     ProcessKind,
     derive_run_seed,
-    generate_path,
     make_generator,
     pdf_bm,
     pdf_gbm,
@@ -80,33 +78,33 @@ def test_pdf_gbm_domain():
 
 
 def test_zero_sigma_path_is_constant():
-    spec = PriceProcessSpec(kind=ProcessKind.GBM, p0=42.0, sigma=0.0, n_steps=25, seed=5)
-    path = generate_path(spec)
-    assert path.prices.shape == (26,)
-    assert np.all(path.prices == 42.0)
+    prices = simulate_price_matrix(GBM, 42.0, 0.0, 25, [5])[:, 0]
+    assert prices.shape == (26,)
+    assert np.all(prices == 42.0)
 
 
 def test_same_seed_same_path():
-    spec = PriceProcessSpec(kind=ProcessKind.GBM, p0=100.0, sigma=0.01, n_steps=300, seed=99)
-    a = generate_path(spec)
-    b = generate_path(spec)
-    assert np.array_equal(a.prices, b.prices)
+    a = simulate_price_matrix(GBM, 100.0, 0.01, 300, [99])
+    b = simulate_price_matrix(GBM, 100.0, 0.01, 300, [99])
+    assert np.array_equal(a, b)
 
 
 def test_path_starts_at_p0_and_gbm_positive():
-    spec = PriceProcessSpec(kind=ProcessKind.GBM, p0=3.5, sigma=0.2, n_steps=500, seed=3)
-    path = generate_path(spec)
-    assert path.prices[0] == 3.5
-    assert np.all(path.prices > 0.0)
+    prices = simulate_price_matrix(GBM, 3.5, 0.2, 500, [3])[:, 0]
+    assert prices[0] == 3.5
+    assert np.all(prices > 0.0)
 
 
 def test_matrix_rows_match_single_paths():
-    # campaign batching must not change any run's draws: column i is run i
+    # campaign batching must not change any run's draws: column i depends
+    # only on seeds[i], and holds the draws of that seed's own generator
     seeds = [derive_run_seed(17, i) for i in range(8)]
-    block = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.004, 64, seeds)
+    block = simulate_price_matrix(GBM, 100.0, 0.004, 64, seeds)
     for i, seed in enumerate(seeds):
-        spec = PriceProcessSpec(kind=ProcessKind.GBM, p0=100.0, sigma=0.004, n_steps=64, seed=seed)
-        assert np.array_equal(block[:, i], generate_path(spec).prices)
+        dw = make_generator(seed).standard_normal(64)
+        assert np.array_equal(block[:, i], prices_from_increments(GBM, 100.0, 0.004, dw))
+        single = simulate_price_matrix(GBM, 100.0, 0.004, 64, [seed])[:, 0]
+        assert np.array_equal(block[:, i], single)
 
 
 def test_derive_run_seed_is_stable_and_distinct():
@@ -159,12 +157,3 @@ def test_bm_variance_grows_linearly():
     variances = block[steps].var(axis=1, ddof=1)
     slope = np.polyfit(steps, variances, 1)[0]
     assert slope == pytest.approx(100.0**2 * 0.001**2, rel=0.05)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        PriceProcessSpec(kind=ProcessKind.GBM, p0=0.0, sigma=0.01, n_steps=10)
-    with pytest.raises(ValueError):
-        PriceProcessSpec(kind=ProcessKind.GBM, p0=1.0, sigma=-0.01, n_steps=10)
-    with pytest.raises(ValueError):
-        PriceProcessSpec(kind=ProcessKind.GBM, p0=1.0, sigma=0.01, n_steps=0)
