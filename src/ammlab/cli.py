@@ -14,7 +14,9 @@ file in the bundle directory that the manifest does not list.  A bundle
 written by another ammlab version is refused with exit 2, since output
 bytes may differ between versions.
 Configuration is resolved in a fixed order: built-in defaults, then
---preset, then --config KEY=VALUE file, then explicit flags.
+--preset, then --config KEY=VALUE file, then explicit flags.  A preset and a
+config file are string layers alike: each may name its command's mode and may
+set only keys that mode uses, or the command exits 2 naming the layer.
 
 A bundle is written into a hidden sibling of <out> and renamed into place
 once sealed, so it appears whole or not at all.  A rerun into a bundle
@@ -59,8 +61,11 @@ from .analytics import (
 )
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .harness import (
+    TABLE_COLUMNS,
+    BandRule,
     ExperimentConfig,
     Observables,
+    TradeTarget,
     classify_regime,
     run_campaign,
     sweep_fee,
@@ -121,37 +126,28 @@ def _cast_opt_float(key: str, v: str):
     return None if v.strip() == "" else _cast_float(key, v)
 
 
-_MODES = (
-    "simulate",
-    "il-pdf",
-    "il-mean",
-    "lvr-mean",
-    "sample-il",
-    "clt-sum",
-    "first-passage",
-    "sweep-fee",
-    "sweep-sigma",
-    "sweep-steps",
-)
+def _cast_seed(key: str, v: str) -> int:
+    seed = _cast_int(key, v)
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
 
 # key -> (caster, default string, help text)
 _KEYS = {
-    "mode": (_cast_choice(*_MODES), "simulate", "what the configuration drives"),
-    "process": (_cast_choice("bm", "gbm", "both"),
+    "process": (_cast_choice(*ProcessKind, "both"),
                 "gbm", "price process: additive (bm), multiplicative (gbm), or both"),
     "p0": (_cast_float, "100.0", "entry price"),
     "sigma": (_cast_float, "0.001", "per-step relative volatility"),
     "n_steps": (_cast_int, "1000", "steps per run"),
     "liquidity": (_cast_float, "10000.0", "pool liquidity parameter L"),
     "n_runs": (_cast_int, "10000", "independent runs in the campaign"),
-    "seed": (_cast_int, "0", "campaign seed; run i derives its own stream from it"),
+    "seed": (_cast_seed, "0", "campaign seed; run i derives its own stream from it"),
     "fee": (_cast_float, "0.0", "proportional fee; 0 disables the no-trade band"),
-    "band_rule": (_cast_choice("exact", "linearized"),
-                  "exact", "no-trade band shape around the pool price"),
-    "target": (_cast_choice("marginal", "oracle"),
+    "band_rule": (_cast_choice(*BandRule), "exact", "no-trade band shape around the pool price"),
+    "target": (_cast_choice(*TradeTarget),
                "oracle", "post-trade price: reference (oracle) or band edge (marginal)"),
-    "observables": (_cast_choice("pool", "prices"),
-                    "pool", "pool metrics, or endpoint prices only"),
+    "observables": (_cast_choice(*Observables), "pool", "pool metrics, or endpoint prices only"),
     "bins": (_cast_int, "50", "histogram bins"),
     "t": (_cast_float, "1.0", "horizon for the analytic distribution commands"),
     "n_per_sum": (_cast_int, "10000", "draws added per sum in clt-sum"),
@@ -160,7 +156,7 @@ _KEYS = {
     "il_points": (_cast_int, "4000", "points in the tabulated density output"),
     "k_list": (_cast_int_list, "3,10,30", "barrier distances for the paired passage study"),
     "n_walks": (_cast_int, "20000", "walks per barrier spec"),
-    "step_kind": (_cast_choice("unit", "gaussian"), "unit", "walk increment"),
+    "step_kind": (_cast_choice(*StepKind), "unit", "walk increment"),
     "lower": (_cast_float, "-10", "lower barrier (single passage run, k_list empty)"),
     "upper": (_cast_float, "10", "upper barrier (single passage run, k_list empty)"),
     "fees": (_cast_float_list, "", "comma list of fees for sweep-fee"),
@@ -174,24 +170,11 @@ _CAMPAIGN_KEYS = (
     "process", "p0", "sigma", "n_steps", "liquidity", "n_runs", "seed",
     "fee", "band_rule", "target", "observables", "bins",
 )
-_DIST_KEYS = ("process", "p0", "liquidity", "sigma", "t", "seed")
-
-_MODE_KEYS: dict[str, tuple[str, ...]] = {
-    "simulate": _CAMPAIGN_KEYS,
-    "il-pdf": ("process", "p0", "liquidity", "sigma", "t", "il_points"),
-    "il-mean": ("process", "p0", "liquidity", "sigma", "t"),
-    "lvr-mean": ("process", "p0", "liquidity", "sigma", "t"),
-    "sample-il": _DIST_KEYS + ("n_samples", "bins"),
-    "clt-sum": _DIST_KEYS + ("n_per_sum", "n_repeats", "bins"),
-    "first-passage": ("k_list", "n_walks", "step_kind", "lower", "upper", "seed"),
-    "sweep-fee": _CAMPAIGN_KEYS + ("fees",),
-    "sweep-sigma": _CAMPAIGN_KEYS + ("sigmas",),
-    "sweep-steps": _CAMPAIGN_KEYS + ("steps_list", "total_variance"),
-}
+_IL_KEYS = ("process", "p0", "liquidity", "sigma", "t")
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """KEY=VALUE lines; # starts a comment; unknown keys are rejected."""
+    """KEY=VALUE lines; # starts a comment; unknown keys are rejected; mode= names a command."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -205,53 +188,32 @@ def read_config_file(path: str) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {raw.strip()!r}")
-        if key not in _KEYS:
+        if key not in _KEYS and key != "mode":
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value
     return out
 
 
-def _resolve(args: argparse.Namespace, mode: str) -> tuple[dict, str | None]:
+def _resolve(args: argparse.Namespace, mode: str, keys: tuple[str, ...]) -> dict:
     """Merge defaults < preset < config file < flags and parse types."""
-    keys = _MODE_KEYS[mode]
     strings = {k: _KEYS[k][1] for k in keys}
-
-    preset_name = getattr(args, "preset", None)
-    if preset_name:
-        try:
-            preset = get_preset(preset_name)
-        except KeyError as exc:
-            raise ConfigError(str(exc.args[0])) from None
-        pmode = preset.overrides.get("mode", mode)
-        if pmode != mode:
-            raise ConfigError(
-                f"preset {preset_name!r} is a {pmode} study; run it under that command"
-            )
-        for k, v in preset.items():
-            if k == "mode":
-                continue
-            if k not in keys:
-                raise ConfigError(f"preset {preset_name!r} sets {k!r}, unused by {mode}")
+    layers = []
+    if args.preset:
+        layers.append((f"preset {args.preset!r}", get_preset(args.preset).overrides))
+    if args.config:
+        layers.append((args.config, read_config_file(args.config)))
+    for source, layer in layers:
+        layer_mode = layer.get("mode", mode)
+        if layer_mode != mode:
+            raise ConfigError(f"{source} is a {layer_mode} study; run it under that command")
+        for k, v in layer.items():
+            if k not in keys and k != "mode":
+                raise ConfigError(f"{source} sets {k!r}, unused by {mode}")
             strings[k] = v
-
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for k, v in read_config_file(config_path).items():
-            if k == "mode":
-                if v != mode:
-                    raise ConfigError(f"{config_path}: mode={v} does not match {mode}")
-                continue
-            if k not in keys:
-                raise ConfigError(f"{config_path}: key {k!r} is unused by {mode}")
-            strings[k] = v
-
     for k in keys:
-        flag_value = getattr(args, k, None)
-        if flag_value is not None:
-            strings[k] = flag_value
-
-    typed = {k: _KEYS[k][0](k, strings[k]) for k in keys}
-    return typed, preset_name
+        if getattr(args, k) is not None:
+            strings[k] = getattr(args, k)
+    return {k: _KEYS[k][0](k, strings[k]) for k in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +285,9 @@ class Bundle:
 
 
 def _out_dir(args: argparse.Namespace, default_name: str) -> Path:
-    explicit = getattr(args, "out", None)
-    if explicit:
-        return Path(explicit)
-    root = os.environ.get("AMM_LAB_OUT", "ammlab_out")
-    return Path(root) / default_name
+    if args.out:
+        return Path(args.out)
+    return Path(os.environ.get("AMM_LAB_OUT", "ammlab_out")) / default_name
 
 
 # ---------------------------------------------------------------------------
@@ -370,10 +330,6 @@ def _price_density_rows(hist: Histogram, kind: ProcessKind, p0, sigma, t):
     ]
 
 
-_TABLE_CSV_COLUMNS = ["run_index", "il", "lvr", "volume", "fees", "n_arb_events",
-                      "final_price"]
-
-
 def _run_simulate(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     both = cfg["process"] == "both"
     kinds = [ProcessKind.BM, ProcessKind.GBM] if both else [ProcessKind(cfg["process"])]
@@ -394,7 +350,7 @@ def _run_simulate(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
             bundle.write_histogram(f"{prefix}hist_{name}.json", name, hist)
         if conf.observables is Observables.POOL:
             rows = ([i, *row] for i, row in enumerate(result.table))
-            bundle.write_csv(f"{prefix}table.csv", _TABLE_CSV_COLUMNS, rows,
+            bundle.write_csv(f"{prefix}table.csv", ["run_index", *TABLE_COLUMNS], rows,
                              "per-run metrics, one row per seeded run")
         if conf.observables is Observables.PRICES:
             bundle.write_csv(
@@ -641,28 +597,16 @@ def _run_first_passage(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     ]
 
 
-_SWEEP_ROW_KEYS = [
-    "mean_il", "stderr_il", "mean_lvr", "stderr_lvr", "mean_volume", "stderr_volume",
-    "mean_fees", "stderr_fees", "mean_events", "mean_wait",
-]
-
-
-def _sweep_rows_csv(bundle: Bundle, rows: list[dict], lead: list[str], description: str):
-    columns = lead + _SWEEP_ROW_KEYS + [
-        k for k in rows[0] if k not in lead and k not in _SWEEP_ROW_KEYS
-    ]
-    bundle.write_csv("rows.csv", columns, ([row[c] for c in columns] for row in rows),
-                     description)
+def _sweep_rows_csv(bundle: Bundle, rows: list[dict], description: str):
+    # every row holds the same keys, already in column order
+    bundle.write_csv("rows.csv", list(rows[0]), (row.values() for row in rows), description)
 
 
 def _run_sweep_fee(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
-    if not cfg["fees"]:
-        raise ConfigError("sweep-fee needs a nonempty fees list")
     base = _campaign_config(cfg, _single_process(cfg, "sweep-fee"))
     result = sweep_fee(base, cfg["fees"])
     bundle = Bundle(out)
-    _sweep_rows_csv(bundle, result["rows"], ["fee", "f_over_sigma"],
-                    "campaign summaries per fee level")
+    _sweep_rows_csv(bundle, result["rows"], "campaign summaries per fee level")
     bundle.write_json("baseline.json", result["baseline"],
                       "fee-free campaign on the same per-run seeds")
     bundle.write_json("fits.json", result["fits"],
@@ -676,12 +620,10 @@ def _run_sweep_fee(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
 
 
 def _run_sweep_sigma(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
-    if not cfg["sigmas"]:
-        raise ConfigError("sweep-sigma needs a nonempty sigmas list")
     base = _campaign_config(cfg, _single_process(cfg, "sweep-sigma"))
     result = sweep_volume_vs_sigma(base, cfg["sigmas"])
     bundle = Bundle(out)
-    _sweep_rows_csv(bundle, result["rows"], ["sigma"], "campaign summaries per volatility")
+    _sweep_rows_csv(bundle, result["rows"], "campaign summaries per volatility")
     bundle.write_json(
         "fits.json",
         {k: result[k] for k in
@@ -693,12 +635,10 @@ def _run_sweep_sigma(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
 
 
 def _run_sweep_steps(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
-    if not cfg["steps_list"]:
-        raise ConfigError("sweep-steps needs a nonempty steps_list")
     base = _campaign_config(cfg, _single_process(cfg, "sweep-steps"))
     result = sweep_volume_vs_steps(base, cfg["steps_list"], total_variance=cfg["total_variance"])
     bundle = Bundle(out)
-    _sweep_rows_csv(bundle, result["rows"], ["n_steps", "sigma"],
+    _sweep_rows_csv(bundle, result["rows"],
                     "campaign summaries per step count at fixed total variance")
     bundle.write_json(
         "fits.json",
@@ -710,18 +650,27 @@ def _run_sweep_steps(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
                     f"{result['lvr_relative_spread'] * 100:.2f}%"]
 
 
-_RUNNERS = {
-    ("simulate",): ("simulate", _run_simulate),
-    ("analytic", "il-pdf"): ("il-pdf", _run_il_pdf),
-    ("analytic", "il-mean"): ("il-mean", _run_il_mean),
-    ("analytic", "lvr-mean"): ("lvr-mean", _run_lvr_mean),
-    ("analytic", "sample-il"): ("sample-il", _run_sample_il),
-    ("analytic", "clt-sum"): ("clt-sum", _run_clt_sum),
-    ("analytic", "first-passage"): ("first-passage", _run_first_passage),
-    ("sweep", "fee"): ("sweep-fee", _run_sweep_fee),
-    ("sweep", "sigma"): ("sweep-sigma", _run_sweep_sigma),
-    ("sweep", "steps"): ("sweep-steps", _run_sweep_steps),
+# command path -> (mode, config keys, runner); the parser adds commands in
+# this order, and a mode names the command in presets, config files and the
+# default bundle directory
+_COMMANDS = {
+    ("simulate",): ("simulate", _CAMPAIGN_KEYS, _run_simulate),
+    ("analytic", "il-pdf"): ("il-pdf", _IL_KEYS + ("il_points",), _run_il_pdf),
+    ("analytic", "il-mean"): ("il-mean", _IL_KEYS, _run_il_mean),
+    ("analytic", "lvr-mean"): ("lvr-mean", _IL_KEYS, _run_lvr_mean),
+    ("analytic", "sample-il"): ("sample-il", _IL_KEYS + ("seed", "n_samples", "bins"),
+                                _run_sample_il),
+    ("analytic", "clt-sum"): ("clt-sum", _IL_KEYS + ("seed", "n_per_sum", "n_repeats", "bins"),
+                              _run_clt_sum),
+    ("analytic", "first-passage"): (
+        "first-passage", ("k_list", "n_walks", "step_kind", "lower", "upper", "seed"),
+        _run_first_passage),
+    ("sweep", "fee"): ("sweep-fee", _CAMPAIGN_KEYS + ("fees",), _run_sweep_fee),
+    ("sweep", "sigma"): ("sweep-sigma", _CAMPAIGN_KEYS + ("sigmas",), _run_sweep_sigma),
+    ("sweep", "steps"): ("sweep-steps", _CAMPAIGN_KEYS + ("steps_list", "total_variance"),
+                         _run_sweep_steps),
 }
+_GROUP_HELP = {"analytic": "closed-form and distribution commands", "sweep": "parameter sweeps"}
 
 
 def _check_replaceable(out: Path) -> None:
@@ -751,7 +700,7 @@ def _execute(command: tuple[str, ...], cfg: dict, out: Path) -> list[str]:
     earlier bundle at out whole, so no stale file survives next to the new
     manifest.
     """
-    mode, runner = _RUNNERS[command]
+    runner = _COMMANDS[command][2]
     _check_replaceable(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
@@ -776,17 +725,16 @@ def _execute(command: tuple[str, ...], cfg: dict, out: Path) -> list[str]:
 
 
 def _cmd_bundle(args: argparse.Namespace, command: tuple[str, ...]) -> int:
-    mode = _RUNNERS[command][0]
-    cfg, preset_name = _resolve(args, mode)
-    out = _out_dir(args, preset_name or mode)
-    for line in _execute(command, cfg, out):
+    mode, keys, _ = _COMMANDS[command]
+    cfg = _resolve(args, mode, keys)
+    for line in _execute(command, cfg, _out_dir(args, args.preset or mode)):
         print(line)
     return 0
 
 
-def _manifest_config(cfg: dict, mode: str) -> dict:
+def _manifest_config(cfg: dict, command: tuple[str, ...]) -> dict:
     """A manifest's config checked by the same casters as flags and config files."""
-    keys = _MODE_KEYS[mode]
+    mode, keys, _ = _COMMANDS[command]
     if set(cfg) != set(keys):
         raise ConfigError(f"manifest config keys {sorted(cfg)} do not match {mode}")
 
@@ -806,6 +754,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         manifest = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load manifest {path}: {exc}") from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("command"), list)
+            and all(isinstance(part, str) for part in manifest["command"])
+            and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("outputs"), list)
+            and all(isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                    and isinstance(entry.get("sha256"), str) for entry in manifest["outputs"])):
+        raise ConfigError(f"{path} is not a bundle manifest: expected an object with a list "
+                          "'command', an object 'config' and a list 'outputs' of {path, sha256}")
     if manifest.get("version") != __version__:
         raise ConfigError(
             f"bundle written by ammlab {manifest.get('version')} cannot be replayed by "
@@ -814,9 +770,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             "command to write a fresh bundle"
         )
     command = tuple(manifest["command"])
-    if command not in _RUNNERS:
+    if command not in _COMMANDS:
         raise ConfigError(f"manifest names unknown command {list(command)}")
-    cfg = _manifest_config(manifest["config"], _RUNNERS[command][0])
+    cfg = _manifest_config(manifest["config"], command)
     bundle_dir = path.parent
     mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -905,23 +861,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ammlab {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    for command, (mode, _) in _RUNNERS.items():
-        if len(command) == 1:
-            p = sub.add_parser(command[0], help=f"run a {mode} study")
-            _add_io_flags(p)
-            _add_key_flags(p, _MODE_KEYS[mode])
-            p.set_defaults(func=lambda a, c=command: _cmd_bundle(a, c))
-
-    for group, label in (("analytic", "closed-form and distribution commands"),
-                         ("sweep", "parameter sweeps")):
-        gp = sub.add_parser(group, help=label)
-        gsub = gp.add_subparsers(dest=f"{group}_cmd", required=True)
-        for command, (mode, _) in _RUNNERS.items():
-            if len(command) == 2 and command[0] == group:
-                p = gsub.add_parser(command[1], help=f"run a {mode} study")
-                _add_io_flags(p)
-                _add_key_flags(p, _MODE_KEYS[mode])
-                p.set_defaults(func=lambda a, c=command: _cmd_bundle(a, c))
+    groups = {}
+    for command, (mode, keys, _) in _COMMANDS.items():
+        group = command[0]
+        if len(command) == 2 and group not in groups:
+            gp = sub.add_parser(group, help=_GROUP_HELP[group])
+            groups[group] = gp.add_subparsers(dest=f"{group}_cmd", required=True)
+        p = groups.get(group, sub).add_parser(command[-1], help=f"run a {mode} study")
+        _add_io_flags(p)
+        _add_key_flags(p, keys)
+        p.set_defaults(func=lambda a, c=command: _cmd_bundle(a, c))
 
     rp = sub.add_parser("replay", help="re-run a bundle's manifest and verify the bytes")
     rp.add_argument("manifest", help="bundle directory or manifest.json path")

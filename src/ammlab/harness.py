@@ -355,8 +355,12 @@ def _compute_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     prices = simulate_price_matrix(config.kind, config.p0, config.sigma, config.n_steps, seeds)
     if config.observables is Observables.PRICES:
         return _metrics_prices_only(prices)
-    _require_positive_prices(prices, config)
-    return arbitrage(prices, config.liquidity, config.fee, config.band_rule, config.target)
+    try:
+        return arbitrage(prices, config.liquidity, config.fee, config.band_rule, config.target)
+    except ValueError:
+        # the kernel refuses nonpositive prices; say why the paths reached them
+        _require_positive_prices(prices, config)
+        raise
 
 
 def _observable_values(rows: np.ndarray, name: str) -> np.ndarray:
@@ -417,6 +421,11 @@ def run_campaign(
     )
 
 
+def _require_pool(base: ExperimentConfig) -> None:
+    if base.observables is not Observables.POOL:
+        raise ConfigError("sweeps report pool metrics, so observables must be pool")
+
+
 def _rowset(result: CampaignResult, extra: dict) -> dict:
     row = dict(extra)
     for key in ("mean_il", "stderr_il", "mean_lvr", "stderr_lvr", "mean_volume",
@@ -433,6 +442,7 @@ def sweep_volume_vs_sigma(base: ExperimentConfig, sigmas) -> dict:
     Monte Carlo jitter.  Returns per-sigma rows plus log-log slopes of the
     mean trading volume and mean loss against sigma.
     """
+    _require_pool(base)
     sig = [float(s) for s in sigmas]
     if len(set(sig)) < len(sig) or len(sig) < 2 or any(s <= 0.0 for s in sig):
         raise ConfigError("need at least two distinct positive volatilities")
@@ -462,6 +472,7 @@ def sweep_volume_vs_steps(
     endpoint distribution is held fixed while the sampling gets finer: the
     cumulative loss should stay put while volume grows like sqrt(n_steps).
     """
+    _require_pool(base)
     steps = [int(v) for v in steps_list]
     if len(set(steps)) < len(steps) or len(steps) < 2 or any(v < 1 for v in steps):
         raise ConfigError("need at least two distinct positive step counts")
@@ -504,9 +515,10 @@ def sweep_fee(base: ExperimentConfig, fees) -> dict:
     trades are rare, and the fee at which the pooled mean wait crosses two
     steps, the practical edge of the trade-every-step region.
     """
+    _require_pool(base)
     fee_list = [float(f) for f in fees]
     if not fee_list or any(f <= 0.0 for f in fee_list):
-        raise ConfigError("fee sweep needs positive fees")
+        raise ConfigError("fee sweep needs a nonempty fees list, every fee positive")
     if any(b <= a for a, b in zip(fee_list, fee_list[1:])):
         raise ConfigError("fees must be strictly increasing")
     if base.sigma <= 0.0:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
+from .errors import ConfigError
+
 __all__ = ["Preset", "PRESETS", "preset_names", "get_preset"]
 
 
@@ -20,9 +22,6 @@ class Preset:
     name: str
     description: str
     overrides: MappingProxyType
-
-    def items(self):
-        return self.overrides.items()
 
 
 def _preset(name: str, description: str, **overrides) -> Preset:
@@ -173,4 +172,4 @@ def get_preset(name: str) -> Preset:
         return PRESETS[name]
     except KeyError:
         known = ", ".join(preset_names())
-        raise KeyError(f"unknown preset {name!r}; available: {known}") from None
+        raise ConfigError(f"unknown preset {name!r}; available: {known}") from None

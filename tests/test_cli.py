@@ -14,7 +14,7 @@ import pytest
 
 import ammlab
 from ammlab import ExperimentConfig, ProcessKind, run_campaign
-from ammlab import cli
+from ammlab import cli, presets
 from ammlab.cli import build_parser, main, read_config_file
 from ammlab.presets import preset_names
 
@@ -120,6 +120,19 @@ def test_non_finite_number_exits_2(tmp_path, capsys, argv, key):
     (["sweep", "fee", "--fees", "0.001", "--sigma", "0"], "fee sweep needs a positive sigma"),
     (["sweep", "sigma", "--sigmas", "0.001,0.001"], "need at least two distinct positive"),
     (["sweep", "steps", "--steps-list", "10,10"], "need at least two distinct positive"),
+    (["sweep", "sigma"], "need at least two distinct positive volatilities"),
+    (["sweep", "steps"], "need at least two distinct positive step counts"),
+    (["analytic", "sample-il", "--seed", "-1"], "seed must fit in an unsigned 64-bit integer"),
+    (["analytic", "clt-sum", "--seed", "-1"], "seed must fit in an unsigned 64-bit integer"),
+    (["analytic", "first-passage", "--seed", "-1"], "seed must fit in an unsigned 64-bit"),
+    (["analytic", "first-passage", "--k-list", "", "--seed", "-1"], "seed must fit in an"),
+    (["simulate", "--seed", str(2**64)], "seed must fit in an unsigned 64-bit integer"),
+    (["sweep", "fee", "--fees", "0.001", "--observables", "prices"],
+     "sweeps report pool metrics, so observables must be pool"),
+    (["sweep", "sigma", "--sigmas", "0.001,0.002", "--observables", "prices"],
+     "sweeps report pool metrics, so observables must be pool"),
+    (["sweep", "steps", "--steps-list", "10,20", "--observables", "prices"],
+     "sweeps report pool metrics, so observables must be pool"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_library_input_check_exits_2(tmp_path, capsys, argv, message):
     rc = main(argv + ["--out", str(tmp_path / "x")])
@@ -132,7 +145,9 @@ def test_plain_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
     def broken_runner(cfg, out):
         raise ValueError("internal slip")
 
-    monkeypatch.setitem(cli._RUNNERS, ("analytic", "lvr-mean"), ("lvr-mean", broken_runner))
+    command = ("analytic", "lvr-mean")
+    mode, keys, _ = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, (mode, keys, broken_runner))
     with pytest.raises(ValueError, match="internal slip"):
         main(["analytic", "lvr-mean", "--out", str(tmp_path / "x")])
     assert "config error" not in capsys.readouterr().err
@@ -418,6 +433,29 @@ def test_replay_missing_manifest_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("edit", [
+    lambda m: [m],
+    lambda m: {k: v for k, v in m.items() if k != "command"},
+    lambda m: {**m, "command": "simulate"},
+    lambda m: {**m, "command": [["simulate"]]},
+    lambda m: {**m, "config": []},
+    lambda m: {k: v for k, v in m.items() if k != "outputs"},
+    lambda m: {**m, "outputs": {"table.csv": "00"}},
+    lambda m: {**m, "outputs": [{"path": "table.csv"}]},
+    lambda m: {**m, "outputs": [{"path": 7, "sha256": "00"}]},
+], ids=["list", "no-command", "command-str", "command-nested", "config-list",
+        "no-outputs", "outputs-dict", "entry-no-digest", "entry-int-path"])
+def test_replay_refuses_a_malformed_manifest(tmp_path, capsys, edit):
+    out = _run_sim(tmp_path / "b")
+    path = out / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"{path} is not a bundle manifest" in captured.err
+    assert captured.out == ""  # refused before the command re-runs
+
+
 # --------------------------------------------------------------------- presets
 
 
@@ -444,6 +482,29 @@ def test_preset_under_the_wrong_command_exits_2(tmp_path, capsys):
     rc = main(["simulate", "--preset", "fig-rwbarrier", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "run it under that command" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layer, message", [
+    ("preset", "preset 'probe' is a sweep-fee study; run it under that command"),
+    ("config", "{source} is a sweep-fee study; run it under that command"),
+    ("preset-key", "preset 'probe' sets 'fees', unused by simulate"),
+    ("config-key", "{source} sets 'fees', unused by simulate"),
+])
+def test_layer_for_another_command_exits_2(tmp_path, capsys, monkeypatch, layer, message):
+    # presets and config files share one rule: the mode must match the
+    # command, and every key must be one that mode uses
+    settings = {"mode": "sweep-fee"} if layer in ("preset", "config") else {"fees": "0.001"}
+    source = tmp_path / "study.cfg"
+    if layer.startswith("preset"):
+        monkeypatch.setitem(presets.PRESETS, "probe", presets._preset("probe", "", **settings))
+        flags = ["--preset", "probe"]
+    else:
+        source.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        flags = ["--config", str(source)]
+    rc = main(["simulate", *flags, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"config error: {message.format(source=source)}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_preset_exits_2(tmp_path, capsys):

@@ -307,7 +307,7 @@ def test_fee_sweep_deep_rows_thin_out_trading():
     assert fits["deep_volume_slope"] < -0.5
 
 
-def test_sweep_validation():
+def test_sweep_validation(monkeypatch):
     base = replace(BASE, fee=0.0, n_runs=20, n_steps=20)
     with pytest.raises(ConfigError):
         sweep_volume_vs_sigma(base, [0.01])
@@ -330,6 +330,13 @@ def test_sweep_validation():
         sweep_volume_vs_sigma(base, [0.001, 0.001])
     with pytest.raises(ConfigError, match="distinct"):
         sweep_volume_vs_steps(base, [10, 10])
+    # price-only campaigns have no pool rows to sweep: refused before any campaign runs
+    monkeypatch.setattr("ammlab.harness.run_campaign", None)
+    prices = replace(base, observables=Observables.PRICES)
+    for sweep, values in ((sweep_fee, [0.01]), (sweep_volume_vs_sigma, [0.01, 0.02]),
+                          (sweep_volume_vs_steps, [10, 20])):
+        with pytest.raises(ConfigError, match="observables must be pool"):
+            sweep(prices, values)
 
 
 def test_result_column_accessor():
