@@ -46,7 +46,7 @@ from .harness import (
 )
 from .metrics import il_between, lvr_step, rebalance_quantities, volume_step
 from .presets import PRESETS, get_preset, preset_names
-from .stats import Histogram, fit_loglog, mean_stderr, sample_skewness
+from .stats import Histogram, fit_loglog, mean_stderr
 from .stochastic import (
     ProcessKind,
     derive_run_seed,
@@ -79,6 +79,6 @@ __all__ = [
     "sweep_fee", "sweep_volume_vs_sigma", "sweep_volume_vs_steps",
     # presets and plumbing
     "PRESETS", "get_preset", "preset_names",
-    "Histogram", "mean_stderr", "sample_skewness", "fit_loglog",
+    "Histogram", "mean_stderr", "fit_loglog",
     "ConfigError", "ResourceLimitError", "NumericalError",
 ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from math import exp, expm1, sqrt
+from math import erfc, exp, expm1, sqrt
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -70,7 +70,11 @@ class Branch(Enum):
 
 @dataclass(frozen=True)
 class ILDistParams:
-    """Inputs of the endpoint-loss distribution at horizon t."""
+    """Inputs of the endpoint-loss distribution at horizon t.
+
+    process also accepts its string value, so the record round trips
+    through dataclasses.asdict and JSON.
+    """
 
     p0: float
     liquidity: float
@@ -79,6 +83,7 @@ class ILDistParams:
     process: ProcessKind = ProcessKind.GBM
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "process", ProcessKind(self.process))
         if self.p0 <= 0.0 or self.liquidity <= 0.0:
             raise ConfigError("p0 and liquidity must be positive")
         if self.sigma <= 0.0 or self.t <= 0.0:
@@ -88,6 +93,25 @@ class ILDistParams:
     def scale(self) -> float:
         """The closed-form mean L sigma^2 t / (4 sqrt(p0)), a natural unit."""
         return self.liquidity * self.sigma**2 * self.t / (4.0 * sqrt(self.p0))
+
+
+# Largest share of the additive law's mass below price zero that the
+# quadratures and the table may ignore: 1e-9 is their relative tolerance
+# (epsrel), so a smaller leak is lost in their own error.
+LEAK_TOLERANCE = 1e-9
+
+
+def _check_no_leak(params: ILDistParams) -> None:
+    """Refuse an additive law whose mass below price zero exceeds LEAK_TOLERANCE."""
+    if params.process is not ProcessKind.BM:
+        return
+    leak = 0.5 * erfc(1.0 / (params.sigma * sqrt(2.0 * params.t)))
+    if leak > LEAK_TOLERANCE:
+        raise NumericalError(
+            f"the additive price law puts {leak:.3g} of its mass below zero "
+            f"(sigma sqrt(t) = {params.sigma * sqrt(params.t):.3g}), over the "
+            f"{LEAK_TOLERANCE:g} the loss integrals can absorb"
+        )
 
 
 def _price_density(params: ILDistParams):
@@ -159,6 +183,7 @@ def expected_il_quadrature(params: ILDistParams) -> float:
     """
     from scipy.integrate import quad
 
+    _check_no_leak(params)
     p0, liq = params.p0, params.liquidity
     sst = params.sigma * sqrt(params.t)
     norm = 1.0 / sqrt(2.0 * np.pi)
@@ -238,7 +263,8 @@ def _density_at_origin(params: ILDistParams) -> float:
     return 4.0 * params.p0**1.25 / sqrt(params.liquidity) * rho(params.p0)
 
 
-def _extreme_prices(params: ILDistParams, n_std: float = 12.0) -> tuple[float, float]:
+def _u_max(params: ILDistParams, n_std: float = 12.0) -> float:
+    """sqrt of the larger loss at the prices n_std standard deviations either side of entry."""
     sst = params.sigma * sqrt(params.t)
     if params.process is ProcessKind.BM:
         lo = params.p0 * max(1.0 - n_std * sst, 1e-9)
@@ -247,7 +273,7 @@ def _extreme_prices(params: ILDistParams, n_std: float = 12.0) -> tuple[float, f
         half_s2 = 0.5 * sst * sst
         lo = params.p0 * exp(-half_s2 - n_std * sst)
         hi = params.p0 * exp(-half_s2 + n_std * sst)
-    return lo, hi
+    return sqrt(max(il_between(params.liquidity, params.p0, p) for p in (lo, hi)))
 
 
 @dataclass(frozen=True)
@@ -257,9 +283,9 @@ class IlTable:
     The substitution removes the origin singularity, so a trapezoid
     cumulative sum over log-spaced knots gives an accurate distribution
     function, and a monotone cubic interpolant of its inverse turns uniform
-    draws into loss samples.  total is the captured probability mass; it
-    falls measurably below 1 only when the additive density leaks to
-    negative prices.
+    draws into loss samples.  total is the captured probability mass; an
+    additive law that leaks to negative prices, the one case where it would
+    fall measurably below 1, is refused before tabulation.
     """
 
     params: ILDistParams
@@ -294,10 +320,8 @@ def build_il_table(params: ILDistParams, n_knots: int = 4096) -> IlTable:
 
     if n_knots < 16:
         raise ValueError("n_knots must be at least 16")
-    lo_price, hi_price = _extreme_prices(params)
-    il_lo = il_between(params.liquidity, params.p0, lo_price)
-    il_hi = il_between(params.liquidity, params.p0, hi_price)
-    u_max = sqrt(max(il_lo, il_hi))
+    _check_no_leak(params)
+    u_max = _u_max(params)
     u = np.concatenate(([0.0], np.geomspace(u_max * 1e-10, u_max, n_knots - 1)))
     density_u = np.empty_like(u)
     density_u[0] = _density_at_origin(params)
@@ -329,10 +353,8 @@ def analytic_il_mean(params: ILDistParams) -> float:
     """
     from scipy.integrate import quad
 
-    lo_price, hi_price = _extreme_prices(params)
-    il_lo = il_between(params.liquidity, params.p0, lo_price)
-    il_hi = il_between(params.liquidity, params.p0, hi_price)
-    u_max = sqrt(max(il_lo, il_hi))
+    _check_no_leak(params)
+    u_max = _u_max(params)
 
     def integrand(u: float) -> float:
         return 2.0 * u**3 * il_pdf(u * u, params)
@@ -374,13 +396,14 @@ class StepKind(str, Enum):
 
 @dataclass(frozen=True)
 class BarrierSpec:
-    """Absorbing barriers around a walk started at zero."""
+    """Absorbing barriers around a walk started at zero; step_kind also takes its string."""
 
     lower: float
     upper: float
     step_kind: StepKind = StepKind.UNIT
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "step_kind", StepKind(self.step_kind))
         if not self.lower < 0.0 < self.upper:
             raise ConfigError("need lower < 0 < upper")
 

@@ -16,7 +16,14 @@ bytes may differ between versions.
 Configuration is resolved in a fixed order: built-in defaults, then
 --preset, then --config KEY=VALUE file, then explicit flags.  A preset and a
 config file are string layers alike: each may name its command's mode and may
-set only keys that mode uses, or the command exits 2 naming the layer.
+set only keys that mode uses, or the command exits 2 naming the layer.  The
+resolved strings, and a replayed manifest's config, go through one cast step,
+which also holds the one rule across keys: process=both is for simulate only.
+
+Each command is one `_COMMANDS` entry: its mode, its config keys and its
+runner.  A runner only computes and writes: runner(cfg, bundle) fills the
+bundle it is handed and returns the lines to print.  `_execute` alone creates
+the bundle, seals it and publishes it.
 
 A bundle is written into a hidden sibling of <out> and renamed into place
 once sealed, so it appears whole or not at all.  A rerun into a bundle
@@ -38,6 +45,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, fields
 from math import isfinite, sqrt
 from pathlib import Path
@@ -213,7 +221,15 @@ def _resolve(args: argparse.Namespace, mode: str, keys: tuple[str, ...]) -> dict
     for k in keys:
         if getattr(args, k) is not None:
             strings[k] = getattr(args, k)
-    return {k: _KEYS[k][0](k, strings[k]) for k in keys}
+    return _cast(mode, keys, strings)
+
+
+def _cast(mode: str, keys: tuple[str, ...], strings: dict[str, str]) -> dict:
+    """Parse a mode's config strings; only simulate runs both processes at once."""
+    cfg = {k: _KEYS[k][0](k, strings[k]) for k in keys}
+    if cfg.get("process") == "both" and mode != "simulate":
+        raise ConfigError(f"{mode} needs process=bm or process=gbm")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +316,8 @@ def _campaign_config(cfg: dict, kind: ProcessKind) -> ExperimentConfig:
     )
 
 
-def _single_process(cfg: dict, context: str) -> ProcessKind:
-    if cfg["process"] == "both":
-        raise ConfigError(f"{context} needs process=bm or process=gbm")
-    return ProcessKind(cfg["process"])
-
-
-def _dist_params(cfg: dict, context: str) -> ILDistParams:
-    return ILDistParams(
-        process=_single_process(cfg, context),
-        **{f.name: cfg[f.name] for f in fields(ILDistParams) if f.name != "process"},
-    )
+def _dist_params(cfg: dict) -> ILDistParams:
+    return ILDistParams(**{f.name: cfg[f.name] for f in fields(ILDistParams)})
 
 
 def _price_density_rows(hist: Histogram, kind: ProcessKind, p0, sigma, t):
@@ -330,10 +337,9 @@ def _price_density_rows(hist: Histogram, kind: ProcessKind, p0, sigma, t):
     ]
 
 
-def _run_simulate(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
+def _run_simulate(cfg: dict, bundle: Bundle) -> list[str]:
     both = cfg["process"] == "both"
     kinds = [ProcessKind.BM, ProcessKind.GBM] if both else [ProcessKind(cfg["process"])]
-    bundle = Bundle(out)
     notes = []
     summaries: dict[str, dict] = {}
     for kind in kinds:
@@ -375,11 +381,11 @@ def _run_simulate(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     if both:
         bundle.write_json("compare.json", summaries,
                           "per-process summaries on matched per-run seeds")
-    return bundle, notes
+    return notes
 
 
-def _run_il_pdf(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
-    params = _dist_params(cfg, "il-pdf")
+def _run_il_pdf(cfg: dict, bundle: Bundle) -> list[str]:
+    params = _dist_params(cfg)
     if cfg["il_points"] < 1:
         raise ConfigError(f"il_points must be positive, got {cfg['il_points']}")
     table = build_il_table(params)
@@ -390,7 +396,6 @@ def _run_il_pdf(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
     pdf = il_pdf(ils, params)
     cdf = table.cdf(ils)
     trapz_mass = float(np.trapezoid(pdf, ils))
-    bundle = Bundle(out)
     bundle.write_csv(
         "il_pdf.csv",
         ["il", "pdf", "cdf"],
@@ -414,11 +419,11 @@ def _run_il_pdf(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
         f"mass under curve {trapz_mass:.6f} (table {table.total:.6f})",
         f"mean via density {mean_density:.6g}, via price integral {mean_price:.6g}",
     ]
-    return bundle, notes
+    return notes
 
 
-def _run_il_mean(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
-    params = _dist_params(cfg, "il-mean")
+def _run_il_mean(cfg: dict, bundle: Bundle) -> list[str]:
+    params = _dist_params(cfg)
     payload = {
         "params": asdict(params),
         "sigma2_t": params.sigma * params.sigma * params.t,
@@ -431,50 +436,41 @@ def _run_il_mean(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
         payload["gbm_any_horizon_mean"] = expected_il_gbm(
             params.liquidity, params.p0, params.sigma, params.t
         )
-    bundle = Bundle(out)
     bundle.write_json("analytic.json", payload, "mean endpoint loss by several routes")
-    return bundle, [f"mean endpoint loss {payload['mean_via_price_integral']:.6g}"]
+    return [f"mean endpoint loss {payload['mean_via_price_integral']:.6g}"]
 
 
-def _run_lvr_mean(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
-    process = _single_process(cfg, "lvr-mean")
+def _run_lvr_mean(cfg: dict, bundle: Bundle) -> list[str]:
     liq, p0, sigma, t = cfg["liquidity"], cfg["p0"], cfg["sigma"], cfg["t"]
-    if process is ProcessKind.GBM and t != int(t):
+    gbm = cfg["process"] == ProcessKind.GBM
+    if gbm and t != int(t):
         raise ConfigError(f"t must be a whole number under gbm, got {t}: the any-horizon "
                           "mean sums the per-step loss over whole steps")
     s2t = sigma * sigma * t
-    with_warning = expected_lvr if s2t < 1.0 else _quiet_expected_lvr
+    with warnings.catch_warnings():
+        # the long-regime warning says what "regime" already records
+        warnings.simplefilter("ignore")
+        small_sigma_mean = expected_lvr(liq, p0, sigma, t)
     payload = {
-        "params": {"process": process.value, "p0": p0, "liquidity": liq,
-                   "sigma": sigma, "t": t},
+        "params": {k: cfg[k] for k in _IL_KEYS},
         "sigma2_t": s2t,
         "regime": classify_regime(s2t).value,
-        "small_sigma_mean": with_warning(liq, p0, sigma, t),
+        "small_sigma_mean": small_sigma_mean,
     }
-    if process is ProcessKind.GBM:
+    if gbm:
         payload["gbm_any_horizon_mean"] = expected_lvr_gbm(liq, p0, sigma, int(t))
-    bundle = Bundle(out)
     bundle.write_json("analytic.json", payload, "mean cumulative rebalancing loss")
-    return bundle, [f"mean rebalancing loss {payload['small_sigma_mean']:.6g}"]
+    return [f"mean rebalancing loss {payload['small_sigma_mean']:.6g}"]
 
 
-def _quiet_expected_lvr(liq, p0, sigma, t):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return expected_lvr(liq, p0, sigma, t)
-
-
-def _run_sample_il(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
-    params = _dist_params(cfg, "sample-il")
+def _run_sample_il(cfg: dict, bundle: Bundle) -> list[str]:
+    params = _dist_params(cfg)
     if cfg["bins"] < 1:
         raise ConfigError(f"bins must be positive, got {cfg['bins']}")
     table = build_il_table(params)
     draws = table.sample(cfg["n_samples"], cfg["seed"])
     hist = Histogram.from_samples(draws, bins=cfg["bins"])
     mean, stderr = mean_stderr(draws)
-    bundle = Bundle(out)
     bundle.write_csv("samples.csv", ["il"], ([v] for v in draws),
                      "independent draws from the endpoint-loss distribution")
     bundle.write_histogram("hist_il.json", "il", hist)
@@ -491,16 +487,15 @@ def _run_sample_il(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
         },
         "sample moments against the analytic means",
     )
-    return bundle, [f"sample mean {mean:.6g} +- {stderr:.2g}"]
+    return [f"sample mean {mean:.6g} +- {stderr:.2g}"]
 
 
-def _run_clt_sum(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
-    params = _dist_params(cfg, "clt-sum")
+def _run_clt_sum(cfg: dict, bundle: Bundle) -> list[str]:
+    params = _dist_params(cfg)
     hist = clt_sum_experiment(params, cfg["n_per_sum"], cfg["n_repeats"], cfg["seed"],
                               cfg["bins"])
     expected_mean = cfg["n_per_sum"] * analytic_il_mean(params)
     stderr = sqrt(hist.variance / hist.n_total)
-    bundle = Bundle(out)
     bundle.write_histogram("hist_sums.json", "sum_of_il", hist)
     bundle.write_json(
         "summary.json",
@@ -517,32 +512,20 @@ def _run_clt_sum(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
         },
         "moments of the summed losses against the analytic prediction",
     )
-    return bundle, [
+    return [
         f"sum mean {hist.mean:.6g} (expected {expected_mean:.6g}), "
         f"skewness {hist.skewness:.3f}"
     ]
 
 
-def _run_first_passage(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
-    kind = StepKind(cfg["step_kind"])
-    bundle = Bundle(out)
+def _run_first_passage(cfg: dict, bundle: Bundle) -> list[str]:
+    kind = cfg["step_kind"]
     if not cfg["k_list"]:
-        spec = BarrierSpec(lower=cfg["lower"], upper=cfg["upper"], step_kind=kind)
+        spec = BarrierSpec(cfg["lower"], cfg["upper"], kind)
         res = first_passage(spec, cfg["n_walks"], cfg["seed"])
-        bundle.write_json(
-            "summary.json",
-            {
-                "lower": spec.lower,
-                "upper": spec.upper,
-                "step_kind": kind.value,
-                "n_walks": res.n_walks,
-                "mean_steps": res.mean_steps,
-                "stderr": res.stderr,
-                "frac_lower": res.frac_lower,
-            },
-            "absorption statistics for a single barrier pair",
-        )
-        return bundle, [f"mean absorption time {res.mean_steps:.4g} +- {res.stderr:.2g}"]
+        bundle.write_json("summary.json", {**asdict(spec), **asdict(res)},
+                          "absorption statistics for a single barrier pair")
+        return [f"mean absorption time {res.mean_steps:.4g} +- {res.stderr:.2g}"]
 
     if len(cfg["k_list"]) < 2:
         raise ConfigError("k_list needs at least two entries to fit a slope "
@@ -583,7 +566,7 @@ def _run_first_passage(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
         "fits.json",
         {
             "n_walks": cfg["n_walks"],
-            "step_kind": kind.value,
+            "step_kind": kind,
             "seed": cfg["seed"],
             "symmetric_slope": sym_slope,
             "symmetric_slope_stderr": sym_err,
@@ -592,7 +575,7 @@ def _run_first_passage(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
         },
         "log-log scaling of mean absorption time with k",
     )
-    return bundle, [
+    return [
         f"mean time scaling: symmetric k^{sym_slope:.3f}, asymmetric k^{asym_slope:.3f}"
     ]
 
@@ -602,10 +585,9 @@ def _sweep_rows_csv(bundle: Bundle, rows: list[dict], description: str):
     bundle.write_csv("rows.csv", list(rows[0]), (row.values() for row in rows), description)
 
 
-def _run_sweep_fee(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
-    base = _campaign_config(cfg, _single_process(cfg, "sweep-fee"))
+def _run_sweep_fee(cfg: dict, bundle: Bundle) -> list[str]:
+    base = _campaign_config(cfg, cfg["process"])
     result = sweep_fee(base, cfg["fees"])
-    bundle = Bundle(out)
     _sweep_rows_csv(bundle, result["rows"], "campaign summaries per fee level")
     bundle.write_json("baseline.json", result["baseline"],
                       "fee-free campaign on the same per-run seeds")
@@ -616,13 +598,12 @@ def _run_sweep_fee(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
         notes.append(f"deep-fee volume slope {result['fits']['deep_volume_slope']:.3f}")
     if result["fits"].get("crossover_fee"):
         notes.append(f"mean wait crosses 2 steps near fee {result['fits']['crossover_fee']:.3g}")
-    return bundle, notes or ["sweep complete"]
+    return notes or ["sweep complete"]
 
 
-def _run_sweep_sigma(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
-    base = _campaign_config(cfg, _single_process(cfg, "sweep-sigma"))
+def _run_sweep_sigma(cfg: dict, bundle: Bundle) -> list[str]:
+    base = _campaign_config(cfg, cfg["process"])
     result = sweep_volume_vs_sigma(base, cfg["sigmas"])
-    bundle = Bundle(out)
     _sweep_rows_csv(bundle, result["rows"], "campaign summaries per volatility")
     bundle.write_json(
         "fits.json",
@@ -630,14 +611,13 @@ def _run_sweep_sigma(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
          ("volume_slope", "volume_slope_stderr", "lvr_slope", "lvr_slope_stderr")},
         "log-log scaling of volume and loss with volatility",
     )
-    return bundle, [f"volume ~ sigma^{result['volume_slope']:.3f}, "
+    return [f"volume ~ sigma^{result['volume_slope']:.3f}, "
                     f"loss ~ sigma^{result['lvr_slope']:.3f}"]
 
 
-def _run_sweep_steps(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
-    base = _campaign_config(cfg, _single_process(cfg, "sweep-steps"))
+def _run_sweep_steps(cfg: dict, bundle: Bundle) -> list[str]:
+    base = _campaign_config(cfg, cfg["process"])
     result = sweep_volume_vs_steps(base, cfg["steps_list"], total_variance=cfg["total_variance"])
-    bundle = Bundle(out)
     _sweep_rows_csv(bundle, result["rows"],
                     "campaign summaries per step count at fixed total variance")
     bundle.write_json(
@@ -646,7 +626,7 @@ def _run_sweep_steps(cfg: dict, out: Path) -> tuple[Bundle, list[str]]:
          ("volume_slope", "volume_slope_stderr", "lvr_relative_spread")},
         "volume scaling with sampling rate; loss stays put",
     )
-    return bundle, [f"volume ~ n^{result['volume_slope']:.3f}, loss spread "
+    return [f"volume ~ n^{result['volume_slope']:.3f}, loss spread "
                     f"{result['lvr_relative_spread'] * 100:.2f}%"]
 
 
@@ -705,7 +685,8 @@ def _execute(command: tuple[str, ...], cfg: dict, out: Path) -> list[str]:
     out.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
     try:
-        bundle, notes = runner(cfg, stage)
+        bundle = Bundle(stage)
+        notes = runner(cfg, bundle)
         n_files = bundle.seal(list(command), cfg)
         # mkdtemp makes a private (0700) directory; publish with mkdir's mode
         umask = os.umask(0)
@@ -743,7 +724,7 @@ def _manifest_config(cfg: dict, command: tuple[str, ...]) -> dict:
             return ",".join(str(v) for v in value)
         return "" if value is None else str(value)
 
-    return {k: _KEYS[k][0](k, text(cfg[k])) for k in keys}
+    return _cast(mode, keys, {k: text(cfg[k]) for k in keys})
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -773,37 +754,32 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if command not in _COMMANDS:
         raise ConfigError(f"manifest names unknown command {list(command)}")
     cfg = _manifest_config(manifest["config"], command)
-    bundle_dir = path.parent
-    mismatches = 0
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "replay"
         _execute(command, cfg, out)
-        stored = {entry["path"]: entry["sha256"] for entry in manifest["outputs"]}
-        fresh = {}
-        for name in sorted(p.name for p in out.iterdir() if p.name != "manifest.json"):
-            fresh[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in sorted(set(stored) | set(fresh)):
-            if name not in fresh:
-                print(f"MISSING   {name}")
-                mismatches += 1
-            elif name not in stored:
-                print(f"EXTRA     {name}")
-                mismatches += 1
-            elif stored[name] != fresh[name]:
-                print(f"MISMATCH  {name}")
-                mismatches += 1
-            else:
-                # the re-run agrees with the manifest; now check the bundle
-                # on disk was not edited after sealing
-                on_disk = bundle_dir / name
-                if not on_disk.is_file():
-                    print(f"MISSING   {name} (bundle file deleted)")
-                    mismatches += 1
-                elif hashlib.sha256(on_disk.read_bytes()).hexdigest() != stored[name]:
-                    print(f"MISMATCH  {name} (bundle file edited after sealing)")
-                    mismatches += 1
-                else:
-                    print(f"ok        {name}")
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    fresh = {entry["path"]: entry["sha256"] for entry in outputs}
+    stored = {entry["path"]: entry["sha256"] for entry in manifest["outputs"]}
+    bundle_dir = path.parent
+    mismatches = 0
+    for name in sorted(set(stored) | set(fresh)):
+        on_disk = bundle_dir / name
+        if name not in fresh:
+            line = f"MISSING   {name}"
+        elif name not in stored:
+            line = f"EXTRA     {name}"
+        elif stored[name] != fresh[name]:
+            line = f"MISMATCH  {name}"
+        # the re-run agrees with the manifest; now check that the bundle on
+        # disk was not edited after sealing
+        elif not on_disk.is_file():
+            line = f"MISSING   {name} (bundle file deleted)"
+        elif hashlib.sha256(on_disk.read_bytes()).hexdigest() != stored[name]:
+            line = f"MISMATCH  {name} (bundle file edited after sealing)"
+        else:
+            line = f"ok        {name}"
+        print(line)
+        mismatches += not line.startswith("ok")
     for name in sorted(p.name for p in bundle_dir.iterdir()):
         if name not in stored and name != path.name:
             print(f"EXTRA     {name} (not in manifest)")

@@ -7,7 +7,7 @@ from math import sqrt
 
 import numpy as np
 
-__all__ = ["Histogram", "mean_stderr", "fit_loglog", "sample_skewness"]
+__all__ = ["Histogram", "mean_stderr", "fit_loglog"]
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -19,17 +19,6 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     if arr.size == 1:
         return mean, 0.0
     return mean, float(arr.std(ddof=1) / sqrt(arr.size))
-
-
-def sample_skewness(values: np.ndarray) -> float:
-    """Population skewness m3 / m2^(3/2); zero for a degenerate sample."""
-    arr = np.asarray(values, dtype=float)
-    centered = arr - arr.mean()
-    m2 = float(np.mean(centered * centered))
-    if m2 == 0.0:
-        return 0.0
-    m3 = float(np.mean(centered * centered * centered))
-    return m3 / m2**1.5
 
 
 def fit_loglog(x, y) -> tuple[float, float]:
@@ -88,13 +77,14 @@ class Histogram:
         counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
         centered = arr - arr.mean()
         m2 = float(np.mean(centered * centered))
+        m3 = float(np.mean(centered * centered * centered))
         return cls(
             bin_edges=edges,
             counts=counts,
             n_total=int(counts.sum()),
             mean=float(arr.mean()),
             variance=m2,
-            skewness=sample_skewness(arr),
+            skewness=m3 / m2**1.5 if m2 > 0.0 else 0.0,
         )
 
     def to_dict(self) -> dict:

@@ -29,6 +29,7 @@ from ammlab import (
     lvr_ode_rhs,
     sample_il,
 )
+from ammlab.errors import NumericalError
 from ammlab.metrics import il_between
 
 # short-horizon reference point: L sigma^2 t / (4 sqrt(p0)) = 0.25
@@ -233,6 +234,27 @@ def test_dist_params_validation():
         ILDistParams(p0=1.0, liquidity=1.0, sigma=0.1, t=-1.0)
 
 
+def test_dist_params_read_the_process_from_its_string():
+    from_string = ILDistParams(p0=100.0, liquidity=10000.0, sigma=0.1, t=1.0, process="bm")
+    assert from_string.process is ProcessKind.BM
+    from_enum = ILDistParams(p0=100.0, liquidity=10000.0, sigma=0.1, t=1.0,
+                             process=ProcessKind.BM)
+    assert analytic_il_mean(from_string) == analytic_il_mean(from_enum)
+    assert analytic_il_mean(from_string) != analytic_il_mean(DIST)
+    with pytest.raises(ValueError):
+        ILDistParams(p0=100.0, liquidity=10000.0, sigma=0.1, t=1.0, process="brownian")
+
+
+@pytest.mark.parametrize("integral", [expected_il_quadrature, analytic_il_mean, build_il_table])
+def test_additive_law_leaking_below_zero_is_refused(integral):
+    # Phi(-1 / 0.3) = 4.29e-4 of the additive law lies below price zero
+    leaky = ILDistParams(p0=100.0, liquidity=10000.0, sigma=0.3, t=1.0, process="bm")
+    with pytest.raises(NumericalError, match="puts 0.000429 of its mass below zero"):
+        integral(leaky)
+    # the same sigma is fine under the multiplicative law, which has no mass there
+    integral(ILDistParams(p0=100.0, liquidity=10000.0, sigma=0.3, t=1.0))
+
+
 # ------------------------------------------------------------ table + sampling
 
 
@@ -341,6 +363,17 @@ def test_barrier_validation():
         BarrierSpec(lower=-1.0, upper=-0.5)
     with pytest.raises(ValueError):
         first_passage(BarrierSpec(lower=-1.0, upper=1.0), n_walks=0, seed=1)
+    with pytest.raises(ValueError):
+        BarrierSpec(lower=-1.0, upper=1.0, step_kind="coin")
+
+
+def test_barrier_spec_reads_the_step_kind_from_its_string():
+    # unit steps between -3 and 3 exit after exactly 3 * 3 = 9 steps on
+    # average; Gaussian steps would take about 13
+    spec = BarrierSpec(-3.0, 3.0, "unit")
+    assert spec.step_kind is StepKind.UNIT
+    result = first_passage(spec, n_walks=20000, seed=4104)
+    assert abs(result.mean_steps - 9.0) < 3.0 * result.stderr
 
 
 # -------------------------------------------------------------- goodness of fit

@@ -1,8 +1,9 @@
 """Pinned bundle bytes: the sha256 of every file, manifest.json included.
 
-Small bundles of the commands that need only numpy.  A change that moves
-any byte must update these digests and raise ammlab.__version__ with them;
-manifest.json records the version, so its digest moves with it anyway.
+Small bundles of the commands that need only numpy; each one must also
+replay byte for byte.  A change that moves any byte must update these
+digests and raise ammlab.__version__ with them; manifest.json records the
+version, so its digest moves with it anyway.
 """
 
 import hashlib
@@ -88,3 +89,4 @@ def test_bundle_bytes_are_pinned(tmp_path, command):
     assert main(command.split() + ["--out", str(out)]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == PINNED[command]
+    assert main(["replay", str(out)]) == 0

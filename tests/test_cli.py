@@ -428,6 +428,35 @@ def test_replay_refuses_a_bundle_from_another_version(tmp_path, capsys):
     assert "summed step by step, not pairwise" in err
 
 
+_SINGLE_PROCESS = [command for command, (_, keys, _) in cli._COMMANDS.items()
+                   if "process" in keys and command != ("simulate",)]
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "replay"])
+@pytest.mark.parametrize("command", _SINGLE_PROCESS, ids="-".join)
+def test_process_both_is_for_simulate_only(tmp_path, capsys, command, source):
+    mode, keys, _ = cli._COMMANDS[command]
+    out = tmp_path / "b"
+    if source == "flag":
+        argv = [*command, "--process", "both", "--out", str(out)]
+    elif source == "config":
+        (tmp_path / "both.conf").write_text("process=both\n")
+        argv = [*command, "--config", str(tmp_path / "both.conf"), "--out", str(out)]
+    else:
+        out.mkdir()
+        config = {k: cli._KEYS[k][1] for k in keys} | {"process": "both"}
+        manifest = {"tool": "ammlab", "version": ammlab.__version__, "command": list(command),
+                    "config": config, "outputs": []}
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["replay", str(out)]
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {mode} needs process=bm or process=gbm" in captured.err
+    assert captured.out == ""
+    assert _tree(tmp_path) == before
+
+
 def test_replay_missing_manifest_exits_2(tmp_path):
     rc = main(["replay", str(tmp_path / "nowhere")])
     assert rc == 2
@@ -528,6 +557,50 @@ def test_il_mean_command(tmp_path, capsys):
     )
     assert payload["regime"] == "short"
     assert "mean endpoint loss" in capsys.readouterr().out
+    # the any-horizon closed form exists for the multiplicative law only
+    assert payload["gbm_any_horizon_mean"] == pytest.approx(0.25, rel=2e-3)
+    bm = tmp_path / "bm"
+    rc = main(["analytic", "il-mean", "--process", "bm", "--sigma", "0.001", "--t", "1000",
+               "--out", str(bm)])
+    assert rc == 0
+    payload = json.loads((bm / "analytic.json").read_text())
+    assert payload["params"]["process"] == "bm"
+    assert payload["mean_via_density"] == pytest.approx(
+        payload["mean_via_price_integral"], rel=1e-3
+    )
+    assert "gbm_any_horizon_mean" not in payload
+
+
+@pytest.mark.parametrize("command, sigma, leak", [
+    ("il-pdf", "1", "0.159"),
+    ("il-mean", "0.3", "0.000429"),
+])
+def test_analytic_commands_refuse_a_leaking_additive_law(tmp_path, capsys, command, sigma,
+                                                         leak):
+    out = tmp_path / "b"
+    assert main(["analytic", "il-mean", "--process", "bm", "--sigma", "0.1", "--t", "1",
+                 "--out", str(out)]) == 0
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    rc = main(["analytic", command, "--process", "bm", "--sigma", sigma, "--t", "1",
+               "--out", str(out)])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert (f"numerical failure: the additive price law puts {leak} of its mass below zero"
+            in captured.err)
+    assert captured.out == ""
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_additive_law_just_inside_the_leak_bound_still_fails_in_quadrature(tmp_path, capsys):
+    # sigma sqrt(t) = 0.15 leaks Phi(-6.7) = 1e-11: the leak check lets it
+    # through, and the loss-mean quadrature is what fails
+    rc = main(["analytic", "il-mean", "--process", "bm", "--sigma", "0.15", "--t", "1",
+               "--out", str(tmp_path / "b")])
+    assert rc == 4
+    assert "quadrature did not converge" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lvr_mean_command_includes_any_horizon_form(tmp_path):
