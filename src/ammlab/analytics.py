@@ -120,6 +120,18 @@ def _price_density(params: ILDistParams):
     return lambda p: pdf_gbm(p, params.p0, params.sigma, params.t)
 
 
+def _price_at(params: ILDistParams, z: float) -> float:
+    """Price at the standardized endpoint z, with s = sigma sqrt(t).
+
+    p0 (1 + s z) for the additive law, p0 exp(-s^2 / 2 + s z) for the
+    multiplicative one.
+    """
+    sst = params.sigma * sqrt(params.t)
+    if params.process is ProcessKind.BM:
+        return params.p0 * (1.0 + sst * z)
+    return params.p0 * exp(-0.5 * sst * sst + sst * z)
+
+
 def _check_positive_inputs(liquidity: float, p0: float, sigma: float, t: float) -> None:
     if liquidity <= 0.0 or p0 <= 0.0 or sigma <= 0.0 or t <= 0.0:
         raise ConfigError("all inputs must be positive")
@@ -185,22 +197,15 @@ def expected_il_quadrature(params: ILDistParams) -> float:
 
     _check_no_leak(params)
     p0, liq = params.p0, params.liquidity
-    sst = params.sigma * sqrt(params.t)
     norm = 1.0 / sqrt(2.0 * np.pi)
+
+    def integrand(z: float) -> float:
+        return il_between(liq, p0, _price_at(params, z)) * norm * exp(-0.5 * z * z)
+
     if params.process is ProcessKind.BM:
-        z_cut = 1.0 / sst
-
-        def integrand(z: float) -> float:
-            return il_between(liq, p0, p0 * (1.0 + sst * z)) * norm * exp(-0.5 * z * z)
-
-        lo = -min(10.0, z_cut * (1.0 - 1e-12))
-        hi = 10.0
+        z_cut = 1.0 / (params.sigma * sqrt(params.t))
+        lo, hi = -min(10.0, z_cut * (1.0 - 1e-12)), 10.0
     else:
-        half_s2 = 0.5 * sst * sst
-
-        def integrand(w: float) -> float:
-            return il_between(liq, p0, p0 * exp(-half_s2 + sst * w)) * norm * exp(-0.5 * w * w)
-
         lo, hi = -14.0, 14.0
     value, abserr = quad(integrand, lo, hi, limit=200, points=[0.0], epsabs=0.0, epsrel=1e-9)
     if not np.isfinite(value) or abserr > max(1e-13, 1e-6 * abs(value)):
@@ -265,15 +270,12 @@ def _density_at_origin(params: ILDistParams) -> float:
 
 def _u_max(params: ILDistParams, n_std: float = 12.0) -> float:
     """sqrt of the larger loss at the prices n_std standard deviations either side of entry."""
-    sst = params.sigma * sqrt(params.t)
+    lo = _price_at(params, -n_std)
     if params.process is ProcessKind.BM:
-        lo = params.p0 * max(1.0 - n_std * sst, 1e-9)
-        hi = params.p0 * (1.0 + n_std * sst)
-    else:
-        half_s2 = 0.5 * sst * sst
-        lo = params.p0 * exp(-half_s2 - n_std * sst)
-        hi = params.p0 * exp(-half_s2 + n_std * sst)
-    return sqrt(max(il_between(params.liquidity, params.p0, p) for p in (lo, hi)))
+        # the additive law reaches zero price; stop short of it
+        lo = max(lo, params.p0 * 1e-9)
+    return sqrt(max(il_between(params.liquidity, params.p0, p)
+                    for p in (lo, _price_at(params, n_std))))
 
 
 @dataclass(frozen=True)
@@ -351,7 +353,7 @@ def analytic_il_mean(params: ILDistParams) -> float:
     comparing it against expected_il_quadrature exercises the two routes
     independently.
     """
-    from scipy.integrate import quad
+    from scipy.integrate import IntegrationWarning, quad
 
     _check_no_leak(params)
     u_max = _u_max(params)
@@ -359,10 +361,22 @@ def analytic_il_mean(params: ILDistParams) -> float:
     def integrand(u: float) -> float:
         return 2.0 * u**3 * il_pdf(u * u, params)
 
-    value, abserr = quad(integrand, 0.0, u_max, limit=400, epsabs=0.0, epsrel=1e-9)
-    if not np.isfinite(value) or abserr > max(1e-13, 1e-6 * abs(value)):
-        raise NumericalError(f"loss-mean quadrature did not converge (error {abserr:g})")
-    return value
+    # One pass over [0, u_max] first.  The additive law's lower price, clamped
+    # at 1e-9 p0, can stretch u_max to about 1e6 against a bulk near 10, and
+    # then one pass loses the mass; the retry integrates up to the loss at +12
+    # sigma in one piece and the tail beyond it in 12 geometric pieces.
+    knots = [0.0, u_max]
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            pieces = [quad(integrand, a, b, limit=400, epsabs=0.0, epsrel=1e-9)
+                      for a, b in zip(knots, knots[1:])]
+        value, abserr = sum(v for v, _ in pieces), sum(e for _, e in pieces)
+        if np.isfinite(value) and abserr <= max(1e-13, 1e-6 * abs(value)):
+            return value
+        u_bulk = sqrt(il_between(params.liquidity, params.p0, _price_at(params, 12.0)))
+        knots = [0.0, *np.geomspace(u_bulk, u_max, 13)]
+    raise NumericalError(f"loss-mean quadrature did not converge (error {abserr:g})")
 
 
 def sample_il(params: ILDistParams, n: int, seed: int) -> np.ndarray:

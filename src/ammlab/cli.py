@@ -580,54 +580,47 @@ def _run_first_passage(cfg: dict, bundle: Bundle) -> list[str]:
     ]
 
 
-def _sweep_rows_csv(bundle: Bundle, rows: list[dict], description: str):
+def _write_sweep(bundle: Bundle, result: dict, rows_description: str,
+                 fits_description: str) -> None:
     # every row holds the same keys, already in column order
-    bundle.write_csv("rows.csv", list(rows[0]), (row.values() for row in rows), description)
+    rows = result["rows"]
+    bundle.write_csv("rows.csv", list(rows[0]), (row.values() for row in rows), rows_description)
+    bundle.write_json("fits.json", result["fits"], fits_description)
 
 
 def _run_sweep_fee(cfg: dict, bundle: Bundle) -> list[str]:
     base = _campaign_config(cfg, cfg["process"])
     result = sweep_fee(base, cfg["fees"])
-    _sweep_rows_csv(bundle, result["rows"], "campaign summaries per fee level")
+    _write_sweep(bundle, result, "campaign summaries per fee level",
+                 "deep-fee scaling and the trade-thinning crossover")
     bundle.write_json("baseline.json", result["baseline"],
                       "fee-free campaign on the same per-run seeds")
-    bundle.write_json("fits.json", result["fits"],
-                      "deep-fee scaling and the trade-thinning crossover")
+    fits = result["fits"]
     notes = []
-    if result["fits"].get("deep_volume_slope") is not None:
-        notes.append(f"deep-fee volume slope {result['fits']['deep_volume_slope']:.3f}")
-    if result["fits"].get("crossover_fee"):
-        notes.append(f"mean wait crosses 2 steps near fee {result['fits']['crossover_fee']:.3g}")
+    if fits.get("deep_volume_slope") is not None:
+        notes.append(f"deep-fee volume slope {fits['deep_volume_slope']:.3f}")
+    if fits.get("crossover_fee"):
+        notes.append(f"mean wait crosses 2 steps near fee {fits['crossover_fee']:.3g}")
     return notes or ["sweep complete"]
 
 
 def _run_sweep_sigma(cfg: dict, bundle: Bundle) -> list[str]:
     base = _campaign_config(cfg, cfg["process"])
     result = sweep_volume_vs_sigma(base, cfg["sigmas"])
-    _sweep_rows_csv(bundle, result["rows"], "campaign summaries per volatility")
-    bundle.write_json(
-        "fits.json",
-        {k: result[k] for k in
-         ("volume_slope", "volume_slope_stderr", "lvr_slope", "lvr_slope_stderr")},
-        "log-log scaling of volume and loss with volatility",
-    )
-    return [f"volume ~ sigma^{result['volume_slope']:.3f}, "
-                    f"loss ~ sigma^{result['lvr_slope']:.3f}"]
+    _write_sweep(bundle, result, "campaign summaries per volatility",
+                 "log-log scaling of volume and loss with volatility")
+    fits = result["fits"]
+    return [f"volume ~ sigma^{fits['volume_slope']:.3f}, loss ~ sigma^{fits['lvr_slope']:.3f}"]
 
 
 def _run_sweep_steps(cfg: dict, bundle: Bundle) -> list[str]:
     base = _campaign_config(cfg, cfg["process"])
     result = sweep_volume_vs_steps(base, cfg["steps_list"], total_variance=cfg["total_variance"])
-    _sweep_rows_csv(bundle, result["rows"],
-                    "campaign summaries per step count at fixed total variance")
-    bundle.write_json(
-        "fits.json",
-        {k: result[k] for k in
-         ("volume_slope", "volume_slope_stderr", "lvr_relative_spread")},
-        "volume scaling with sampling rate; loss stays put",
-    )
-    return [f"volume ~ n^{result['volume_slope']:.3f}, loss spread "
-                    f"{result['lvr_relative_spread'] * 100:.2f}%"]
+    _write_sweep(bundle, result, "campaign summaries per step count at fixed total variance",
+                 "volume scaling with sampling rate; loss stays put")
+    fits = result["fits"]
+    return [f"volume ~ n^{fits['volume_slope']:.3f}, "
+            f"loss spread {fits['lvr_relative_spread'] * 100:.2f}%"]
 
 
 # command path -> (mode, config keys, runner); the parser adds commands in

@@ -421,17 +421,22 @@ def run_campaign(
     )
 
 
-def _require_pool(base: ExperimentConfig) -> None:
+# the campaign summaries a sweep row reports, in column order
+_ROW_KEYS = ("mean_il", "stderr_il", "mean_lvr", "stderr_lvr", "mean_volume",
+             "stderr_volume", "mean_fees", "stderr_fees", "mean_events", "mean_wait")
+
+
+def _sweep_summaries(base: ExperimentConfig, changes: list[dict]) -> list[dict]:
+    """Summaries of one campaign per change to base, in order, all on base.seed."""
     if base.observables is not Observables.POOL:
         raise ConfigError("sweeps report pool metrics, so observables must be pool")
+    return [run_campaign(replace(base, **change)).summary for change in changes]
 
 
-def _rowset(result: CampaignResult, extra: dict) -> dict:
-    row = dict(extra)
-    for key in ("mean_il", "stderr_il", "mean_lvr", "stderr_lvr", "mean_volume",
-                "stderr_volume", "mean_fees", "stderr_fees", "mean_events", "mean_wait"):
-        row[key] = result.summary[key]
-    return row
+def _distinct_positive(values: list, what: str) -> list:
+    if len(set(values)) < len(values) or len(values) < 2 or any(v <= 0 for v in values):
+        raise ConfigError(f"need at least two distinct positive {what}")
+    return values
 
 
 def sweep_volume_vs_sigma(base: ExperimentConfig, sigmas) -> dict:
@@ -439,26 +444,19 @@ def sweep_volume_vs_sigma(base: ExperimentConfig, sigmas) -> dict:
 
     All campaigns reuse base.seed, so run i sees the same Gaussian
     increments at every volatility and the fitted slopes are nearly free of
-    Monte Carlo jitter.  Returns per-sigma rows plus log-log slopes of the
-    mean trading volume and mean loss against sigma.
+    Monte Carlo jitter.  Returns per-sigma rows plus fits: log-log slopes of
+    the mean trading volume and mean loss against sigma.
     """
-    _require_pool(base)
-    sig = [float(s) for s in sigmas]
-    if len(set(sig)) < len(sig) or len(sig) < 2 or any(s <= 0.0 for s in sig):
-        raise ConfigError("need at least two distinct positive volatilities")
-    rows = []
-    for s in sig:
-        res = run_campaign(replace(base, sigma=s))
-        rows.append(_rowset(res, {"sigma": s}))
-    vol_slope, vol_err = fit_loglog(sig, [r["mean_volume"] for r in rows])
-    lvr_slope, lvr_err = fit_loglog(sig, [r["mean_lvr"] for r in rows])
-    return {
-        "rows": rows,
-        "volume_slope": vol_slope,
-        "volume_slope_stderr": vol_err,
-        "lvr_slope": lvr_slope,
-        "lvr_slope_stderr": lvr_err,
-    }
+    sig = _distinct_positive([float(s) for s in sigmas], "volatilities")
+    changes = [{"sigma": s} for s in sig]
+    summaries = _sweep_summaries(base, changes)
+    rows = [{**c, **{k: m[k] for k in _ROW_KEYS}} for c, m in zip(changes, summaries)]
+    fits: dict = {}
+    fits["volume_slope"], fits["volume_slope_stderr"] = fit_loglog(
+        sig, [m["mean_volume"] for m in summaries])
+    fits["lvr_slope"], fits["lvr_slope_stderr"] = fit_loglog(
+        sig, [m["mean_lvr"] for m in summaries])
+    return {"rows": rows, "fits": fits}
 
 
 def sweep_volume_vs_steps(
@@ -471,29 +469,23 @@ def sweep_volume_vs_steps(
     Each campaign uses sigma_n = sqrt(total_variance / n_steps), so the
     endpoint distribution is held fixed while the sampling gets finer: the
     cumulative loss should stay put while volume grows like sqrt(n_steps).
+    Returns per-step-count rows plus fits: the log-log volume slope and the
+    relative spread of the mean loss.
     """
-    _require_pool(base)
-    steps = [int(v) for v in steps_list]
-    if len(set(steps)) < len(steps) or len(steps) < 2 or any(v < 1 for v in steps):
-        raise ConfigError("need at least two distinct positive step counts")
+    steps = _distinct_positive([int(v) for v in steps_list], "step counts")
     if total_variance is None:
         total_variance = base.sigma2_t
     if total_variance <= 0.0:
         raise ConfigError("total_variance must be positive")
-    rows = []
-    for n in steps:
-        sigma_n = sqrt(total_variance / n)
-        res = run_campaign(replace(base, n_steps=n, sigma=sigma_n))
-        rows.append(_rowset(res, {"n_steps": n, "sigma": sigma_n}))
-    vol_slope, vol_err = fit_loglog(steps, [r["mean_volume"] for r in rows])
-    lvr_means = np.asarray([r["mean_lvr"] for r in rows])
-    spread = float((lvr_means.max() - lvr_means.min()) / lvr_means.mean())
-    return {
-        "rows": rows,
-        "volume_slope": vol_slope,
-        "volume_slope_stderr": vol_err,
-        "lvr_relative_spread": spread,
-    }
+    changes = [{"n_steps": n, "sigma": sqrt(total_variance / n)} for n in steps]
+    summaries = _sweep_summaries(base, changes)
+    rows = [{**c, **{k: m[k] for k in _ROW_KEYS}} for c, m in zip(changes, summaries)]
+    fits: dict = {}
+    fits["volume_slope"], fits["volume_slope_stderr"] = fit_loglog(
+        steps, [m["mean_volume"] for m in summaries])
+    lvr_means = np.asarray([m["mean_lvr"] for m in summaries])
+    fits["lvr_relative_spread"] = float((lvr_means.max() - lvr_means.min()) / lvr_means.mean())
+    return {"rows": rows, "fits": fits}
 
 
 def _interp_crossover(fees, waits, level: float = 2.0) -> float | None:
@@ -515,7 +507,6 @@ def sweep_fee(base: ExperimentConfig, fees) -> dict:
     trades are rare, and the fee at which the pooled mean wait crosses two
     steps, the practical edge of the trade-every-step region.
     """
-    _require_pool(base)
     fee_list = [float(f) for f in fees]
     if not fee_list or any(f <= 0.0 for f in fee_list):
         raise ConfigError("fee sweep needs a nonempty fees list, every fee positive")
@@ -523,14 +514,13 @@ def sweep_fee(base: ExperimentConfig, fees) -> dict:
         raise ConfigError("fees must be strictly increasing")
     if base.sigma <= 0.0:
         raise ConfigError("fee sweep needs a positive sigma: its rows report f / sigma")
-    baseline = run_campaign(replace(base, fee=0.0))
-    rows = []
-    for f in fee_list:
-        res = run_campaign(replace(base, fee=f))
-        row = _rowset(res, {"fee": f, "f_over_sigma": f / base.sigma})
-        row["lvr_ratio"] = row["mean_lvr"] / baseline.summary["mean_lvr"]
-        row["volume_ratio"] = row["mean_volume"] / baseline.summary["mean_volume"]
-        rows.append(row)
+    baseline, *summaries = _sweep_summaries(base, [{"fee": f} for f in [0.0, *fee_list]])
+    rows = [
+        {"fee": f, "f_over_sigma": f / base.sigma, **{k: m[k] for k in _ROW_KEYS},
+         "lvr_ratio": m["mean_lvr"] / baseline["mean_lvr"],
+         "volume_ratio": m["mean_volume"] / baseline["mean_volume"]}
+        for f, m in zip(fee_list, summaries)
+    ]
     deep = [r for r in rows if r["f_over_sigma"] >= 10.0]
     fits: dict = {"crossover_fee": _interp_crossover(fee_list, [r["mean_wait"] for r in rows])}
     if len(deep) >= 2:
@@ -541,4 +531,4 @@ def sweep_fee(base: ExperimentConfig, fees) -> dict:
         fits["deep_lvr_slope"], fits["deep_lvr_slope_stderr"] = fit_loglog(
             xs, [r["mean_lvr"] for r in deep]
         )
-    return {"baseline": baseline.summary, "rows": rows, "fits": fits}
+    return {"baseline": baseline, "rows": rows, "fits": fits}

@@ -9,8 +9,10 @@ prices p0 and p is
 which depends only on the endpoints.  Charging the same expression per step
 and summing gives the loss against a continuously rebalanced shadow
 portfolio; that sum is path dependent and never smaller than any single-step
-view of the same move.  This module holds the per-step formulas;
-harness.arbitrage sums them along paths.
+view of the same move.  This module holds the scalar per-step formulas:
+analytics integrates them, and the reference engine in tests/scalar_engine.py
+charges them trade by trade.  harness.arbitrage does not call them; it has its
+own vectorised sums over whole batches of paths.
 """
 
 from __future__ import annotations

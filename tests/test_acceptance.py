@@ -190,13 +190,13 @@ def test_criterion_06():
     )
     failures = []
 
-    by_sigma = sweep_volume_vs_sigma(base, [0.0005, 0.001, 0.002, 0.004, 0.008])
+    by_sigma = sweep_volume_vs_sigma(base, [0.0005, 0.001, 0.002, 0.004, 0.008])["fits"]
     if abs(by_sigma["volume_slope"] - 1.0) > 0.05:
         failures.append(f"volume-vs-sigma slope {by_sigma['volume_slope']:.4f} not in 1.0 +- 0.05")
 
     by_steps = sweep_volume_vs_steps(
         replace(base, seed=1316), [125, 250, 500, 1000], total_variance=0.001
-    )
+    )["fits"]
     if abs(by_steps["volume_slope"] - 0.5) > 0.05:
         failures.append(f"volume-vs-steps slope {by_steps['volume_slope']:.4f} not in 0.5 +- 0.05")
     if by_steps["lvr_relative_spread"] >= 0.05:

@@ -260,9 +260,9 @@ def test_histogram_names_by_observables():
 def test_volume_scales_linearly_with_volatility():
     base = replace(BASE, fee=0.0, n_steps=200, n_runs=800, seed=71005)
     swept = sweep_volume_vs_sigma(base, [0.001, 0.002, 0.004])
-    assert swept["volume_slope"] == pytest.approx(1.0, abs=0.03)
-    assert swept["lvr_slope"] == pytest.approx(2.0, abs=0.08)
-    assert swept["volume_slope_stderr"] < 0.02
+    assert swept["fits"]["volume_slope"] == pytest.approx(1.0, abs=0.03)
+    assert swept["fits"]["lvr_slope"] == pytest.approx(2.0, abs=0.08)
+    assert swept["fits"]["volume_slope_stderr"] < 0.02
     assert len(swept["rows"]) == 3
     vols = [r["mean_volume"] for r in swept["rows"]]
     assert vols[0] < vols[1] < vols[2]
@@ -274,9 +274,9 @@ def test_volume_grows_like_root_steps_at_fixed_endpoint_spread():
         liquidity=10000.0, n_runs=600, seed=71006,
     )
     swept = sweep_volume_vs_steps(base, [100, 400, 1600])
-    assert swept["volume_slope"] == pytest.approx(0.5, abs=0.03)
+    assert swept["fits"]["volume_slope"] == pytest.approx(0.5, abs=0.03)
     # cumulative loss is set by the total variance, not the sampling
-    assert swept["lvr_relative_spread"] < 0.05
+    assert swept["fits"]["lvr_relative_spread"] < 0.05
     sigmas = [r["sigma"] for r in swept["rows"]]
     assert sigmas[0] == pytest.approx(0.02)
     assert sigmas[2] == pytest.approx(0.005)
@@ -337,6 +337,35 @@ def test_sweep_validation(monkeypatch):
                           (sweep_volume_vs_steps, [10, 20])):
         with pytest.raises(ConfigError, match="observables must be pool"):
             sweep(prices, values)
+
+
+_SEAM_BASE = replace(BASE, fee=0.0, sigma=0.01, n_steps=16, n_runs=20, seed=71009)
+
+
+@pytest.mark.parametrize("sweep, values, changes, keys", [
+    (sweep_fee, [0.001, 0.01], [{"fee": 0.0}, {"fee": 0.001}, {"fee": 0.01}],
+     {"rows", "fits", "baseline"}),
+    (sweep_volume_vs_sigma, [0.002, 0.001], [{"sigma": 0.002}, {"sigma": 0.001}],
+     {"rows", "fits"}),
+    (sweep_volume_vs_steps, [64, 4],
+     [{"n_steps": n, "sigma": math.sqrt(_SEAM_BASE.sigma2_t / n)} for n in (64, 4)],
+     {"rows", "fits"}),
+], ids=["fee", "sigma", "steps"])
+def test_sweep_runs_one_campaign_per_point_in_order(monkeypatch, sweep, values, changes, keys):
+    # the fee sweep's fee-free baseline runs first; every campaign keeps base.seed
+    seen = []
+
+    def counting(config, **budgets):
+        seen.append(config)
+        return run_campaign(config, **budgets)
+
+    monkeypatch.setattr("ammlab.harness.run_campaign", counting)
+    swept = sweep(_SEAM_BASE, values)
+    assert seen == [replace(_SEAM_BASE, **change) for change in changes]
+    assert set(swept) == keys
+    assert len(swept["rows"]) == len(values)
+    if "baseline" in swept:
+        assert swept["baseline"] == run_campaign(seen[0]).summary
 
 
 def test_result_column_accessor():
