@@ -44,9 +44,9 @@ from .harness import (
     sweep_volume_vs_sigma,
     sweep_volume_vs_steps,
 )
-from .metrics import il_between, lvr_step, rebalance_quantities, volume_step
+from .metrics import il_between, rebalance_quantities, volume_step
 from .presets import PRESETS, get_preset, preset_names
-from .stats import Histogram, fit_loglog, mean_stderr
+from .stats import Histogram, distinct_positive, fit_loglog, mean_stderr
 from .stochastic import (
     ProcessKind,
     derive_run_seed,
@@ -64,7 +64,7 @@ __all__ = [
     # price processes
     "ProcessKind", "make_generator", "derive_run_seed", "pdf_bm", "pdf_gbm",
     # per-step metrics
-    "il_between", "lvr_step", "rebalance_quantities", "volume_step",
+    "il_between", "rebalance_quantities", "volume_step",
     # arbitrage kernel
     "BandRule", "TradeTarget", "arbitrage",
     # analytics
@@ -79,6 +79,6 @@ __all__ = [
     "sweep_fee", "sweep_volume_vs_sigma", "sweep_volume_vs_steps",
     # presets and plumbing
     "PRESETS", "get_preset", "preset_names",
-    "Histogram", "mean_stderr", "fit_loglog",
+    "Histogram", "mean_stderr", "distinct_positive", "fit_loglog",
     "ConfigError", "ResourceLimitError", "NumericalError",
 ]

@@ -81,7 +81,7 @@ from .harness import (
     sweep_volume_vs_steps,
 )
 from .presets import get_preset, preset_names
-from .stats import Histogram, fit_loglog, mean_stderr
+from .stats import Histogram, distinct_positive, fit_loglog, mean_stderr
 from .stochastic import ProcessKind, derive_run_seed, pdf_bm, pdf_gbm
 
 # ---------------------------------------------------------------------------
@@ -275,9 +275,10 @@ class Bundle:
         )
 
     def write_csv(self, name: str, columns: list[str], rows, description: str) -> None:
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt_cell(v) for v in row) for row in rows]
-        (self.dir / name).write_text("\n".join(lines) + "\n")
+        # one row at a time, so a long table never sits in memory as text
+        with open(self.dir / name, "w") as f:
+            f.write(",".join(columns) + "\n")
+            f.writelines(",".join(_fmt_cell(v) for v in row) + "\n" for row in rows)
         self.schema[name] = {"kind": "csv", "columns": columns, "description": description}
 
     def seal(self, command: list[str], config: dict) -> int:
@@ -518,6 +519,14 @@ def _run_clt_sum(cfg: dict, bundle: Bundle) -> list[str]:
     ]
 
 
+def _write_sweep(bundle: Bundle, result: dict, rows_description: str,
+                 fits_description: str) -> None:
+    # every row holds the same keys, already in column order
+    rows = result["rows"]
+    bundle.write_csv("rows.csv", list(rows[0]), (row.values() for row in rows), rows_description)
+    bundle.write_json("fits.json", result["fits"], fits_description)
+
+
 def _run_first_passage(cfg: dict, bundle: Bundle) -> list[str]:
     kind = cfg["step_kind"]
     if not cfg["k_list"]:
@@ -527,65 +536,25 @@ def _run_first_passage(cfg: dict, bundle: Bundle) -> list[str]:
                           "absorption statistics for a single barrier pair")
         return [f"mean absorption time {res.mean_steps:.4g} +- {res.stderr:.2g}"]
 
-    if len(cfg["k_list"]) < 2:
-        raise ConfigError("k_list needs at least two entries to fit a slope "
-                          "(or none for a single barrier pair)")
-    if len(set(cfg["k_list"])) < len(cfg["k_list"]):
-        raise ConfigError(f"k_list entries must be distinct to fit a slope, got {cfg['k_list']}")
+    ks = distinct_positive(cfg["k_list"], "k_list entries, or none for a single barrier pair")
     rows = []
-    for i, k in enumerate(cfg["k_list"]):
-        if k < 1:
-            raise ConfigError(f"k_list entries must be >= 1, got {k}")
-        sym = first_passage(
-            BarrierSpec(-float(k), float(k), kind),
-            cfg["n_walks"],
-            int(derive_run_seed(cfg["seed"], 2 * i)),
-        )
-        asym = first_passage(
-            BarrierSpec(-float(k), 1.0, kind),
-            cfg["n_walks"],
-            int(derive_run_seed(cfg["seed"], 2 * i + 1)),
-        )
-        rows.append([
-            k,
-            sym.mean_steps, sym.stderr, sym.frac_lower, float(k * k),
-            asym.mean_steps, asym.stderr, asym.frac_lower, float(k),
-        ])
-    ks = [r[0] for r in rows]
-    sym_slope, sym_err = fit_loglog(ks, [r[1] for r in rows])
-    asym_slope, asym_err = fit_loglog(ks, [r[5] for r in rows])
-    bundle.write_csv(
-        "rows.csv",
-        ["k", "symmetric_mean", "symmetric_stderr", "symmetric_frac_lower",
-         "symmetric_exact", "asymmetric_mean", "asymmetric_stderr",
-         "asymmetric_frac_lower", "asymmetric_exact"],
-        rows,
-        "absorption times for barriers (-k, k) and (-k, 1)",
-    )
-    bundle.write_json(
-        "fits.json",
-        {
-            "n_walks": cfg["n_walks"],
-            "step_kind": kind,
-            "seed": cfg["seed"],
-            "symmetric_slope": sym_slope,
-            "symmetric_slope_stderr": sym_err,
-            "asymmetric_slope": asym_slope,
-            "asymmetric_slope_stderr": asym_err,
-        },
-        "log-log scaling of mean absorption time with k",
-    )
-    return [
-        f"mean time scaling: symmetric k^{sym_slope:.3f}, asymmetric k^{asym_slope:.3f}"
-    ]
-
-
-def _write_sweep(bundle: Bundle, result: dict, rows_description: str,
-                 fits_description: str) -> None:
-    # every row holds the same keys, already in column order
-    rows = result["rows"]
-    bundle.write_csv("rows.csv", list(rows[0]), (row.values() for row in rows), rows_description)
-    bundle.write_json("fits.json", result["fits"], fits_description)
+    for i, k in enumerate(ks):
+        row = {"k": k}
+        for j, (side, upper, exact) in enumerate((("symmetric", k, k * k), ("asymmetric", 1, k))):
+            res = first_passage(BarrierSpec(-float(k), float(upper), kind), cfg["n_walks"],
+                                int(derive_run_seed(cfg["seed"], 2 * i + j)))
+            row.update({f"{side}_mean": res.mean_steps, f"{side}_stderr": res.stderr,
+                        f"{side}_frac_lower": res.frac_lower, f"{side}_exact": float(exact)})
+        rows.append(row)
+    fits = {"n_walks": cfg["n_walks"], "step_kind": kind, "seed": cfg["seed"]}
+    for side in ("symmetric", "asymmetric"):
+        fits[f"{side}_slope"], fits[f"{side}_slope_stderr"] = fit_loglog(
+            ks, [row[f"{side}_mean"] for row in rows])
+    _write_sweep(bundle, {"rows": rows, "fits": fits},
+                 "absorption times for barriers (-k, k) and (-k, 1)",
+                 "log-log scaling of mean absorption time with k")
+    return [f"mean time scaling: symmetric k^{fits['symmetric_slope']:.3f}, "
+            f"asymmetric k^{fits['asymmetric_slope']:.3f}"]
 
 
 def _run_sweep_fee(cfg: dict, bundle: Bundle) -> list[str]:

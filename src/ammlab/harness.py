@@ -46,7 +46,7 @@ from math import isfinite, log, sqrt
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ResourceLimitError
-from .stats import Histogram, fit_loglog, mean_stderr
+from .stats import Histogram, distinct_positive, fit_loglog, mean_stderr
 from .stochastic import (
     GBM_FACTOR_FLOOR,
     ProcessKind,
@@ -186,6 +186,9 @@ class ExperimentConfig:
             raise ConfigError(f"bins must be positive, got {self.bins}")
         if self.observables is Observables.PRICES and self.fee != 0.0:
             raise ConfigError("price-density campaigns skip the pool, so fee must be 0")
+        if self.observables is Observables.PRICES and not self.sigma2_t > 0.0:
+            raise ConfigError("price-density campaigns compare with the analytic density, "
+                              f"so sigma^2 n_steps must be positive, got sigma = {self.sigma}")
 
     @property
     def sigma2_t(self) -> float:
@@ -365,10 +368,15 @@ def _compute_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
 
 def _observable_values(rows: np.ndarray, name: str) -> np.ndarray:
     if name == "il_minus_fees":
-        return rows[:, 0] - rows[:, 3]
-    if name == "lvr_minus_fees":
-        return rows[:, 1] - rows[:, 3]
-    return rows[:, TABLE_COLUMNS.index(name)]
+        values = rows[:, 0] - rows[:, 3]
+    elif name == "lvr_minus_fees":
+        values = rows[:, 1] - rows[:, 3]
+    else:
+        values = rows[:, TABLE_COLUMNS.index(name)]
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{name} is not finite in every run: the prices or the pool "
+                             "left the double range; lower sigma or move p0 nearer 1")
+    return values
 
 
 def _summarize(config: ExperimentConfig, table: np.ndarray) -> dict:
@@ -433,12 +441,6 @@ def _sweep_summaries(base: ExperimentConfig, changes: list[dict]) -> list[dict]:
     return [run_campaign(replace(base, **change)).summary for change in changes]
 
 
-def _distinct_positive(values: list, what: str) -> list:
-    if len(set(values)) < len(values) or len(values) < 2 or any(v <= 0 for v in values):
-        raise ConfigError(f"need at least two distinct positive {what}")
-    return values
-
-
 def sweep_volume_vs_sigma(base: ExperimentConfig, sigmas) -> dict:
     """Campaigns across volatilities on common random numbers.
 
@@ -447,7 +449,7 @@ def sweep_volume_vs_sigma(base: ExperimentConfig, sigmas) -> dict:
     Monte Carlo jitter.  Returns per-sigma rows plus fits: log-log slopes of
     the mean trading volume and mean loss against sigma.
     """
-    sig = _distinct_positive([float(s) for s in sigmas], "volatilities")
+    sig = distinct_positive([float(s) for s in sigmas], "volatilities")
     changes = [{"sigma": s} for s in sig]
     summaries = _sweep_summaries(base, changes)
     rows = [{**c, **{k: m[k] for k in _ROW_KEYS}} for c, m in zip(changes, summaries)]
@@ -472,7 +474,7 @@ def sweep_volume_vs_steps(
     Returns per-step-count rows plus fits: the log-log volume slope and the
     relative spread of the mean loss.
     """
-    steps = _distinct_positive([int(v) for v in steps_list], "step counts")
+    steps = distinct_positive([int(v) for v in steps_list], "step counts")
     if total_variance is None:
         total_variance = base.sigma2_t
     if total_variance <= 0.0:

@@ -21,7 +21,6 @@ from math import sqrt
 
 __all__ = [
     "il_between",
-    "lvr_step",
     "rebalance_quantities",
     "volume_step",
 ]
@@ -40,16 +39,6 @@ def il_between(liquidity: float, entry_price: float, final_price: float) -> floa
     return (liquidity / sqrt(entry_price)) * diff * diff
 
 
-def lvr_step(liquidity: float, price: float, next_price: float) -> float:
-    """One-step loss versus the rebalancing portfolio.
-
-    Over a single step this equals il_between(liquidity, price, next_price)
-    exactly; the difference between the two metrics is entirely in how the
-    per-step entry point resets.
-    """
-    return il_between(liquidity, price, next_price)
-
-
 def rebalance_quantities(
     liquidity: float, price: float, next_price: float
 ) -> tuple[float, float, float]:
@@ -61,14 +50,17 @@ def rebalance_quantities(
       dx_bar - x spent by the shadow portfolio to do so at the new price,
       dx     - x the pool position itself gave up over the step.
     The gap dx - dx_bar is the step's rebalancing loss and is positive for
-    any move in either direction.
+    any move in either direction.  Both flows are built from 1 - sqrt(price /
+    next_price) taken from the price difference, so the gap keeps its sign
+    and stays within a few ulps of dx even for moves of a few ulps.
     """
     _check_positive(liquidity=liquidity, price=price, next_price=next_price)
     sp = sqrt(price)
     sn = sqrt(next_price)
     dy = liquidity * (sn - sp)
-    dx_bar = (liquidity / sp) * (sp / sn - price / next_price)
-    dx = (liquidity / sp) * (1.0 - sp / sn)
+    d = (next_price - price) / (sn * (sn + sp))
+    dx = (liquidity / sp) * d
+    dx_bar = dx * (1.0 - d)
     return dy, dx_bar, dx
 
 

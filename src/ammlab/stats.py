@@ -7,7 +7,9 @@ from math import sqrt
 
 import numpy as np
 
-__all__ = ["Histogram", "mean_stderr", "fit_loglog"]
+from .errors import ConfigError, NumericalError
+
+__all__ = ["Histogram", "mean_stderr", "distinct_positive", "fit_loglog"]
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -19,6 +21,13 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     if arr.size == 1:
         return mean, 0.0
     return mean, float(arr.std(ddof=1) / sqrt(arr.size))
+
+
+def distinct_positive(values: list, what: str) -> list:
+    """values, checked to hold at least two distinct positive entries: fit_loglog's points."""
+    if len(set(values)) < len(values) or len(values) < 2 or any(v <= 0 for v in values):
+        raise ConfigError(f"need at least two distinct positive {what}")
+    return values
 
 
 def fit_loglog(x, y) -> tuple[float, float]:
@@ -78,13 +87,18 @@ class Histogram:
         centered = arr - arr.mean()
         m2 = float(np.mean(centered * centered))
         m3 = float(np.mean(centered * centered * centered))
+        try:
+            skewness = m3 / m2**1.5 if m2 > 0.0 else 0.0
+        except (OverflowError, ZeroDivisionError):
+            raise NumericalError(f"sample variance {m2:.3g} leaves the double range "
+                                 "in the skewness") from None
         return cls(
             bin_edges=edges,
             counts=counts,
             n_total=int(counts.sum()),
             mean=float(arr.mean()),
             variance=m2,
-            skewness=m3 / m2**1.5 if m2 > 0.0 else 0.0,
+            skewness=skewness,
         )
 
     def to_dict(self) -> dict:

@@ -1,7 +1,8 @@
 """Scalar arbitrage engine: the independent oracle for harness.arbitrage.
 
 One path at a time, one Python step at a time, trading an immutable
-cfmm.Pool through swap_to_price and charging metrics.lvr_step per trade.
+cfmm.Pool through swap_to_price and charging metrics.il_between per trade
+(over one step the rebalancing loss is the endpoint loss of that step).
 It shares no code with the batch kernel beyond the trade-rule labels, so
 agreement between the two checks the kernel's band test, post-trade price,
 loss and volume sums, and trade counts.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ammlab import BandRule, Histogram, Pool, TradeTarget, il_between, lvr_step, swap_to_price
+from ammlab import BandRule, Histogram, Pool, TradeTarget, il_between, swap_to_price
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def run_no_fee(path, pool: Pool) -> tuple[RunMetrics, list[ArbEvent]]:
         pool, volume_x, _ = swap_to_price(pool, p_after)
         if volume_x == 0.0:
             continue
-        inc = lvr_step(liquidity, p_before, p_after)
+        inc = il_between(liquidity, p_before, p_after)
         lvr += inc
         volume += volume_x
         events.append(ArbEvent(step, p_before, p_after, volume_x, 0.0, inc))
@@ -151,7 +152,7 @@ def run_with_fees(
             continue
         p_new = trade_target(p_ref, p_ref > upper, fee, band_rule, target)
         pool, volume_x, fee_x = swap_to_price(pool, p_new)
-        inc = lvr_step(liquidity, p_amm, p_new)
+        inc = il_between(liquidity, p_amm, p_new)
         lvr += inc
         volume += volume_x
         fees += fee_x

@@ -22,6 +22,7 @@ from ammlab import (
     StepKind,
     TradeTarget,
     analytic_il_mean,
+    arbitrage,
     build_il_table,
     clt_sum_experiment,
     expected_lvr,
@@ -31,7 +32,6 @@ from ammlab import (
     il_between,
     il_pdf,
     invert_il,
-    lvr_step,
     rebalance_quantities,
     run_campaign,
     swap_to_price,
@@ -416,17 +416,16 @@ def test_criterion_10():
     if worst_swap > 1e-9:
         failures.append(f"round-trip swap misses the reserves by {worst_swap:.2e} > 1e-9")
 
-    worst_step = 0.0
+    # the kernel on every two-point path of the grid, one path per column
+    off_diagonal = ~np.eye(prices.size, dtype=bool)
+    starts, ends = (g[off_diagonal] for g in np.meshgrid(prices, prices, indexing="ij"))
+    one_step = arbitrage(np.stack([starts, ends]), liq)
+    worst_step = float(np.max(np.abs(one_step[:, 1] - one_step[:, 0]) / one_step[:, 1]))
     worst_flow = 0.0
-    for a in prices:
-        for b in prices:
-            if a == b:
-                continue
-            step = lvr_step(liq, float(a), float(b))
-            gap = abs(step - il_between(liq, float(a), float(b)))
-            worst_step = max(worst_step, gap / step)
-            dy, dx_bar, dx = rebalance_quantities(liq, float(a), float(b))
-            worst_flow = max(worst_flow, abs((dx - dx_bar) - step) / step)
+    for a, b in zip(starts, ends):
+        step = il_between(liq, float(a), float(b))
+        dy, dx_bar, dx = rebalance_quantities(liq, float(a), float(b))
+        worst_flow = max(worst_flow, abs((dx - dx_bar) - step) / step)
     if worst_step > 1e-12:
         failures.append(f"per-step loss != endpoint loss by {worst_step:.2e} > 1e-12")
     if worst_flow > 1e-10:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -111,12 +112,13 @@ def test_non_finite_number_exits_2(tmp_path, capsys, argv, key):
     (["analytic", "lvr-mean", "--t", "0.4"], "t must be a whole number under gbm, got 0.4"),
     (["analytic", "lvr-mean", "--t", "2.5"], "t must be a whole number under gbm, got 2.5"),
     (["analytic", "first-passage", "--n-walks", "0"], "n_walks must be positive, got 0"),
-    (["analytic", "first-passage", "--k-list", "3"], "k_list needs at least two entries"),
+    (["analytic", "first-passage", "--k-list", "3"], "need at least two distinct positive k_list"),
     (["analytic", "sample-il", "--n-samples", "0"], "n must be positive, got 0"),
     (["analytic", "sample-il", "--bins", "0"], "bins must be positive, got 0"),
     (["analytic", "clt-sum", "--n-per-sum", "0"], "n_per_sum and n_repeats must be positive"),
     (["analytic", "clt-sum", "--bins", "0"], "bins must be positive, got 0"),
-    (["analytic", "first-passage", "--k-list", "3,3"], "k_list entries must be distinct"),
+    (["analytic", "first-passage", "--k-list", "3,3"],
+     "need at least two distinct positive k_list"),
     (["sweep", "fee", "--fees", "0.001", "--sigma", "0"], "fee sweep needs a positive sigma"),
     (["sweep", "sigma", "--sigmas", "0.001,0.001"], "need at least two distinct positive"),
     (["sweep", "steps", "--steps-list", "10,10"], "need at least two distinct positive"),
@@ -138,6 +140,15 @@ def test_non_finite_number_exits_2(tmp_path, capsys, argv, key):
      "need at least two distinct positive volatilities"),
     (["sweep", "fee", "--fees", "0.002,0.001", "--observables", "prices"],
      "fees must be strictly increasing"),
+    (["simulate", "--observables", "prices", "--sigma", "0"],
+     "price-density campaigns compare with the analytic density, so sigma^2 n_steps must be "
+     "positive, got sigma = 0.0"),
+    (["simulate", "--observables", "prices", "--process", "both", "--sigma", "0"],
+     "price-density campaigns compare with the analytic density, so sigma^2 n_steps must be "
+     "positive, got sigma = 0.0"),
+    (["simulate", "--observables", "prices", "--sigma", "1e-170"],
+     "price-density campaigns compare with the analytic density, so sigma^2 n_steps must be "
+     "positive, got sigma = 1e-170"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_library_input_check_exits_2(tmp_path, capsys, argv, message):
     rc = main(argv + ["--out", str(tmp_path / "x")])
@@ -255,6 +266,17 @@ def test_csv_cells_round_trip_to_the_exact_double(tmp_path):
         assert float(cells[1]) == result.table[i, 0]
         assert float(cells[2]) == result.table[i, 1]
         assert float(cells[6]) == result.table[i, 5]
+
+
+def test_csv_rows_are_streamed_to_the_file(tmp_path):
+    rows = ([i, i / 3.0, math.pi * i, 1.0 / (i + 1), i * 1e-7] for i in range(100_000))
+    tracemalloc.start()
+    try:
+        cli.Bundle(tmp_path).write_csv("t.csv", list("abcde"), rows, "streamed rows")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "t.csv").stat().st_size / 10
 
 
 def test_streaming_is_an_unknown_key(tmp_path, capsys):
@@ -693,6 +715,16 @@ def test_first_passage_barrier_scan(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("k_list", ["100,0", "3,3", "3", "0,-2"])
+def test_bad_k_list_runs_no_walk(tmp_path, capsys, monkeypatch, k_list):
+    calls = []
+    monkeypatch.setattr(cli, "first_passage", lambda *a: calls.append(a))
+    rc = main(["analytic", "first-passage", "--k-list", k_list, "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "need at least two distinct positive k_list entries" in capsys.readouterr().err
+    assert calls == []
+
+
 # ---------------------------------------------------------------------- sweeps
 
 
@@ -767,6 +799,25 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "numerical failure" in err and reason in err
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["simulate", "--sigma", "1e200", "--n-runs", "10"], "lvr is not finite in every run"),
+    (["sweep", "fee", "--fees", "0.001", "--sigma", "1e200", "--n-runs", "10"],
+     "lvr is not finite in every run"),
+    (["simulate", "--observables", "prices", "--sigma", "1e200", "--n-runs", "10"],
+     "final_price is not finite in every run"),
+    (["simulate", "--sigma", "100", "--n-runs", "200"], "leaves the double range in the skewness"),
+    (["simulate", "--p0", "1e-300", "--n-runs", "200"], "leaves the double range in the skewness"),
+    (["simulate", "--p0", "1e300", "--sigma", "0.5", "--n-runs", "200"],
+     "leaves the double range in the skewness"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_metrics_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason):
+    rc = main(argv + ["--n-steps", "10", "--out", str(tmp_path / "x")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and reason in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_prices_with_fee_exits_2(tmp_path, capsys):
