@@ -368,15 +368,10 @@ def _compute_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
 
 def _observable_values(rows: np.ndarray, name: str) -> np.ndarray:
     if name == "il_minus_fees":
-        values = rows[:, 0] - rows[:, 3]
-    elif name == "lvr_minus_fees":
-        values = rows[:, 1] - rows[:, 3]
-    else:
-        values = rows[:, TABLE_COLUMNS.index(name)]
-    if not np.isfinite(values).all():
-        raise NumericalError(f"{name} is not finite in every run: the prices or the pool "
-                             "left the double range; lower sigma or move p0 nearer 1")
-    return values
+        return rows[:, 0] - rows[:, 3]
+    if name == "lvr_minus_fees":
+        return rows[:, 1] - rows[:, 3]
+    return rows[:, TABLE_COLUMNS.index(name)]
 
 
 def _summarize(config: ExperimentConfig, table: np.ndarray) -> dict:

@@ -79,26 +79,31 @@ class Histogram:
             raise ValueError("cannot histogram an empty sample")
         if bins < 1:
             raise ValueError(f"bins must be positive, got {bins}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise NumericalError(f"{arr.size - finite.sum()} of {arr.size} sample values are not finite")
+        with np.errstate(all="ignore"):
+            mean = arr.mean()
+            centered = arr - mean
+            m2 = np.mean(centered * centered)
+            m3 = np.mean(centered * centered * centered)
+            scale = m2**1.5
+            skewness = m3 / scale if m2 > 0.0 else 0.0
+        if not np.isfinite([mean, m2, m3, scale, skewness]).all():
+            raise NumericalError(f"sample moments leave the double range: mean {mean:.3g}, "
+                                 f"variance {m2:.3g}, third moment {m3:.3g}")
         lo, hi = float(arr.min()), float(arr.max())
         if lo == hi:
             span = max(abs(lo) * 1e-9, 1e-12)
             lo, hi = lo - span, hi + span
         counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
-        centered = arr - arr.mean()
-        m2 = float(np.mean(centered * centered))
-        m3 = float(np.mean(centered * centered * centered))
-        try:
-            skewness = m3 / m2**1.5 if m2 > 0.0 else 0.0
-        except (OverflowError, ZeroDivisionError):
-            raise NumericalError(f"sample variance {m2:.3g} leaves the double range "
-                                 "in the skewness") from None
         return cls(
             bin_edges=edges,
             counts=counts,
             n_total=int(counts.sum()),
-            mean=float(arr.mean()),
-            variance=m2,
-            skewness=skewness,
+            mean=float(mean),
+            variance=float(m2),
+            skewness=float(skewness),
         )
 
     def to_dict(self) -> dict:

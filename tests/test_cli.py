@@ -802,15 +802,15 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, reason", [
-    (["simulate", "--sigma", "1e200", "--n-runs", "10"], "lvr is not finite in every run"),
+    (["simulate", "--sigma", "1e200", "--n-runs", "10"], "sample values are not finite"),
     (["sweep", "fee", "--fees", "0.001", "--sigma", "1e200", "--n-runs", "10"],
-     "lvr is not finite in every run"),
+     "sample values are not finite"),
     (["simulate", "--observables", "prices", "--sigma", "1e200", "--n-runs", "10"],
-     "final_price is not finite in every run"),
-    (["simulate", "--sigma", "100", "--n-runs", "200"], "leaves the double range in the skewness"),
-    (["simulate", "--p0", "1e-300", "--n-runs", "200"], "leaves the double range in the skewness"),
+     "sample values are not finite"),
+    (["simulate", "--sigma", "100", "--n-runs", "200"], "sample moments leave the double range"),
+    (["simulate", "--p0", "1e-300", "--n-runs", "200"], "sample moments leave the double range"),
     (["simulate", "--p0", "1e300", "--sigma", "0.5", "--n-runs", "200"],
-     "leaves the double range in the skewness"),
+     "sample moments leave the double range"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_metrics_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason):
     rc = main(argv + ["--n-steps", "10", "--out", str(tmp_path / "x")])

@@ -13,6 +13,7 @@ from ammlab import (
     CampaignResult,
     ConfigError,
     ExperimentConfig,
+    Histogram,
     NumericalError,
     Observables,
     Pool,
@@ -203,6 +204,24 @@ def test_histogram_counts_conserve_runs():
     for name, hist in result.histograms.items():
         assert hist.n_total == BASE.n_runs, name
         assert int(hist.counts.sum()) == BASE.n_runs, name
+
+
+@pytest.mark.parametrize("values, reason", [
+    ([1.0, np.inf], "not finite"),
+    ([np.nan, 1.0], "not finite"),
+    ([1e160, -1e160, 0.0], "moments leave the double range"),  # the variance overflows
+    ([1e103] + [0.0] * 999, "moments leave the double range"),  # the third moment alone
+    ([0.0, 1e-110], "moments leave the double range"),  # variance**1.5 underflows
+], ids=["inf", "nan", "variance", "third-moment", "underflow"])
+def test_histogram_refuses_samples_outside_the_double_range(values, reason):
+    with pytest.raises(NumericalError, match=reason):
+        Histogram.from_samples(values, bins=4)
+
+
+def test_histogram_keeps_large_finite_moments():
+    hist = Histogram.from_samples([1e100, -1e100, 0.0], bins=4)
+    assert hist.variance == pytest.approx(2e200 / 3, rel=1e-12)
+    assert hist.skewness == 0.0
 
 
 def test_stderr_shrinks_like_root_n():
