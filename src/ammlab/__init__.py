@@ -6,79 +6,25 @@ loss, the arbitrage volume that carries both, and how a proportional fee
 reshapes them.  Everything is seed-reproducible down to the individual run.
 """
 
-from .analytics import (
-    BarrierSpec,
-    Branch,
-    FirstPassageResult,
-    ILDistParams,
-    IlTable,
-    StepKind,
-    analytic_il_mean,
-    build_il_table,
-    clt_sum_experiment,
-    expected_il_gbm,
-    expected_il_quadrature,
-    expected_lvr,
-    expected_lvr_gbm,
-    first_passage,
-    gof_chi_square,
-    il_pdf,
-    invert_il,
-    lvr_ode_rhs,
-    sample_il,
-)
-from .cfmm import Pool, hodl_value, position_value, reserves_at_price, swap_to_price
-from .errors import ConfigError, NumericalError, ResourceLimitError
-from .harness import (
-    BandRule,
-    CampaignResult,
-    ExperimentConfig,
-    Observables,
-    RegimeLabel,
-    TradeTarget,
-    arbitrage,
-    classify_regime,
-    run_campaign,
-    simulate_price_matrix,
-    sweep_fee,
-    sweep_volume_vs_sigma,
-    sweep_volume_vs_steps,
-)
-from .metrics import il_between, rebalance_quantities, volume_step
-from .presets import PRESETS, get_preset, preset_names
-from .stats import Histogram, distinct_positive, fit_loglog, mean_stderr
-from .stochastic import (
-    ProcessKind,
-    derive_run_seed,
-    make_generator,
-    pdf_bm,
-    pdf_gbm,
-)
+from . import analytics, cfmm, errors, harness, presets, stats, stochastic
+from .analytics import *  # noqa: F403
+from .cfmm import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .presets import *  # noqa: F403
+from .stats import *  # noqa: F403
+from .stochastic import *  # noqa: F403
 
 __version__ = "0.2.0"
 
+# each module's __all__ is the one declaration of its public names
 __all__ = [
     "__version__",
-    # pool mechanics
-    "Pool", "reserves_at_price", "position_value", "hodl_value", "swap_to_price",
-    # price processes
-    "ProcessKind", "make_generator", "derive_run_seed", "pdf_bm", "pdf_gbm",
-    # per-step metrics
-    "il_between", "rebalance_quantities", "volume_step",
-    # arbitrage kernel
-    "BandRule", "TradeTarget", "arbitrage",
-    # analytics
-    "ILDistParams", "Branch", "StepKind", "BarrierSpec", "FirstPassageResult",
-    "IlTable", "expected_lvr", "expected_lvr_gbm", "expected_il_gbm",
-    "expected_il_quadrature", "invert_il", "il_pdf", "build_il_table",
-    "analytic_il_mean", "sample_il", "clt_sum_experiment", "first_passage",
-    "lvr_ode_rhs", "gof_chi_square",
-    # campaigns
-    "ExperimentConfig", "CampaignResult", "Observables", "RegimeLabel",
-    "classify_regime", "run_campaign", "simulate_price_matrix",
-    "sweep_fee", "sweep_volume_vs_sigma", "sweep_volume_vs_steps",
-    # presets and plumbing
-    "PRESETS", "get_preset", "preset_names",
-    "Histogram", "mean_stderr", "distinct_positive", "fit_loglog",
-    "ConfigError", "ResourceLimitError", "NumericalError",
+    *cfmm.__all__,
+    *stochastic.__all__,
+    *harness.__all__,
+    *analytics.__all__,
+    *presets.__all__,
+    *stats.__all__,
+    *errors.__all__,
 ]

@@ -25,13 +25,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from math import erfc, exp, expm1, sqrt
+from math import erfc, exp, expm1, inf, isfinite, sqrt
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .cfmm import il_between
 from .errors import ConfigError, NumericalError
-from .metrics import il_between
 from .stats import Histogram, mean_stderr
 from .stochastic import ProcessKind, make_generator, pdf_bm, pdf_gbm
 
@@ -53,7 +53,6 @@ __all__ = [
     "il_pdf",
     "build_il_table",
     "analytic_il_mean",
-    "sample_il",
     "clt_sum_experiment",
     "first_passage",
     "lvr_ode_rhs",
@@ -100,18 +99,30 @@ class ILDistParams:
 # (epsrel), so a smaller leak is lost in their own error.
 LEAK_TOLERANCE = 1e-9
 
+# largest u = sqrt(il) whose cube, in the loss-mean integrand, is still a double
+_U_LIMIT = float(np.finfo(float).max) ** (1.0 / 3.0)
+_N_KNOTS = 4096
 
-def _check_no_leak(params: ILDistParams) -> None:
-    """Refuse an additive law whose mass below price zero exceeds LEAK_TOLERANCE."""
-    if params.process is not ProcessKind.BM:
-        return
-    leak = 0.5 * erfc(1.0 / (params.sigma * sqrt(2.0 * params.t)))
-    if leak > LEAK_TOLERANCE:
-        raise NumericalError(
-            f"the additive price law puts {leak:.3g} of its mass below zero "
-            f"(sigma sqrt(t) = {params.sigma * sqrt(params.t):.3g}), over the "
-            f"{LEAK_TOLERANCE:g} the loss integrals can absorb"
-        )
+
+def _check_law(params: ILDistParams) -> None:
+    """Refuse a price law the loss integrals cannot carry.
+
+    An additive law may put at most LEAK_TOLERANCE of its mass below price
+    zero; a multiplicative law must keep its price 14 deviations below entry,
+    the quadrature's lower limit, positive.  _u_max bounds the loss range.
+    """
+    sst = params.sigma * sqrt(params.t)
+    if params.process is ProcessKind.BM:
+        leak = 0.5 * erfc(1.0 / (sst * sqrt(2.0)))
+        if leak > LEAK_TOLERANCE:
+            raise NumericalError(
+                f"the additive price law puts {leak:.3g} of its mass below zero "
+                f"(sigma sqrt(t) = {sst:.3g}), over the "
+                f"{LEAK_TOLERANCE:g} the loss integrals can absorb"
+            )
+    elif not _price_at(params, -14.0) > 0.0:
+        raise NumericalError(f"the price law at sigma sqrt(t) = {sst:.3g} reaches prices "
+                             "outside the double range within 14 standard deviations of entry")
 
 
 def _price_density(params: ILDistParams):
@@ -181,8 +192,14 @@ def expected_lvr_gbm(liquidity: float, p0: float, sigma: float, n_steps: int) ->
     """
     _check_positive_inputs(liquidity, p0, sigma, float(n_steps))
     r = 0.375 * sigma * sigma
-    geometric = expm1(r * n_steps) / expm1(r)
-    return liquidity * sigma * sigma / (4.0 * sqrt(p0)) * geometric
+    try:
+        mean = liquidity * sigma * sigma / (4.0 * sqrt(p0)) * (expm1(r * n_steps) / expm1(r))
+    except OverflowError:
+        mean = inf
+    if not isfinite(mean):
+        raise NumericalError(f"the mean rebalancing loss leaves the double range "
+                             f"(3 sigma^2 n_steps / 8 = {r * n_steps:.3g})")
+    return mean
 
 
 def expected_il_quadrature(params: ILDistParams) -> float:
@@ -195,7 +212,7 @@ def expected_il_quadrature(params: ILDistParams) -> float:
     """
     from scipy.integrate import quad
 
-    _check_no_leak(params)
+    _check_law(params)
     p0, liq = params.p0, params.liquidity
     norm = 1.0 / sqrt(2.0 * np.pi)
 
@@ -268,14 +285,19 @@ def _density_at_origin(params: ILDistParams) -> float:
     return 4.0 * params.p0**1.25 / sqrt(params.liquidity) * rho(params.p0)
 
 
-def _u_max(params: ILDistParams, n_std: float = 12.0) -> float:
-    """sqrt of the larger loss at the prices n_std standard deviations either side of entry."""
-    lo = _price_at(params, -n_std)
+def _u_max(params: ILDistParams) -> float:
+    """sqrt of the larger loss at the prices 12 standard deviations either side of entry."""
+    lo = _price_at(params, -12.0)
     if params.process is ProcessKind.BM:
         # the additive law reaches zero price; stop short of it
         lo = max(lo, params.p0 * 1e-9)
-    return sqrt(max(il_between(params.liquidity, params.p0, p)
-                    for p in (lo, _price_at(params, n_std))))
+    u_max = sqrt(max(il_between(params.liquidity, params.p0, p)
+                     for p in (lo, _price_at(params, 12.0))))
+    if not u_max < _U_LIMIT:
+        sst = params.sigma * sqrt(params.t)
+        raise NumericalError(f"the price law at sigma sqrt(t) = {sst:.3g} reaches losses "
+                             "outside the double range within 12 standard deviations of entry")
+    return u_max
 
 
 @dataclass(frozen=True)
@@ -315,16 +337,14 @@ class IlTable:
         return float(np.trapezoid(self.u * self.u * self.density_u, self.u) / self.total)
 
 
-def build_il_table(params: ILDistParams, n_knots: int = 4096) -> IlTable:
-    """Tabulate the loss density on log-spaced knots in u = sqrt(il)."""
+def build_il_table(params: ILDistParams) -> IlTable:
+    """Tabulate the loss density on _N_KNOTS log-spaced knots in u = sqrt(il)."""
     from scipy.integrate import cumulative_trapezoid
     from scipy.interpolate import PchipInterpolator
 
-    if n_knots < 16:
-        raise ValueError("n_knots must be at least 16")
-    _check_no_leak(params)
+    _check_law(params)
     u_max = _u_max(params)
-    u = np.concatenate(([0.0], np.geomspace(u_max * 1e-10, u_max, n_knots - 1)))
+    u = np.concatenate(([0.0], np.geomspace(u_max * 1e-10, u_max, _N_KNOTS - 1)))
     density_u = np.empty_like(u)
     density_u[0] = _density_at_origin(params)
     density_u[1:] = 2.0 * u[1:] * il_pdf(u[1:] ** 2, params)
@@ -355,7 +375,7 @@ def analytic_il_mean(params: ILDistParams) -> float:
     """
     from scipy.integrate import IntegrationWarning, quad
 
-    _check_no_leak(params)
+    _check_law(params)
     u_max = _u_max(params)
 
     def integrand(u: float) -> float:
@@ -377,11 +397,6 @@ def analytic_il_mean(params: ILDistParams) -> float:
         u_bulk = sqrt(il_between(params.liquidity, params.p0, _price_at(params, 12.0)))
         knots = [0.0, *np.geomspace(u_bulk, u_max, 13)]
     raise NumericalError(f"loss-mean quadrature did not converge (error {abserr:g})")
-
-
-def sample_il(params: ILDistParams, n: int, seed: int) -> np.ndarray:
-    """Draw n losses by inverse transform from the tabulated distribution."""
-    return build_il_table(params).sample(n, seed)
 
 
 def clt_sum_experiment(
@@ -478,13 +493,13 @@ def lvr_ode_rhs(liquidity: float, sigma_abs: float, price: float) -> float:
     return liquidity * sigma_abs * sigma_abs / (4.0 * price**2.5)
 
 
-def gof_chi_square(counts, bin_edges, cdf, min_expected: float = 5.0):
+def gof_chi_square(counts, bin_edges, cdf):
     """Chi-square comparison of binned counts against a distribution function.
 
     Expected masses come from cdf differences over the bin edges, with the
     tail mass outside the edges folded into the end bins.  Adjacent bins are
-    merged left to right until each group expects at least min_expected
-    counts.  Returns (statistic, dof, pvalue).
+    merged left to right until each group expects at least 5 counts.
+    Returns (statistic, dof, pvalue).
     """
     from scipy.stats import chi2
 
@@ -507,7 +522,7 @@ def gof_chi_square(counts, bin_edges, cdf, min_expected: float = 5.0):
     for o, e in zip(obs, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= 5.0:
             grouped_obs.append(acc_o)
             grouped_exp.append(acc_e)
             acc_o = acc_e = 0.0

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigError", "ResourceLimitError", "NumericalError"]
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration or command-line input."""

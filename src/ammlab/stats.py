@@ -71,8 +71,8 @@ class Histogram:
     def from_samples(cls, values, bins: int = 50) -> "Histogram":
         """Bin a sample into `bins` uniform bins over [min, max].
 
-        A degenerate sample (all values equal) gets a hair-width symmetric
-        range so the edges stay strictly increasing.
+        A sample too narrow for `bins` distinct edges (all values equal, or
+        a few ulps apart) gets a hair-width wider range.
         """
         arr = np.asarray(values, dtype=float)
         if arr.size == 0:
@@ -93,7 +93,7 @@ class Histogram:
             raise NumericalError(f"sample moments leave the double range: mean {mean:.3g}, "
                                  f"variance {m2:.3g}, third moment {m3:.3g}")
         lo, hi = float(arr.min()), float(arr.max())
-        if lo == hi:
+        if np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0.0):
             span = max(abs(lo) * 1e-9, 1e-12)
             lo, hi = lo - span, hi + span
         counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))

@@ -62,10 +62,6 @@ def derive_run_seed(campaign_seed: int, run_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _as_float_array(p) -> np.ndarray:
-    return np.asarray(p, dtype=float)
-
-
 def pdf_bm(p, p0: float, sigma: float, t: float):
     """Gaussian price density with mean p0 and variance (p0 sigma)^2 t."""
     if p0 <= 0.0:
@@ -73,7 +69,7 @@ def pdf_bm(p, p0: float, sigma: float, t: float):
     if sigma <= 0.0 or t <= 0.0:
         raise ValueError("sigma and t must be positive")
     scale = p0 * sigma * sqrt(t)
-    z = (_as_float_array(p) - p0) / scale
+    z = (np.asarray(p, dtype=float) - p0) / scale
     out = np.exp(-0.5 * z * z) / (scale * _SQRT_TWO_PI)
     return out.item() if out.ndim == 0 else out
 
@@ -84,7 +80,7 @@ def pdf_gbm(p, p0: float, sigma: float, t: float):
         raise ValueError(f"p0 must be positive, got {p0}")
     if sigma <= 0.0 or t <= 0.0:
         raise ValueError("sigma and t must be positive")
-    arr = _as_float_array(p)
+    arr = np.asarray(p, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("price must be positive for the log-normal density")
     s2 = sigma * sigma * t

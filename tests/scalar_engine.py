@@ -1,7 +1,7 @@
 """Scalar arbitrage engine: the independent oracle for harness.arbitrage.
 
 One path at a time, one Python step at a time, trading an immutable
-cfmm.Pool through swap_to_price and charging metrics.il_between per trade
+cfmm.Pool through swap_to_price and charging cfmm.il_between per trade
 (over one step the rebalancing loss is the endpoint loss of that step).
 It shares no code with the batch kernel beyond the trade-rule labels, so
 agreement between the two checks the kernel's band test, post-trade price,

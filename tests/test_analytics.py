@@ -27,10 +27,9 @@ from ammlab import (
     il_pdf,
     invert_il,
     lvr_ode_rhs,
-    sample_il,
 )
 from ammlab.errors import NumericalError
-from ammlab.metrics import il_between
+from ammlab.cfmm import il_between
 
 # short-horizon reference point: L sigma^2 t / (4 sqrt(p0)) = 0.25
 SHORT = dict(liquidity=10000.0, p0=100.0, sigma=0.001, t=1000.0)
@@ -274,22 +273,18 @@ def test_table_mean_matches_quadrature():
     assert table.mean() == pytest.approx(analytic_il_mean(DIST), rel=2e-3)
 
 
-def test_table_rejects_tiny_knot_count():
-    with pytest.raises(ValueError):
-        build_il_table(DIST, n_knots=8)
-
-
 def test_samples_are_deterministic_and_nonnegative():
-    a = sample_il(DIST, 2000, seed=2024)
-    b = sample_il(DIST, 2000, seed=2024)
+    # a separate table per call, so the table build is checked as deterministic too
+    a = build_il_table(DIST).sample(2000, seed=2024)
+    b = build_il_table(DIST).sample(2000, seed=2024)
     np.testing.assert_array_equal(a, b)
     assert np.all(a >= 0.0)
-    c = sample_il(DIST, 2000, seed=2025)
+    c = build_il_table(DIST).sample(2000, seed=2025)
     assert not np.array_equal(a, c)
 
 
 def test_sample_mean_matches_analytic_mean():
-    draws = sample_il(DIST, 200000, seed=424242)
+    draws = build_il_table(DIST).sample(200000, seed=424242)
     stderr = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - analytic_il_mean(DIST)) < 3.0 * stderr
 
@@ -317,7 +312,7 @@ def test_sums_pull_toward_symmetry():
 
 
 def test_sum_variance_is_additive():
-    draws = sample_il(DIST, 200000, seed=3104)
+    draws = build_il_table(DIST).sample(200000, seed=3104)
     var1 = draws.var(ddof=1)
     summed = clt_sum_experiment(DIST, n_per_sum=16, n_repeats=5000, seed=3105)
     assert summed.variance == pytest.approx(16.0 * var1, rel=0.05)

@@ -50,6 +50,12 @@ def test_every_public_name_resolves():
     missing = [name for name in ammlab.__all__ if not hasattr(ammlab, name)]
     assert missing == []
     assert len(set(ammlab.__all__)) == len(ammlab.__all__)
+    # the modules' __all__ lists are the one declaration of each public name
+    modules = (ammlab.cfmm, ammlab.stochastic, ammlab.harness, ammlab.analytics,
+               ammlab.presets, ammlab.stats, ammlab.errors)
+    assert ammlab.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+    for module in modules:
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
 
 
 def test_package_version_matches_pyproject():
@@ -812,12 +818,43 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
     (["simulate", "--p0", "1e300", "--sigma", "0.5", "--n-runs", "200"],
      "sample moments leave the double range"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_metrics_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason):
     rc = main(argv + ["--n-steps", "10", "--out", str(tmp_path / "x")])
     assert rc == 4
     err = capsys.readouterr().err
     assert "numerical failure" in err and reason in err
     assert list(tmp_path.iterdir()) == []
+
+
+_LAW_RANGE = "outside the double range within"
+_LVR_RANGE = "the mean rebalancing loss leaves the double range"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    *(([command, "--sigma", "1", "--t", t], _LAW_RANGE)
+      for command in ("il-pdf", "il-mean", "sample-il", "clt-sum") for t in ("500", "700", "1000")
+      if (command, t) != ("il-mean", "700")),
+    # il-mean runs the price quadrature first, which never cubes u and so
+    # passes the law checks; at this horizon it fails to converge instead
+    (["il-mean", "--sigma", "1", "--t", "700"], "loss quadrature did not converge"),
+    (["lvr-mean", "--sigma", "1", "--t", "1900"], _LVR_RANGE),
+    (["lvr-mean", "--sigma", "0.001", "--t", "1e300"], _LVR_RANGE),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_analytic_means_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason):
+    # a gbm law deep in the long regime: its range prices underflow, or its
+    # losses or the summed rebalancing loss overflow
+    rc = main(["analytic", *argv, "--out", str(tmp_path / "x")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and reason in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_hair_wide_sample_range_exits_0(tmp_path):
+    # the final prices of 50 runs sit a few ulps apart, too narrow for 50 finite bins
+    assert main(["simulate", "--sigma", "1e-16", "--n-steps", "1", "--n-runs", "50",
+                 "--out", str(tmp_path / "x")]) == 0
 
 
 def test_prices_with_fee_exits_2(tmp_path, capsys):

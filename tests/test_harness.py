@@ -224,6 +224,16 @@ def test_histogram_keeps_large_finite_moments():
     assert hist.skewness == 0.0
 
 
+@pytest.mark.parametrize("values", [[1.0, 1.0], [1.0, np.nextafter(1.0, 2.0)]],
+                         ids=["equal", "one-ulp"])
+def test_histogram_of_a_hair_wide_sample(values):
+    # one ulp cannot hold 50 finite bins; both samples get the same hair-wide range
+    hist = Histogram.from_samples(values, bins=50)
+    assert np.all(np.diff(hist.bin_edges) > 0.0)
+    assert hist.bin_edges[0] < 1.0 < np.nextafter(1.0, 2.0) < hist.bin_edges[-1]
+    assert hist.n_total == 2
+
+
 def test_stderr_shrinks_like_root_n():
     small = run_campaign(replace(BASE, fee=0.0, n_steps=200, n_runs=800))
     large = run_campaign(replace(BASE, fee=0.0, n_steps=200, n_runs=3200))
