@@ -10,23 +10,24 @@ step:
     and adding the Jacobian-weighted pullbacks; it diverges like
     1 / sqrt(il) at the origin and the branch from prices above entry
     cuts off at il = L / sqrt(p0),
-  * quadrature, tabulated-quantile sampling and a summation experiment on
-    that density,
+  * its exact distribution function, the probability that the final price
+    lies between the two branch prices of a loss, and an exact sampler that
+    maps one uniform per draw through the normal quantile, the price and
+    the loss; quadrature of the mean and a summation experiment on top,
   * first-passage statistics of random walks between two absorbing
     barriers, the building block for waiting times between arbitrages.
 """
 
 from __future__ import annotations
 
-# scipy is imported inside the functions that integrate, tabulate or run a
-# chi-square test: it takes over a second to load, and `simulate` and
-# `sweep` import this module without calling any of them.
+# scipy is imported inside the functions that use it: it takes over a
+# second to load, and `simulate` and `sweep` import this module without
+# calling any of them.
 
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import erfc, exp, expm1, inf, isfinite, sqrt
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,23 +36,21 @@ from .errors import ConfigError, NumericalError
 from .stats import Histogram, mean_stderr
 from .stochastic import ProcessKind, make_generator, pdf_bm, pdf_gbm
 
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
-
 __all__ = [
     "ILDistParams",
     "Branch",
     "StepKind",
     "BarrierSpec",
     "FirstPassageResult",
-    "IlTable",
     "expected_lvr",
     "expected_lvr_gbm",
     "expected_il_gbm",
     "expected_il_quadrature",
     "invert_il",
     "il_pdf",
-    "build_il_table",
+    "il_cdf",
+    "sample_il",
+    "sqrt_loss_range",
     "analytic_il_mean",
     "clt_sum_experiment",
     "first_passage",
@@ -94,35 +93,40 @@ class ILDistParams:
         return self.liquidity * self.sigma**2 * self.t / (4.0 * sqrt(self.p0))
 
 
-# Largest share of the additive law's mass below price zero that the
-# quadratures and the table may ignore: 1e-9 is their relative tolerance
-# (epsrel), so a smaller leak is lost in their own error.
+# Largest share of a law that the loss integrals may lose: the additive law's
+# mass below price zero, or the multiplicative law's mean-loss weight beyond
+# the 12-deviation loss range.  1e-9 is the quadratures' relative tolerance
+# (epsrel), so a smaller share is lost in their own error.
 LEAK_TOLERANCE = 1e-9
 
 # largest u = sqrt(il) whose cube, in the loss-mean integrand, is still a double
 _U_LIMIT = float(np.finfo(float).max) ** (1.0 / 3.0)
-_N_KNOTS = 4096
 
 
-def _check_law(params: ILDistParams) -> None:
-    """Refuse a price law the loss integrals cannot carry.
+def _check_law(params: ILDistParams) -> float:
+    """Refuse a price law the loss integrals cannot carry; return its mass above price zero.
 
-    An additive law may put at most LEAK_TOLERANCE of its mass below price
-    zero; a multiplicative law must keep its price 14 deviations below entry,
-    the quadrature's lower limit, positive.  _u_max bounds the loss range.
+    With s = sigma sqrt(t), a law may lose at most LEAK_TOLERANCE: the
+    additive law its mass below price zero, Phi(-1 / s), and the
+    multiplicative law its mean loss beyond sqrt_loss_range's 12-deviation
+    window, Phi(s - 12), since the mean-loss integrand, e^(-s z) times the
+    normal density, peaks at z = -s.  A multiplicative law must also keep
+    its price 14 deviations below entry, the quadrature's lower limit,
+    positive.  sqrt_loss_range bounds the loss range.
     """
     sst = params.sigma * sqrt(params.t)
-    if params.process is ProcessKind.BM:
-        leak = 0.5 * erfc(1.0 / (sst * sqrt(2.0)))
-        if leak > LEAK_TOLERANCE:
-            raise NumericalError(
-                f"the additive price law puts {leak:.3g} of its mass below zero "
-                f"(sigma sqrt(t) = {sst:.3g}), over the "
-                f"{LEAK_TOLERANCE:g} the loss integrals can absorb"
-            )
-    elif not _price_at(params, -14.0) > 0.0:
+    bm = params.process is ProcessKind.BM
+    share = 0.5 * erfc((1.0 / sst if bm else 12.0 - sst) / sqrt(2.0))
+    if share > LEAK_TOLERANCE:
+        law, lost = (("additive", "of its mass below zero") if bm else
+                     ("multiplicative", "of its mean loss outside the 12-deviation loss range"))
+        raise NumericalError(f"the {law} price law puts {share:.3g} {lost} (sigma sqrt(t) "
+                             f"= {sst:.3g}), over the {LEAK_TOLERANCE:g} the loss integrals "
+                             "can absorb")
+    if not (bm or _price_at(params, -14.0) > 0.0):
         raise NumericalError(f"the price law at sigma sqrt(t) = {sst:.3g} reaches prices "
                              "outside the double range within 14 standard deviations of entry")
+    return 1.0 - share if bm else 1.0
 
 
 def _price_density(params: ILDistParams):
@@ -131,16 +135,26 @@ def _price_density(params: ILDistParams):
     return lambda p: pdf_gbm(p, params.p0, params.sigma, params.t)
 
 
-def _price_at(params: ILDistParams, z: float) -> float:
+def _price_at(params: ILDistParams, z):
     """Price at the standardized endpoint z, with s = sigma sqrt(t).
 
     p0 (1 + s z) for the additive law, p0 exp(-s^2 / 2 + s z) for the
-    multiplicative one.
+    multiplicative one.  A float z goes through math.exp, whose roundings
+    the quadratures' outputs carry; an array through numpy's.
     """
     sst = params.sigma * sqrt(params.t)
     if params.process is ProcessKind.BM:
         return params.p0 * (1.0 + sst * z)
-    return params.p0 * exp(-0.5 * sst * sst + sst * z)
+    log_ratio = -0.5 * sst * sst + sst * z
+    return params.p0 * (np.exp(log_ratio) if isinstance(z, np.ndarray) else exp(log_ratio))
+
+
+def _endpoint_at(params: ILDistParams, p: np.ndarray) -> np.ndarray:
+    """Standardized endpoint z of the prices p, the inverse of _price_at."""
+    sst = params.sigma * sqrt(params.t)
+    if params.process is ProcessKind.BM:
+        return (p / params.p0 - 1.0) / sst
+    return (np.log(p / params.p0) + 0.5 * sst * sst) / sst
 
 
 def _check_positive_inputs(liquidity: float, p0: float, sigma: float, t: float) -> None:
@@ -252,6 +266,17 @@ def invert_il(p0: float, liquidity: float, il: float, branch: Branch) -> float:
     return p0 / (1.0 - q) ** 2
 
 
+def _branch_prices(arr: np.ndarray, params: ILDistParams):
+    """q = p0^(1/4) sqrt(il / L) and the prices p0 / (1 + q)^2 below and
+    p0 / (1 - q)^2 above entry that give the losses arr; above is inf where
+    q >= 1, past the above branch's bound L / sqrt(p0)."""
+    q = params.p0**0.25 * np.sqrt(arr / params.liquidity)
+    above = np.full_like(q, inf)
+    mask = q < 1.0
+    above[mask] = params.p0 / (1.0 - q[mask]) ** 2
+    return q, params.p0 / (1.0 + q) ** 2, above
+
+
 def il_pdf(il, params: ILDistParams):
     """Density of the endpoint loss induced by the price density.
 
@@ -263,30 +288,56 @@ def il_pdf(il, params: ILDistParams):
     arr = np.atleast_1d(np.asarray(il, dtype=float))
     if np.any(arr <= 0.0):
         raise ValueError("il must be positive")
-    p0, liq = params.p0, params.liquidity
     rho = _price_density(params)
-    q = p0**0.25 * np.sqrt(arr / liq)
-    pref = p0**1.25 / np.sqrt(arr * liq)
-    below = p0 / (1.0 + q) ** 2
+    q, below, above = _branch_prices(arr, params)
+    pref = params.p0**1.25 / np.sqrt(arr * params.liquidity)
     out = pref * np.asarray(rho(below)) / (1.0 + q) ** 3
     mask = q < 1.0
-    if np.any(mask):
-        qa = q[mask]
-        above = p0 / (1.0 - qa) ** 2
-        out[mask] = out[mask] + pref[mask] * np.asarray(rho(above)) / (1.0 - qa) ** 3
-    if np.isscalar(il) or np.asarray(il).ndim == 0:
-        return float(out[0])
-    return out
+    out[mask] += pref[mask] * np.asarray(rho(above[mask])) / (1.0 - q[mask]) ** 3
+    return float(out[0]) if np.ndim(il) == 0 else out
 
 
-def _density_at_origin(params: ILDistParams) -> float:
-    # limit of 2 u * pdf(u^2) as u -> 0: both branches collapse onto p0
-    rho = _price_density(params)
-    return 4.0 * params.p0**1.25 / sqrt(params.liquidity) * rho(params.p0)
+def il_cdf(il, params: ILDistParams):
+    """Probability of an endpoint loss at or below il, exact.
+
+    The loss stays at or below il exactly while the final price lies
+    between the two branch prices of il, so this is a difference of two
+    normal probabilities in the standardized endpoint.  The additive law is
+    conditioned on a positive price.  0 for il <= 0.
+    """
+    from scipy.special import ndtr
+
+    mass = _check_law(params)
+    arr = np.atleast_1d(np.clip(np.asarray(il, dtype=float), 0.0, None))
+    _, below, above = _branch_prices(arr, params)
+    out = (ndtr(_endpoint_at(params, above)) - ndtr(_endpoint_at(params, below))) / mass
+    return float(out[0]) if np.ndim(il) == 0 else out
 
 
-def _u_max(params: ILDistParams) -> float:
-    """sqrt of the larger loss at the prices 12 standard deviations either side of entry."""
+def sample_il(params: ILDistParams, n: int, seed: int) -> np.ndarray:
+    """n independent endpoint-loss draws, exact by inversion of the price law.
+
+    Draw i takes word i of the seed's stream, so it depends only on the
+    seed and i: 52 of its bits, centred in their cell, give a uniform u
+    strictly inside (0, 1), the standardized endpoint is -Phi^-1(u m) with
+    m the law's mass above price zero (this truncates the additive law
+    there), and the loss is il(p0, p(z)).
+    """
+    from scipy.special import ndtri
+
+    mass = _check_law(params)
+    if n < 1:
+        raise ConfigError(f"n must be positive, got {n}")
+    u = (make_generator(seed).integers(0, 2**52, n) + 0.5) * 2.0**-52
+    price = _price_at(params, -ndtri(u * mass))
+    return params.liquidity / sqrt(params.p0) * (1.0 - np.sqrt(params.p0 / price)) ** 2
+
+
+def sqrt_loss_range(params: ILDistParams) -> float:
+    """sqrt of the larger loss at the prices 12 standard deviations either side of entry.
+
+    The end, in u = sqrt(il), of the range analytic_il_mean integrates over.
+    """
     lo = _price_at(params, -12.0)
     if params.process is ProcessKind.BM:
         # the additive law reaches zero price; stop short of it
@@ -300,72 +351,6 @@ def _u_max(params: ILDistParams) -> float:
     return u_max
 
 
-@dataclass(frozen=True)
-class IlTable:
-    """Tabulated endpoint-loss distribution in the variable u = sqrt(il).
-
-    The substitution removes the origin singularity, so a trapezoid
-    cumulative sum over log-spaced knots gives an accurate distribution
-    function, and a monotone cubic interpolant of its inverse turns uniform
-    draws into loss samples.  total is the captured probability mass; an
-    additive law that leaks to negative prices, the one case where it would
-    fall measurably below 1, is refused before tabulation.
-    """
-
-    params: ILDistParams
-    u: np.ndarray
-    density_u: np.ndarray
-    cdf_u: np.ndarray
-    total: float
-    _quantile: PchipInterpolator
-    _quantile_top: float
-
-    def cdf(self, il) -> np.ndarray:
-        """Probability of a loss at or below il, normalized to the table mass."""
-        vals = np.sqrt(np.clip(np.asarray(il, dtype=float), 0.0, None))
-        return np.interp(vals, self.u, self.cdf_u) / self.total
-
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        if n < 1:
-            raise ConfigError(f"n must be positive, got {n}")
-        rng = make_generator(seed)
-        grid = np.minimum(rng.random(n), self._quantile_top)
-        u = self._quantile(grid)
-        return u * u
-
-    def mean(self) -> float:
-        return float(np.trapezoid(self.u * self.u * self.density_u, self.u) / self.total)
-
-
-def build_il_table(params: ILDistParams) -> IlTable:
-    """Tabulate the loss density on _N_KNOTS log-spaced knots in u = sqrt(il)."""
-    from scipy.integrate import cumulative_trapezoid
-    from scipy.interpolate import PchipInterpolator
-
-    _check_law(params)
-    u_max = _u_max(params)
-    u = np.concatenate(([0.0], np.geomspace(u_max * 1e-10, u_max, _N_KNOTS - 1)))
-    density_u = np.empty_like(u)
-    density_u[0] = _density_at_origin(params)
-    density_u[1:] = 2.0 * u[1:] * il_pdf(u[1:] ** 2, params)
-    cdf_u = cumulative_trapezoid(density_u, u, initial=0.0)
-    total = float(cdf_u[-1])
-    if not 0.5 <= total <= 1.5:
-        raise NumericalError(f"loss density mass {total:g} is far from 1; bad tabulation range")
-    cdf_norm = cdf_u / total
-    keep = np.concatenate(([True], np.diff(cdf_norm) > 0.0))
-    quantile = PchipInterpolator(cdf_norm[keep], u[keep])
-    return IlTable(
-        params=params,
-        u=u,
-        density_u=density_u,
-        cdf_u=cdf_u,
-        total=total,
-        _quantile=quantile,
-        _quantile_top=float(cdf_norm[keep][-1]),
-    )
-
-
 def analytic_il_mean(params: ILDistParams) -> float:
     """Mean of the loss density by quadrature in u = sqrt(il).
 
@@ -376,7 +361,7 @@ def analytic_il_mean(params: ILDistParams) -> float:
     from scipy.integrate import IntegrationWarning, quad
 
     _check_law(params)
-    u_max = _u_max(params)
+    u_max = sqrt_loss_range(params)
 
     def integrand(u: float) -> float:
         return 2.0 * u**3 * il_pdf(u * u, params)
@@ -412,8 +397,7 @@ def clt_sum_experiment(
         raise ConfigError("n_per_sum and n_repeats must be positive")
     if bins < 1:
         raise ConfigError(f"bins must be positive, got {bins}")
-    table = build_il_table(params)
-    draws = table.sample(n_per_sum * n_repeats, seed)
+    draws = sample_il(params, n_per_sum * n_repeats, seed)
     sums = draws.reshape(n_repeats, n_per_sum).sum(axis=1)
     return Histogram.from_samples(sums, bins=bins)
 

@@ -58,14 +58,16 @@ from .analytics import (
     ILDistParams,
     StepKind,
     analytic_il_mean,
-    build_il_table,
     clt_sum_experiment,
     expected_il_gbm,
     expected_il_quadrature,
     expected_lvr,
     expected_lvr_gbm,
     first_passage,
+    il_cdf,
     il_pdf,
+    sample_il,
+    sqrt_loss_range,
 )
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .harness import (
@@ -389,25 +391,23 @@ def _run_il_pdf(cfg: dict, bundle: Bundle) -> list[str]:
     params = _dist_params(cfg)
     if cfg["il_points"] < 1:
         raise ConfigError(f"il_points must be positive, got {cfg['il_points']}")
-    table = build_il_table(params)
     mean_density = analytic_il_mean(params)
     mean_price = expected_il_quadrature(params)
-    il_max = float(table.u[-1] ** 2)
+    il_max = sqrt_loss_range(params) ** 2
     ils = np.geomspace(mean_density * 1e-10, il_max, cfg["il_points"])
     pdf = il_pdf(ils, params)
-    cdf = table.cdf(ils)
+    cdf = il_cdf(ils, params)
     trapz_mass = float(np.trapezoid(pdf, ils))
     bundle.write_csv(
         "il_pdf.csv",
         ["il", "pdf", "cdf"],
-        zip(ils, pdf, np.asarray(cdf)),
+        zip(ils, pdf, cdf),
         "endpoint-loss density and distribution on log-spaced losses",
     )
     bundle.write_json(
         "pdf_meta.json",
         {
             "params": asdict(params),
-            "mass_in_table": table.total,
             "mass_under_tabulated_points": trapz_mass,
             "mean_via_density": mean_density,
             "mean_via_price_integral": mean_price,
@@ -417,7 +417,7 @@ def _run_il_pdf(cfg: dict, bundle: Bundle) -> list[str]:
         "normalization and mean checks for the tabulated density",
     )
     notes = [
-        f"mass under curve {trapz_mass:.6f} (table {table.total:.6f})",
+        f"mass under curve {trapz_mass:.6f}",
         f"mean via density {mean_density:.6g}, via price integral {mean_price:.6g}",
     ]
     return notes
@@ -468,8 +468,7 @@ def _run_sample_il(cfg: dict, bundle: Bundle) -> list[str]:
     params = _dist_params(cfg)
     if cfg["bins"] < 1:
         raise ConfigError(f"bins must be positive, got {cfg['bins']}")
-    table = build_il_table(params)
-    draws = table.sample(cfg["n_samples"], cfg["seed"])
+    draws = sample_il(params, cfg["n_samples"], cfg["seed"])
     hist = Histogram.from_samples(draws, bins=cfg["bins"])
     mean, stderr = mean_stderr(draws)
     bundle.write_csv("samples.csv", ["il"], ([v] for v in draws),
@@ -708,9 +707,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if manifest.get("version") != __version__:
         raise ConfigError(
             f"bundle written by ammlab {manifest.get('version')} cannot be replayed by "
-            f"ammlab {__version__}: output bytes differ between versions (since 0.2.0 "
-            "fee-free lvr and volume are summed step by step, not pairwise); rerun the "
-            "command to write a fresh bundle"
+            f"ammlab {__version__}: output bytes differ between versions (since 0.3.0 "
+            "the endpoint-loss cdf and draws come from the exact price law, not a tabulated "
+            "loss table; since 0.2.0 fee-free lvr and volume are summed step by step, not "
+            "pairwise); rerun the command to write a fresh bundle"
         )
     command = tuple(manifest["command"])
     if command not in _COMMANDS:

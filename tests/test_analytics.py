@@ -15,7 +15,6 @@ from ammlab import (
     ProcessKind,
     StepKind,
     analytic_il_mean,
-    build_il_table,
     clt_sum_experiment,
     expected_il_gbm,
     expected_il_quadrature,
@@ -24,10 +23,13 @@ from ammlab import (
     first_passage,
     fit_loglog,
     gof_chi_square,
+    il_cdf,
     il_pdf,
     invert_il,
     lvr_ode_rhs,
+    sample_il,
 )
+from ammlab import analytics
 from ammlab.errors import NumericalError
 from ammlab.cfmm import il_between
 
@@ -244,7 +246,12 @@ def test_dist_params_read_the_process_from_its_string():
         ILDistParams(p0=100.0, liquidity=10000.0, sigma=0.1, t=1.0, process="brownian")
 
 
-@pytest.mark.parametrize("integral", [expected_il_quadrature, analytic_il_mean, build_il_table])
+@pytest.mark.parametrize("integral", [
+    expected_il_quadrature,
+    analytic_il_mean,
+    lambda params: il_cdf(1.0, params),
+    lambda params: sample_il(params, 10, seed=1),
+], ids=["expected_il_quadrature", "analytic_il_mean", "il_cdf", "sample_il"])
 def test_additive_law_leaking_below_zero_is_refused(integral):
     # Phi(-1 / 0.3) = 4.29e-4 of the additive law lies below price zero
     leaky = ILDistParams(p0=100.0, liquidity=10000.0, sigma=0.3, t=1.0, process="bm")
@@ -254,45 +261,70 @@ def test_additive_law_leaking_below_zero_is_refused(integral):
     integral(ILDistParams(p0=100.0, liquidity=10000.0, sigma=0.3, t=1.0))
 
 
-# ------------------------------------------------------------ table + sampling
+# ---------------------------------------------------------- cdf + sampling
 
 
-def test_table_cdf_is_monotone_and_saturates():
-    table = build_il_table(DIST)
+def test_cdf_is_monotone_and_saturates():
     ils = np.geomspace(1e-8, 200.0, 400)
-    cdf = table.cdf(ils)
+    cdf = il_cdf(ils, DIST)
     assert np.all(np.diff(cdf) >= 0.0)
     assert cdf[-1] == pytest.approx(1.0, abs=1e-6)
-    assert table.cdf(0.0) == 0.0
-    # trapezoid mass can overshoot 1 by the rule's local error
-    assert table.total == pytest.approx(1.0, abs=1e-4)
+    assert il_cdf(0.0, DIST) == 0.0
 
 
-def test_table_mean_matches_quadrature():
-    table = build_il_table(DIST)
-    assert table.mean() == pytest.approx(analytic_il_mean(DIST), rel=2e-3)
+@pytest.mark.parametrize("params", [
+    ILDistParams(p0=100.0, liquidity=10000.0, sigma=2.0, t=1.0),
+    ILDistParams(p0=100.0, liquidity=10000.0, sigma=0.15, t=1.0, process="bm"),
+], ids=["gbm", "bm"])
+def test_density_integrates_to_the_cdf(params):
+    # integrate in u = sqrt(il), where the 1/sqrt(il) spike at the origin
+    # becomes a finite endpoint; L / sqrt(p0) = 1000 ends the above branch
+    from scipy.integrate import quad
+
+    for a, b in [(0.0, 1e-4), (1e-4, 1.0), (1.0, 50.0), (900.0, 1100.0), (1100.0, 4000.0)]:
+        mass, _ = quad(lambda u: 2.0 * u * il_pdf(u * u, params), math.sqrt(a), math.sqrt(b),
+                       points=[math.sqrt(1000.0)] if a < 1000.0 < b else None,
+                       epsabs=1e-13, epsrel=1e-10, limit=200)
+        assert mass == pytest.approx(il_cdf(b, params) - il_cdf(a, params), abs=1e-8), (a, b)
 
 
 def test_samples_are_deterministic_and_nonnegative():
-    # a separate table per call, so the table build is checked as deterministic too
-    a = build_il_table(DIST).sample(2000, seed=2024)
-    b = build_il_table(DIST).sample(2000, seed=2024)
+    a = sample_il(DIST, 2000, seed=2024)
+    b = sample_il(DIST, 2000, seed=2024)
     np.testing.assert_array_equal(a, b)
     assert np.all(a >= 0.0)
-    c = build_il_table(DIST).sample(2000, seed=2025)
+    c = sample_il(DIST, 2000, seed=2025)
     assert not np.array_equal(a, c)
 
 
+def test_draw_i_does_not_depend_on_the_draw_count():
+    np.testing.assert_array_equal(sample_il(DIST, 3000, seed=2024)[:700],
+                                  sample_il(DIST, 700, seed=2024))
+
+
+def test_extreme_words_draw_finite_losses(monkeypatch):
+    # the smallest and largest word of the stream must map to finite normal
+    # quantiles, also where the additive law is truncated at zero price
+    class ExtremeWords:
+        def integers(self, low, high, size):
+            return np.resize(np.array([low, high - 1], dtype=np.int64), size)
+
+    monkeypatch.setattr(analytics, "make_generator", lambda seed: ExtremeWords())
+    for params in (DIST, ILDistParams(p0=100.0, liquidity=10000.0, sigma=0.16, t=1.0,
+                                      process="bm")):
+        draws = sample_il(params, 2, seed=0)
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0.0), params
+
+
 def test_sample_mean_matches_analytic_mean():
-    draws = build_il_table(DIST).sample(200000, seed=424242)
+    draws = sample_il(DIST, 200000, seed=424242)
     stderr = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - analytic_il_mean(DIST)) < 3.0 * stderr
 
 
-def test_samples_pass_ks_against_table_cdf():
-    table = build_il_table(DIST)
-    draws = table.sample(50000, seed=424242)
-    result = scipy.stats.kstest(draws, table.cdf)
+def test_samples_pass_ks_against_the_cdf():
+    draws = sample_il(DIST, 50000, seed=424242)
+    result = scipy.stats.kstest(draws, lambda il: il_cdf(il, DIST))
     assert result.pvalue > 0.01
 
 
@@ -312,7 +344,7 @@ def test_sums_pull_toward_symmetry():
 
 
 def test_sum_variance_is_additive():
-    draws = build_il_table(DIST).sample(200000, seed=3104)
+    draws = sample_il(DIST, 200000, seed=3104)
     var1 = draws.var(ddof=1)
     summed = clt_sum_experiment(DIST, n_per_sum=16, n_repeats=5000, seed=3105)
     assert summed.variance == pytest.approx(16.0 * var1, rel=0.05)

@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 import ammlab
-from ammlab import ExperimentConfig, ILDistParams, ProcessKind, build_il_table, run_campaign
+from ammlab import (
+    ExperimentConfig,
+    ILDistParams,
+    ProcessKind,
+    il_pdf,
+    pdf_bm,
+    run_campaign,
+    sqrt_loss_range,
+)
 from ammlab import cli, presets
 from ammlab.cli import build_parser, main, read_config_file
 from ammlab.presets import preset_names
@@ -458,6 +466,7 @@ def test_replay_refuses_a_bundle_from_another_version(tmp_path, capsys):
     assert main(["replay", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"written by ammlab 0.1.0 cannot be replayed by ammlab {ammlab.__version__}" in err
+    assert "exact price law, not a tabulated loss table" in err
     assert "summed step by step, not pairwise" in err
 
 
@@ -636,8 +645,20 @@ def test_additive_law_just_inside_the_leak_bound_converges(tmp_path, sigma):
                "--out", str(out)])
     assert rc == 0
     payload = json.loads((out / "analytic.json").read_text())
-    table_mean = build_il_table(ILDistParams(**payload["params"])).mean()
-    assert payload["mean_via_density"] == pytest.approx(table_mean, rel=1e-8)
+    # independent reference: the trapezoid rule in u = sqrt(il) on 4096
+    # log-spaced knots over the same range, normalised by its own mass; at
+    # u = 0 both branches collapse onto p0 and 2 u pdf(u^2) tends to
+    # 4 p0^(5/4) rho(p0) / sqrt(L)
+    params = ILDistParams(**payload["params"])
+    u_max = sqrt_loss_range(params)
+    u = np.concatenate(([0.0], np.geomspace(u_max * 1e-10, u_max, 4095)))
+    density_u = np.concatenate((
+        [4.0 * params.p0**1.25 / math.sqrt(params.liquidity)
+         * pdf_bm(params.p0, params.p0, params.sigma, params.t)],
+        2.0 * u[1:] * il_pdf(u[1:] ** 2, params),
+    ))
+    trapezoid_mean = np.trapezoid(u * u * density_u, u) / np.trapezoid(density_u, u)
+    assert payload["mean_via_density"] == pytest.approx(trapezoid_mean, rel=1e-8)
     assert payload["mean_via_density"] == pytest.approx(payload["mean_via_price_integral"],
                                                         rel=1e-4)
 
@@ -661,10 +682,26 @@ def test_il_pdf_command_normalizes(tmp_path):
     ])
     assert rc == 0
     meta = json.loads((out / "pdf_meta.json").read_text())
-    assert meta["mass_in_table"] == pytest.approx(1.0, abs=1e-3)
+    assert meta["mass_under_tabulated_points"] == pytest.approx(1.0, abs=1e-3)
     lines = (out / "il_pdf.csv").read_text().splitlines()
     assert lines[0] == "il,pdf,cdf"
     assert len(lines) == 801
+    assert float(lines[-1].split(",")[2]) == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("t", ["15", "30"])
+def test_loss_law_commands_run_in_the_long_regime(tmp_path, t):
+    # sigma^2 t well past 1: the cdf and the draws come from the price law,
+    # so they hold wherever the mean quadratures do
+    law = ["--sigma", "1", "--t", t]
+    assert main(["analytic", "il-pdf", *law, "--out", str(tmp_path / "pdf")]) == 0
+    assert main(["analytic", "sample-il", *law, "--n-samples", "2000",
+                 "--out", str(tmp_path / "sample")]) == 0
+    assert main(["analytic", "clt-sum", *law, "--n-per-sum", "10", "--n-repeats", "200",
+                 "--out", str(tmp_path / "clt")]) == 0
+    cdf = np.loadtxt(tmp_path / "pdf" / "il_pdf.csv", delimiter=",", skiprows=1)[:, 2]
+    assert np.all(np.diff(cdf) >= 0.0)
+    assert cdf[-1] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_sample_il_command(tmp_path):
@@ -827,23 +864,26 @@ def test_metrics_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason)
     assert list(tmp_path.iterdir()) == []
 
 
-_LAW_RANGE = "outside the double range within"
+_LAW_TAIL = "outside the 12-deviation loss range"
 _LVR_RANGE = "the mean rebalancing loss leaves the double range"
 
 
 @pytest.mark.parametrize("argv, reason", [
-    *(([command, "--sigma", "1", "--t", t], _LAW_RANGE)
-      for command in ("il-pdf", "il-mean", "sample-il", "clt-sum") for t in ("500", "700", "1000")
-      if (command, t) != ("il-mean", "700")),
-    # il-mean runs the price quadrature first, which never cubes u and so
-    # passes the law checks; at this horizon it fails to converge instead
-    (["il-mean", "--sigma", "1", "--t", "700"], "loss quadrature did not converge"),
+    *(([command, "--sigma", "1", "--t", t], _LAW_TAIL)
+      for command in ("il-pdf", "il-mean", "sample-il", "clt-sum")
+      for t in ("37", "100", "200", "500", "700", "1000")),
+    (["il-mean", "--p0", "1e-300", "--sigma", "1", "--t", "30"],
+     "reaches prices outside the double range within 14 standard deviations"),
+    (["il-pdf", "--liquidity", "1e210", "--sigma", "0.1", "--t", "1"],
+     "reaches losses outside the double range within 12 standard deviations"),
     (["lvr-mean", "--sigma", "1", "--t", "1900"], _LVR_RANGE),
     (["lvr-mean", "--sigma", "0.001", "--t", "1e300"], _LVR_RANGE),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_analytic_means_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason):
-    # a gbm law deep in the long regime: its range prices underflow, or its
-    # losses or the summed rebalancing loss overflow
+    # a gbm law deep in the long regime, whose mean loss reaches past the
+    # 12-deviation loss range from sigma sqrt(t) of about 6 on; a law whose
+    # range prices underflow or whose losses overflow; or a summed
+    # rebalancing loss that overflows
     rc = main(["analytic", *argv, "--out", str(tmp_path / "x")])
     assert rc == 4
     err = capsys.readouterr().err
