@@ -52,6 +52,7 @@ from .stochastic import (
     ProcessKind,
     derive_run_seed,
     make_generator,
+    philox_keys,
     prices_from_increments,
 )
 
@@ -241,14 +242,20 @@ def simulate_price_matrix(
 ) -> np.ndarray:
     """Price paths for the given per-run seeds, shape (n_steps + 1, runs).
 
-    Column j depends only on seeds[j]: each run draws its increments from
-    its own counter-based generator.  A single run is
+    Column j depends only on seeds[j]: it holds exactly the draws of
+    make_generator(seeds[j]), from one generator whose Philox is re-keyed
+    per run with a fresh counter and buffer.  A single run is
     simulate_price_matrix(kind, p0, sigma, n_steps, [seed])[:, 0].
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     dw = np.empty((seeds.size, n_steps), dtype=float)
-    for j, s in enumerate(seeds):
-        dw[j] = make_generator(int(s)).standard_normal(n_steps)
+    if seeds.size:
+        rng = make_generator(int(seeds[0]))
+        fresh = rng.bit_generator.state  # zero counter, empty buffer
+        for j, key in enumerate(philox_keys(seeds)):
+            fresh["state"]["key"] = key
+            rng.bit_generator.state = fresh
+            rng.standard_normal(out=dw[j])
     return prices_from_increments(kind, p0, sigma, dw.T)
 
 

@@ -14,7 +14,9 @@ mean -sigma^2 t / 2 and variance sigma^2 t (so the mean price stays P0).
 
 Randomness comes from a counter-based generator (Philox) seeded through
 SeedSequence, which makes per-run streams cheap to derive and independent
-of execution order.
+of execution order.  A Philox stream is fixed by its 128-bit key, so a
+batch re-keys one generator per run with the keys philox_keys hashes for a
+whole seed array at once, and each run still draws make_generator(seed)'s.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ __all__ = [
 # multiplicative factors 1 + sigma*dW <= 0 are clamped here so every factor stays positive
 GBM_FACTOR_FLOOR = 1e-12
 
+# numpy's SeedSequence hash constants; NEP 19 freezes its streams
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
 _SQRT_TWO_PI = sqrt(2.0 * np.pi)
 
 
@@ -47,6 +55,42 @@ class ProcessKind(str, Enum):
 def make_generator(seed: int) -> np.random.Generator:
     """Counter-based generator for a 64-bit seed."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix on uint64 arrays of 32-bit words, one call per word."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def philox_keys(seeds) -> np.ndarray:
+    """Philox keys of make_generator(seed) for a 1-d list of seeds, (runs, 2) uint64.
+
+    Row j is SeedSequence(seeds[j]).generate_state(2, np.uint64): numpy's pool
+    hash, restated on arrays so that it runs over all seeds at once.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    hash_a = _hasher(_INIT_A, _MULT_A)
+    # a seed below 2**32 is one entropy word; SeedSequence hashes a zero into
+    # every pool word past the entropy, so a zero high word gives the same pool
+    zero = np.zeros_like(seeds)
+    pool = [hash_a(word) for word in (seeds & _MASK32, seeds >> 32, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (_MIX_L * pool[dst] - _MIX_R * hash_a(pool[src])) & _MASK32
+                pool[dst] = mixed ^ mixed >> 16
+    hash_b = _hasher(_INIT_B, _MULT_B)
+    lo0, hi0, lo1, hi1 = (hash_b(word) for word in pool)
+    return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=-1)
 
 
 def derive_run_seed(campaign_seed: int, run_index: int) -> int:
@@ -101,13 +145,17 @@ def prices_from_increments(
     dw = np.asarray(dw, dtype=float)
     out = np.empty((dw.shape[0] + 1,) + dw.shape[1:], dtype=float)
     out[0] = p0
+    body = out[1:]
     if kind is ProcessKind.BM:
-        np.cumsum(dw, axis=0, out=out[1:])
-        out[1:] *= p0 * sigma
-        out[1:] += p0
+        np.cumsum(dw, axis=0, out=body)
+        body *= p0 * sigma
+        body += p0
     else:
-        factors = 1.0 + sigma * dw
-        factors = np.where(factors <= 0.0, GBM_FACTOR_FLOOR, factors)
-        np.cumprod(factors, axis=0, out=out[1:])
-        out[1:] *= p0
+        # the factors 1 + sigma*dW are built in the output itself, so the
+        # only temporary is the clamp mask; dw is never written
+        np.multiply(dw, sigma, out=body)
+        body += 1.0
+        np.copyto(body, GBM_FACTOR_FLOOR, where=body <= 0.0)
+        np.cumprod(body, axis=0, out=body)
+        body *= p0
     return out

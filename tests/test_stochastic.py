@@ -1,9 +1,13 @@
 """Price process update rules, densities, and seeding guarantees."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ammlab import (
     ProcessKind,
@@ -13,9 +17,15 @@ from ammlab import (
     pdf_gbm,
     simulate_price_matrix,
 )
-from ammlab.stochastic import GBM_FACTOR_FLOOR, prices_from_increments
+from ammlab.stochastic import GBM_FACTOR_FLOOR, philox_keys, prices_from_increments
 
 BM, GBM = ProcessKind.BM, ProcessKind.GBM
+# one and two entropy words, both sides of 2**32, and the ends of the 64-bit range
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def _seed_sequence_key(seed):
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
 def _one_step(kind, p0, sigma, dw):
@@ -45,6 +55,29 @@ def test_step_gbm_cases():
 
 def test_step_gbm_clamps_sign_flip():
     assert _one_step(GBM, 100.0, 0.5, -3.0) == pytest.approx(100.0 * GBM_FACTOR_FLOOR)
+
+
+@pytest.mark.parametrize("kind", [BM, GBM])
+@pytest.mark.parametrize("shape", [(40,), (40, 3)])
+def test_prices_from_increments_leaves_its_input_alone(kind, shape):
+    # a large sigma so that some gbm factors hit the clamp
+    dw = np.random.default_rng(3).standard_normal(shape)
+    before = dw.copy()
+    prices_from_increments(kind, 100.0, 0.6, dw)
+    assert np.array_equal(dw, before)
+
+
+def test_gbm_price_build_holds_no_full_size_temporary():
+    dw = np.random.default_rng(4).standard_normal((2000, 500))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        prices = prices_from_increments(GBM, 100.0, 0.01, dw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output plus its one-byte-per-entry clamp mask
+    assert peak <= 1.2 * prices.nbytes
 
 
 def test_pdf_bm_peak_and_symmetry():
@@ -98,13 +131,32 @@ def test_path_starts_at_p0_and_gbm_positive():
 def test_matrix_rows_match_single_paths():
     # campaign batching must not change any run's draws: column i depends
     # only on seeds[i], and holds the draws of that seed's own generator
-    seeds = [derive_run_seed(17, i) for i in range(8)]
+    seeds = [derive_run_seed(17, i) for i in range(8)] + EDGE_SEEDS
     block = simulate_price_matrix(GBM, 100.0, 0.004, 64, seeds)
     for i, seed in enumerate(seeds):
         dw = make_generator(seed).standard_normal(64)
         assert np.array_equal(block[:, i], prices_from_increments(GBM, 100.0, 0.004, dw))
         single = simulate_price_matrix(GBM, 100.0, 0.004, 64, [seed])[:, 0]
         assert np.array_equal(block[:, i], single)
+
+
+def test_empty_seed_list_gives_no_columns():
+    for kind in (BM, GBM):
+        assert simulate_price_matrix(kind, 100.0, 0.01, 30, []).shape == (31, 0)
+
+
+def test_philox_keys_match_seed_sequence_at_the_edges():
+    keys = philox_keys(EDGE_SEEDS)
+    assert keys.shape == (len(EDGE_SEEDS), 2) and keys.dtype == np.uint64
+    for seed, key in zip(EDGE_SEEDS, keys):
+        assert np.array_equal(key, _seed_sequence_key(seed))
+        assert np.array_equal(key, make_generator(seed).bit_generator.state["state"]["key"])
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+def test_philox_keys_match_seed_sequence(seeds):
+    expected = np.array([_seed_sequence_key(s) for s in seeds])
+    assert np.array_equal(philox_keys(seeds), expected)
 
 
 def test_derive_run_seed_is_stable_and_distinct():
