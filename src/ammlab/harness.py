@@ -11,6 +11,9 @@ price matrix, one column per run, and the arbitrage kernel fills its rows of
 the per-run metric table; then the summary and the histograms are built
 from the whole table.  Chunks are sized by a byte budget on the chunk price
 matrix, so the chunk boundaries are a pure function of the configuration.
+The matrix is the chunk's only full-size array: its normal draws are staged
+through one small reused block of runs, and each block's prices are
+written into its columns before the next block is drawn.
 
 Arbitrage against the reference price.  With a proportional fee f the pool
 is only worth trading once the reference price leaves a no-trade band
@@ -42,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import isfinite, log, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -84,6 +88,8 @@ _LAST_EVENT = _N_COLS - 1
 
 DEFAULT_CHUNK_BYTES = 64 << 20
 DEFAULT_TABLE_BYTES = 1 << 30
+# simulate_price_matrix draws through a reused block of about this many bytes
+_DRAW_BLOCK_BYTES = 1 << 20
 
 SHORT_REGIME_MAX = 0.01
 LONG_REGIME_MIN = 1.0
@@ -242,21 +248,33 @@ def simulate_price_matrix(
 ) -> np.ndarray:
     """Price paths for the given per-run seeds, shape (n_steps + 1, runs).
 
-    Column j depends only on seeds[j]: it holds exactly the draws of
-    make_generator(seeds[j]), from one generator whose Philox is re-keyed
-    per run with a fresh counter and buffer.  A single run is
+    seeds is a 1-d sequence of integers in [0, 2**64).  Column j depends only
+    on seeds[j]: it holds exactly the draws of make_generator(seeds[j]), from
+    one generator whose Philox is re-keyed per run with a fresh counter and
+    buffer.  The draws pass through one reused block of about 1 MiB (never
+    less than one run), and each block's prices are written into its columns
+    before the next block is drawn, so the price matrix is the only
+    full-size array.  A single run is
     simulate_price_matrix(kind, p0, sigma, n_steps, [seed])[:, 0].
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    dw = np.empty((seeds.size, n_steps), dtype=float)
+    seeds = np.asarray(seeds, dtype=object)
+    if seeds.ndim != 1 or not all(isinstance(s, Integral) and 0 <= s < 2**64 for s in seeds):
+        raise ValueError("seeds must be a 1-d sequence of integers in [0, 2**64)")
+    prices = np.empty((n_steps + 1, seeds.size))
     if seeds.size:
         rng = make_generator(int(seeds[0]))
         fresh = rng.bit_generator.state  # zero counter, empty buffer
-        for j, key in enumerate(philox_keys(seeds)):
-            fresh["state"]["key"] = key
-            rng.bit_generator.state = fresh
-            rng.standard_normal(out=dw[j])
-    return prices_from_increments(kind, p0, sigma, dw.T)
+        keys = philox_keys(seeds.astype(np.uint64))
+        runs = min(seeds.size, max(1, _DRAW_BLOCK_BYTES // (8 * n_steps or 1)))
+        block = np.empty((runs, n_steps))
+        for lo in range(0, seeds.size, runs):
+            hi = min(lo + runs, seeds.size)
+            for row, key in zip(block, keys[lo:hi]):
+                fresh["state"]["key"] = key
+                rng.bit_generator.state = fresh
+                rng.standard_normal(out=row)
+            prices[:, lo:hi] = prices_from_increments(kind, p0, sigma, block[:hi - lo].T)
+    return prices
 
 
 def _chunk_seeds(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from ammlab import (
     pdf_gbm,
     simulate_price_matrix,
 )
+from ammlab.harness import _DRAW_BLOCK_BYTES
 from ammlab.stochastic import GBM_FACTOR_FLOOR, philox_keys, prices_from_increments
 
 BM, GBM = ProcessKind.BM, ProcessKind.GBM
@@ -80,6 +81,20 @@ def test_gbm_price_build_holds_no_full_size_temporary():
     assert peak <= 1.2 * prices.nbytes
 
 
+@pytest.mark.parametrize("kind", [BM, GBM])
+def test_price_matrix_build_holds_no_draw_matrix(kind):
+    seeds = np.arange(2000, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        prices = simulate_price_matrix(kind, 100.0, 0.001, 2000, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the matrix plus one block of draws and its prices, never a (runs, n_steps) draw matrix
+    assert peak <= prices.nbytes + (4 << 20)
+
+
 def test_pdf_bm_peak_and_symmetry():
     assert pdf_bm(100.0, 100.0, 0.01, 1.0) == pytest.approx(1.0 / np.sqrt(2.0 * np.pi))
     for delta in (0.3, 1.7, 5.0):
@@ -128,21 +143,43 @@ def test_path_starts_at_p0_and_gbm_positive():
     assert np.all(prices > 0.0)
 
 
-def test_matrix_rows_match_single_paths():
+@pytest.mark.parametrize(
+    "n_steps, n_derived",
+    [
+        (64, 8),
+        # the run count straddles a block boundary by three runs
+        (4096, _DRAW_BLOCK_BYTES // (8 * 4096) + 3 - len(EDGE_SEEDS)),
+        # a block holds a single run
+        (_DRAW_BLOCK_BYTES // 8 + 1, 2),
+    ],
+    ids=["one-block", "block-plus-three", "one-run-blocks"],
+)
+@pytest.mark.parametrize("kind", [BM, GBM])
+def test_matrix_rows_match_single_paths(kind, n_steps, n_derived):
     # campaign batching must not change any run's draws: column i depends
     # only on seeds[i], and holds the draws of that seed's own generator
-    seeds = [derive_run_seed(17, i) for i in range(8)] + EDGE_SEEDS
-    block = simulate_price_matrix(GBM, 100.0, 0.004, 64, seeds)
+    seeds = [derive_run_seed(17, i) for i in range(n_derived)] + EDGE_SEEDS
+    block = simulate_price_matrix(kind, 100.0, 0.004, n_steps, seeds)
     for i, seed in enumerate(seeds):
-        dw = make_generator(seed).standard_normal(64)
-        assert np.array_equal(block[:, i], prices_from_increments(GBM, 100.0, 0.004, dw))
-        single = simulate_price_matrix(GBM, 100.0, 0.004, 64, [seed])[:, 0]
+        dw = make_generator(seed).standard_normal(n_steps)
+        assert np.array_equal(block[:, i], prices_from_increments(kind, 100.0, 0.004, dw))
+        single = simulate_price_matrix(kind, 100.0, 0.004, n_steps, [seed])[:, 0]
         assert np.array_equal(block[:, i], single)
 
 
 def test_empty_seed_list_gives_no_columns():
     for kind in (BM, GBM):
         assert simulate_price_matrix(kind, 100.0, 0.01, 30, []).shape == (31, 0)
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [[1.5], 7, [[1, 2]], [-1], [2**64], ["3"], [3, None]],
+    ids=["float", "scalar", "nested", "negative", "too-large", "string", "none"],
+)
+def test_price_matrix_refuses_bad_seeds(seeds):
+    with pytest.raises(ValueError, match="seeds"):
+        simulate_price_matrix(GBM, 100.0, 0.01, 5, seeds)
 
 
 def test_philox_keys_match_seed_sequence_at_the_edges():
