@@ -6,9 +6,8 @@ loss, the arbitrage volume that carries both, and how a proportional fee
 reshapes them.  Everything is seed-reproducible down to the individual run.
 """
 
-from . import analytics, cfmm, errors, harness, presets, stats, stochastic
+from . import analytics, errors, harness, presets, stats, stochastic
 from .analytics import *  # noqa: F403
-from .cfmm import *  # noqa: F403
 from .errors import *  # noqa: F403
 from .harness import *  # noqa: F403
 from .presets import *  # noqa: F403
@@ -20,7 +19,6 @@ __version__ = "0.3.0"
 # each module's __all__ is the one declaration of its public names
 __all__ = [
     "__version__",
-    *cfmm.__all__,
     *stochastic.__all__,
     *harness.__all__,
     *analytics.__all__,

@@ -1,5 +1,18 @@
 """Closed forms and semi-analytic machinery for the loss metrics.
 
+A pool of depth L holds reserves x = L / sqrt(p), y = L sqrt(p) of two
+tokens at spot price p = y / x, so x y = L^2.  Swap fees are tallied on the
+side and never folded back into the reserves, so L never changes.  Values
+are in token x: the pooled reserves are worth x + y / p = 2 L / sqrt(p), and
+their loss against holding the entry reserves,
+
+    il(p0, p) = (L / sqrt(p0)) * (1 - sqrt(p0 / p))^2 >= 0,
+
+depends only on the endpoints.  Charged per step and summed, the same
+expression gives the path-dependent loss against a continuously rebalanced
+shadow portfolio, never smaller than any single-step view of the same move.
+il_between states it; harness.arbitrage has its own vectorised sums.
+
 Central results wired up here, all in token-x units with one time unit per
 step:
 
@@ -31,22 +44,20 @@ from math import erfc, exp, expm1, inf, isfinite, sqrt
 
 import numpy as np
 
-from .cfmm import il_between
 from .errors import ConfigError, NumericalError
 from .stats import Histogram, mean_stderr
 from .stochastic import ProcessKind, make_generator, pdf_bm, pdf_gbm
 
 __all__ = [
     "ILDistParams",
-    "Branch",
     "StepKind",
     "BarrierSpec",
     "FirstPassageResult",
+    "il_between",
     "expected_lvr",
     "expected_lvr_gbm",
     "expected_il_gbm",
     "expected_il_quadrature",
-    "invert_il",
     "il_pdf",
     "il_cdf",
     "sample_il",
@@ -54,16 +65,7 @@ __all__ = [
     "analytic_il_mean",
     "clt_sum_experiment",
     "first_passage",
-    "lvr_ode_rhs",
-    "gof_chi_square",
 ]
-
-
-class Branch(Enum):
-    """Which price branch an endpoint-loss value is inverted onto."""
-
-    BELOW = "below"
-    ABOVE = "above"
 
 
 @dataclass(frozen=True)
@@ -157,9 +159,17 @@ def _endpoint_at(params: ILDistParams, p: np.ndarray) -> np.ndarray:
     return (np.log(p / params.p0) + 0.5 * sst * sst) / sst
 
 
-def _check_positive_inputs(liquidity: float, p0: float, sigma: float, t: float) -> None:
-    if liquidity <= 0.0 or p0 <= 0.0 or sigma <= 0.0 or t <= 0.0:
-        raise ConfigError("all inputs must be positive")
+def _check_positive(**named: float) -> None:
+    for name, value in named.items():
+        if value <= 0.0:
+            raise ConfigError(f"{name} must be positive, got {value}")
+
+
+def il_between(liquidity: float, entry_price: float, final_price: float) -> float:
+    """Endpoint loss versus holding the entry reserves; zero iff prices match."""
+    _check_positive(liquidity=liquidity, entry_price=entry_price, final_price=final_price)
+    diff = 1.0 - sqrt(entry_price / final_price)
+    return (liquidity / sqrt(entry_price)) * diff * diff
 
 
 def expected_lvr(liquidity: float, p0: float, sigma: float, t: float) -> float:
@@ -169,7 +179,7 @@ def expected_lvr(liquidity: float, p0: float, sigma: float, t: float) -> float:
     regime; warns once sigma^2 t reaches 1 where the price level spreads
     enough for the running prefactor to matter.
     """
-    _check_positive_inputs(liquidity, p0, sigma, t)
+    _check_positive(liquidity=liquidity, p0=p0, sigma=sigma, t=t)
     s2t = sigma * sigma * t
     if s2t >= 1.0:
         warnings.warn(
@@ -190,7 +200,7 @@ def expected_il_gbm(liquidity: float, p0: float, sigma: float, t: float) -> floa
     exponentials to O(sigma^4) per step, well below sampling noise at desk
     volatilities.  Reduces to L sigma^2 t / (4 sqrt(p0)) as s -> 0.
     """
-    _check_positive_inputs(liquidity, p0, sigma, t)
+    _check_positive(liquidity=liquidity, p0=p0, sigma=sigma, t=t)
     s = sigma * sigma * t
     return liquidity / sqrt(p0) * (1.0 - 2.0 * exp(0.375 * s) + exp(s))
 
@@ -204,7 +214,7 @@ def expected_lvr_gbm(liquidity: float, p0: float, sigma: float, n_steps: int) ->
     only through the slowly drifting prefactor, which is why the two means
     split in the long regime.
     """
-    _check_positive_inputs(liquidity, p0, sigma, float(n_steps))
+    _check_positive(liquidity=liquidity, p0=p0, sigma=sigma, n_steps=n_steps)
     r = 0.375 * sigma * sigma
     try:
         mean = liquidity * sigma * sigma / (4.0 * sqrt(p0)) * (expm1(r * n_steps) / expm1(r))
@@ -242,28 +252,6 @@ def expected_il_quadrature(params: ILDistParams) -> float:
     if not np.isfinite(value) or abserr > max(1e-13, 1e-6 * abs(value)):
         raise NumericalError(f"loss quadrature did not converge (error estimate {abserr:g})")
     return value
-
-
-def invert_il(p0: float, liquidity: float, il: float, branch: Branch) -> float:
-    """Price that produces the given endpoint loss on the chosen branch.
-
-    The below branch maps onto prices under p0 and covers every il >= 0;
-    the above branch requires il < L / sqrt(p0).
-    """
-    if p0 <= 0.0 or liquidity <= 0.0:
-        raise ValueError("p0 and liquidity must be positive")
-    if il < 0.0:
-        raise ValueError(f"il must be nonnegative, got {il}")
-    if il == 0.0:
-        return p0
-    q = p0**0.25 * sqrt(il / liquidity)
-    if branch is Branch.BELOW:
-        return p0 / (1.0 + q) ** 2
-    if q >= 1.0:
-        raise ValueError(
-            f"il = {il} reaches the above-branch bound L / sqrt(p0) = {liquidity / sqrt(p0)}"
-        )
-    return p0 / (1.0 - q) ** 2
 
 
 def _branch_prices(arr: np.ndarray, params: ILDistParams):
@@ -464,59 +452,3 @@ def first_passage(spec: BarrierSpec, n_walks: int, seed: int) -> FirstPassageRes
     return FirstPassageResult(
         mean_steps=mean, stderr=stderr, frac_lower=float(hit_lower.mean()), n_walks=n_walks
     )
-
-
-def lvr_ode_rhs(liquidity: float, sigma_abs: float, price: float) -> float:
-    """Instantaneous rebalancing-loss rate L sigma_abs^2 / (4 p^(5/2)).
-
-    sigma_abs is the absolute volatility (price units per sqrt time); the
-    relative convention enters via sigma_abs = sigma * p0.
-    """
-    if liquidity <= 0.0 or sigma_abs <= 0.0 or price <= 0.0:
-        raise ValueError("all inputs must be positive")
-    return liquidity * sigma_abs * sigma_abs / (4.0 * price**2.5)
-
-
-def gof_chi_square(counts, bin_edges, cdf):
-    """Chi-square comparison of binned counts against a distribution function.
-
-    Expected masses come from cdf differences over the bin edges, with the
-    tail mass outside the edges folded into the end bins.  Adjacent bins are
-    merged left to right until each group expects at least 5 counts.
-    Returns (statistic, dof, pvalue).
-    """
-    from scipy.stats import chi2
-
-    obs = np.asarray(counts, dtype=float)
-    edges = np.asarray(bin_edges, dtype=float)
-    if obs.size != edges.size - 1:
-        raise ValueError("counts must have one entry per bin")
-    n = obs.sum()
-    if n <= 0:
-        raise ValueError("counts are empty")
-    cdf_vals = np.asarray(cdf(edges), dtype=float)
-    probs = np.diff(cdf_vals)
-    probs[0] += cdf_vals[0]
-    probs[-1] += max(0.0, 1.0 - cdf_vals[-1])
-    expected = n * probs
-
-    grouped_obs: list[float] = []
-    grouped_exp: list[float] = []
-    acc_o = acc_e = 0.0
-    for o, e in zip(obs, expected):
-        acc_o += o
-        acc_e += e
-        if acc_e >= 5.0:
-            grouped_obs.append(acc_o)
-            grouped_exp.append(acc_e)
-            acc_o = acc_e = 0.0
-    if acc_e > 0.0 or acc_o > 0.0:
-        if not grouped_obs:
-            raise ValueError("expected counts too small to form a single group")
-        grouped_obs[-1] += acc_o
-        grouped_exp[-1] += acc_e
-    go = np.asarray(grouped_obs)
-    ge = np.asarray(grouped_exp)
-    stat = float(np.sum((go - ge) ** 2 / ge))
-    dof = max(1, go.size - 1)
-    return stat, dof, float(chi2.sf(stat, dof))

@@ -389,8 +389,8 @@ def _run_simulate(cfg: dict, bundle: Bundle) -> list[str]:
 
 def _run_il_pdf(cfg: dict, bundle: Bundle) -> list[str]:
     params = _dist_params(cfg)
-    if cfg["il_points"] < 1:
-        raise ConfigError(f"il_points must be positive, got {cfg['il_points']}")
+    if cfg["il_points"] < 2:
+        raise ConfigError(f"il_points must be at least 2, got {cfg['il_points']}")
     mean_density = analytic_il_mean(params)
     mean_price = expected_il_quadrature(params)
     il_max = sqrt_loss_range(params) ** 2

@@ -11,13 +11,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from gof import gof_chi_square
+from scalar_engine import Pool, rebalance_quantities, swap_to_price
 from scipy.special import ndtr
 
 from ammlab import (
     BarrierSpec,
     ExperimentConfig,
     ILDistParams,
-    Pool,
     ProcessKind,
     StepKind,
     TradeTarget,
@@ -27,19 +28,15 @@ from ammlab import (
     expected_lvr,
     first_passage,
     fit_loglog,
-    gof_chi_square,
     il_between,
     il_cdf,
     il_pdf,
-    invert_il,
-    rebalance_quantities,
     run_campaign,
-    swap_to_price,
     sweep_fee,
     sweep_volume_vs_sigma,
     sweep_volume_vs_steps,
 )
-from ammlab.analytics import Branch
+from ammlab.analytics import _branch_prices
 
 
 def _report(number: int, failures: list[str]) -> None:
@@ -450,16 +447,16 @@ def test_criterion_10():
     if worst_flow > 1e-10:
         failures.append(f"token-flow gap != per-step loss by {worst_flow:.2e} > 1e-10")
 
+    params = ILDistParams(p0=p0, liquidity=liq, sigma=0.1, t=1.0)
+    ils = np.geomspace(1e-6, 900.0, 60)
+    _, lows, highs = _branch_prices(ils, params)
     worst_invert = 0.0
-    for il in np.geomspace(1e-6, 900.0, 60):
-        low = invert_il(p0, liq, float(il), Branch.BELOW)
-        worst_invert = max(worst_invert, abs(il_between(liq, p0, low) - il) / il)
-        high = invert_il(p0, liq, float(il), Branch.ABOVE)
-        worst_invert = max(worst_invert, abs(il_between(liq, p0, high) - il) / il)
+    for il, low, high in zip(ils, lows, highs):
+        worst_invert = max(worst_invert, abs(il_between(liq, p0, float(low)) - il) / il)
+        worst_invert = max(worst_invert, abs(il_between(liq, p0, float(high)) - il) / il)
     if worst_invert > 1e-10:
         failures.append(f"loss inversion round-trip off by {worst_invert:.2e} > 1e-10")
 
-    params = ILDistParams(p0=p0, liquidity=liq, sigma=0.1, t=1.0)
     u = np.linspace(1e-9, 40.0, 300001)
     mass = float(np.trapezoid(2.0 * u * il_pdf(u * u, params), u))
     if abs(mass - 1.0) > 1e-4:

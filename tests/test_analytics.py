@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from gof import gof_chi_square
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ammlab import (
     BarrierSpec,
-    Branch,
     ILDistParams,
     ProcessKind,
     StepKind,
@@ -22,16 +22,14 @@ from ammlab import (
     expected_lvr_gbm,
     first_passage,
     fit_loglog,
-    gof_chi_square,
+    il_between,
     il_cdf,
     il_pdf,
-    invert_il,
-    lvr_ode_rhs,
     sample_il,
 )
 from ammlab import analytics
+from ammlab.analytics import _branch_prices
 from ammlab.errors import NumericalError
-from ammlab.cfmm import il_between
 
 # short-horizon reference point: L sigma^2 t / (4 sqrt(p0)) = 0.25
 SHORT = dict(liquidity=10000.0, p0=100.0, sigma=0.001, t=1000.0)
@@ -67,8 +65,15 @@ def test_expected_lvr_warns_in_long_regime():
 def test_expected_lvr_rejects_nonpositive(bad):
     kwargs = dict(SHORT)
     kwargs[bad] = 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{bad} must be positive, got 0.0$"):
         expected_lvr(**kwargs)
+    with pytest.raises(ValueError, match=f"^{bad} must be positive, got 0.0$"):
+        expected_il_gbm(**kwargs)
+    # the any-horizon rebalancing mean counts whole steps, not t
+    n_steps = int(kwargs.pop("t"))
+    name = "n_steps" if bad == "t" else bad
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got 0"):
+        expected_lvr_gbm(**kwargs, n_steps=n_steps)
 
 
 def test_quadrature_matches_short_horizon_closed_form():
@@ -131,53 +136,48 @@ def test_long_horizon_means_separate():
     assert il > 1.5 * lvr
 
 
-def test_ode_rhs_hand_value_and_scalings():
-    rate = lvr_ode_rhs(1000.0, 0.01, 100.0)
-    assert rate == pytest.approx(2.5e-7, rel=1e-12)
-    assert lvr_ode_rhs(2000.0, 0.01, 100.0) == pytest.approx(2 * rate)
-    assert lvr_ode_rhs(1000.0, 0.02, 100.0) == pytest.approx(4 * rate)
-    # p^(-5/2): quadrupling the price divides the rate by 32
-    assert lvr_ode_rhs(1000.0, 0.01, 400.0) == pytest.approx(rate / 32.0)
-    with pytest.raises(ValueError):
-        lvr_ode_rhs(1000.0, 0.0, 100.0)
-
-
 # ------------------------------------------------------------------- inversion
 
 
+def _invert(il):
+    """The (below, above) entry prices _branch_prices gives for one loss at DIST."""
+    _, below, above = _branch_prices(np.array([il]), DIST)
+    return float(below[0]), float(above[0])
+
+
 def test_invert_zero_loss_returns_entry_price():
-    assert invert_il(100.0, 10000.0, 0.0, Branch.BELOW) == 100.0
-    assert invert_il(100.0, 10000.0, 0.0, Branch.ABOVE) == 100.0
+    assert _invert(0.0) == (100.0, 100.0)
 
 
 def test_invert_above_branch_hand_value():
     # il(100 -> 121) = L (sqrt(121) - 10)^2 / (10 * 121) = 1000 / 121
     il = 10000.0 * (11.0 - 10.0) ** 2 / (10.0 * 121.0)
-    assert invert_il(100.0, 10000.0, il, Branch.ABOVE) == pytest.approx(121.0, rel=1e-12)
-    below = invert_il(100.0, 10000.0, il, Branch.BELOW)
+    below, above = _invert(il)
+    assert above == pytest.approx(121.0, rel=1e-12)
     assert below == pytest.approx(100.0 * 121.0 / 144.0, rel=1e-12)
 
 
 @given(il=st.floats(min_value=1e-8, max_value=500.0))
 def test_invert_below_branch_round_trip(il):
-    price = invert_il(100.0, 10000.0, il, Branch.BELOW)
+    price, _ = _invert(il)
     assert price < 100.0
     assert il_between(10000.0, 100.0, price) == pytest.approx(il, rel=1e-10)
 
 
 @given(il=st.floats(min_value=1e-8, max_value=990.0))
 def test_invert_above_branch_round_trip(il):
-    price = invert_il(100.0, 10000.0, il, Branch.ABOVE)
+    _, price = _invert(il)
     assert price > 100.0
     assert il_between(10000.0, 100.0, price) == pytest.approx(il, rel=1e-10)
 
 
 def test_invert_above_branch_domain_bound():
     # losses at or past L / sqrt(p0) have no price above the entry
-    with pytest.raises(ValueError, match="above-branch bound"):
-        invert_il(100.0, 10000.0, 1000.0, Branch.ABOVE)
+    assert _invert(1000.0)[1] == math.inf
+    assert _invert(2000.0)[1] == math.inf
+    # the laws refuse a negative loss before inverting it
     with pytest.raises(ValueError):
-        invert_il(100.0, 10000.0, -1.0, Branch.BELOW)
+        il_pdf(-1.0, DIST)
 
 
 # ---------------------------------------------------------------- loss density

@@ -1,12 +1,11 @@
-"""Pool arithmetic: reserves, values, and fee-aware swaps."""
+"""Pool arithmetic of the scalar reference model: reserves, values, and fee-aware swaps."""
 
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-
-from ammlab import Pool, hodl_value, position_value, reserves_at_price, swap_to_price
+from scalar_engine import Pool, hodl_value, position_value, reserves_at_price, swap_to_price
 
 prices = st.floats(min_value=1e-3, max_value=1e6)
 liquidities = st.floats(min_value=1e-3, max_value=1e9)

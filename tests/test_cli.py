@@ -59,7 +59,7 @@ def test_every_public_name_resolves():
     assert missing == []
     assert len(set(ammlab.__all__)) == len(ammlab.__all__)
     # the modules' __all__ lists are the one declaration of each public name
-    modules = (ammlab.cfmm, ammlab.stochastic, ammlab.harness, ammlab.analytics,
+    modules = (ammlab.stochastic, ammlab.harness, ammlab.analytics,
                ammlab.presets, ammlab.stats, ammlab.errors)
     assert ammlab.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
     for module in modules:
@@ -121,8 +121,9 @@ def test_non_finite_number_exits_2(tmp_path, capsys, argv, key):
     (["analytic", "il-mean", "--sigma", "0"], "sigma and t must be positive"),
     (["analytic", "il-mean", "--t", "-1"], "sigma and t must be positive"),
     (["analytic", "il-pdf", "--liquidity", "-1"], "p0 and liquidity must be positive"),
-    (["analytic", "il-pdf", "--il-points", "-1"], "il_points must be positive, got -1"),
-    (["analytic", "lvr-mean", "--sigma", "0"], "all inputs must be positive"),
+    (["analytic", "il-pdf", "--il-points", "-1"], "il_points must be at least 2, got -1"),
+    (["analytic", "il-pdf", "--il-points", "1"], "il_points must be at least 2, got 1"),
+    (["analytic", "lvr-mean", "--sigma", "0"], "sigma must be positive, got 0.0"),
     (["analytic", "lvr-mean", "--t", "0.4"], "t must be a whole number under gbm, got 0.4"),
     (["analytic", "lvr-mean", "--t", "2.5"], "t must be a whole number under gbm, got 2.5"),
     (["analytic", "first-passage", "--n-walks", "0"], "n_walks must be positive, got 0"),

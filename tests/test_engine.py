@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scalar_engine import (
+    Pool,
     arb_wait_statistics,
     no_trade_band,
     run_no_fee,
@@ -18,7 +19,6 @@ from scalar_engine import (
 from ammlab import (
     BandRule,
     ExperimentConfig,
-    Pool,
     ProcessKind,
     TradeTarget,
     arbitrage,

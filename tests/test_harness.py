@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from scalar_engine import run_no_fee, run_with_fees
+from scalar_engine import Pool, run_no_fee, run_with_fees
 
 from ammlab import (
     BandRule,
@@ -16,7 +16,6 @@ from ammlab import (
     Histogram,
     NumericalError,
     Observables,
-    Pool,
     ProcessKind,
     RegimeLabel,
     ResourceLimitError,

@@ -5,17 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scalar_engine import hodl_value, position_value, rebalance_quantities, volume_step
 
-from ammlab import (
-    ProcessKind,
-    arbitrage,
-    hodl_value,
-    il_between,
-    position_value,
-    rebalance_quantities,
-    simulate_price_matrix,
-    volume_step,
-)
+from ammlab import ProcessKind, arbitrage, il_between, simulate_price_matrix
 from ammlab.harness import KERNEL_COLUMNS
 
 prices = st.floats(min_value=1e-3, max_value=1e6)
