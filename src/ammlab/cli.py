@@ -28,8 +28,8 @@ the bundle, seals it and publishes it.
 A bundle is written into a hidden sibling of <out> and renamed into place
 once sealed, so it appears whole or not at all.  A rerun into a bundle
 directory replaces it whole; an existing <out> that is neither empty nor a
-bundle (a file, or a directory holding anything its manifest does not
-list) is refused with exit 2 before any work starts.
+bundle (a file, a malformed manifest.json, or a directory holding anything
+its manifest does not list) is refused with exit 2 before any work starts.
 
 Exit codes: 0 success, 1 replay mismatch, 2 configuration error,
 3 resource-guard refusal, 4 numerical failure.  Other errors are bugs and
@@ -246,15 +246,7 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         f = float(obj)
         return f if isfinite(f) else None
-    if isinstance(obj, np.integer):
-        return int(obj)
     return obj
-
-
-def _fmt_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % v
-    return str(v)
 
 
 class Bundle:
@@ -277,10 +269,12 @@ class Bundle:
         )
 
     def write_csv(self, name: str, columns: list[str], rows, description: str) -> None:
-        # one row at a time, so a long table never sits in memory as text
+        # one row at a time, so a long table never sits in memory as text; every
+        # cell is a number, and %.17g prints an integer below 2**53 as str does
+        template = ",".join(["%.17g"] * len(columns)) + "\n"
         with open(self.dir / name, "w") as f:
             f.write(",".join(columns) + "\n")
-            f.writelines(",".join(_fmt_cell(v) for v in row) + "\n" for row in rows)
+            f.writelines(template % tuple(row) for row in rows)
         self.schema[name] = {"kind": "csv", "columns": columns, "description": description}
 
     def seal(self, command: list[str], config: dict) -> int:
@@ -614,18 +608,33 @@ _COMMANDS = {
 _GROUP_HELP = {"analytic": "closed-form and distribution commands", "sweep": "parameter sweeps"}
 
 
+def _read_manifest(path: Path) -> dict:
+    """A bundle's manifest.json, refused unless it has the shape every bundle manifest has."""
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load manifest {path}: {exc}") from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("command"), list)
+            and all(isinstance(part, str) for part in manifest["command"])
+            and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("outputs"), list)
+            and all(isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                    and isinstance(entry.get("sha256"), str) for entry in manifest["outputs"])):
+        raise ConfigError(f"{path} is not a bundle manifest: expected an object with a list "
+                          "'command', an object 'config' and a list 'outputs' of {path, sha256}")
+    return manifest
+
+
 def _check_replaceable(out: Path) -> None:
     """Refuse an existing out path unless it is empty or holds one bundle and nothing else."""
     if not os.path.lexists(out):
         return
     if out.is_symlink() or not out.is_dir():
         raise ConfigError(f"{out} is not a bundle directory; refusing to replace it")
-    listed = set()
-    try:
-        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    listed = set()  # with no manifest, every entry is offending
+    if os.path.lexists(out / "manifest.json"):
+        outputs = _read_manifest(out / "manifest.json")["outputs"]
         listed = {"manifest.json", *(entry["path"] for entry in outputs)}
-    except (OSError, ValueError, KeyError, TypeError):
-        pass  # no readable manifest: every entry is offending
     for entry in sorted(out.iterdir()):
         if entry.name not in listed or entry.is_symlink() or not entry.is_file():
             raise ConfigError(
@@ -692,18 +701,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     path = Path(args.manifest)
     if path.is_dir():
         path = path / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load manifest {path}: {exc}") from None
-    if not (isinstance(manifest, dict) and isinstance(manifest.get("command"), list)
-            and all(isinstance(part, str) for part in manifest["command"])
-            and isinstance(manifest.get("config"), dict)
-            and isinstance(manifest.get("outputs"), list)
-            and all(isinstance(entry, dict) and isinstance(entry.get("path"), str)
-                    and isinstance(entry.get("sha256"), str) for entry in manifest["outputs"])):
-        raise ConfigError(f"{path} is not a bundle manifest: expected an object with a list "
-                          "'command', an object 'config' and a list 'outputs' of {path, sha256}")
+    manifest = _read_manifest(path)
     if manifest.get("version") != __version__:
         raise ConfigError(
             f"bundle written by ammlab {manifest.get('version')} cannot be replayed by "
@@ -719,7 +717,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "replay"
         _execute(command, cfg, out)
-        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        outputs = _read_manifest(out / "manifest.json")["outputs"]
     fresh = {entry["path"]: entry["sha256"] for entry in outputs}
     stored = {entry["path"]: entry["sha256"] for entry in manifest["outputs"]}
     bundle_dir = path.parent

@@ -185,8 +185,9 @@ class ExperimentConfig:
             raise ConfigError(f"n_steps must be positive, got {self.n_steps}")
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be positive, got {self.n_runs}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        if not (isinstance(self.seed, Integral) and not isinstance(self.seed, bool)
+                and 0 <= self.seed < 2**64):
+            raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
         if not 0.0 <= self.fee < 1.0:
             raise ConfigError(f"fee must lie in [0, 1), got {self.fee}")
         if self.bins < 1:
@@ -258,7 +259,8 @@ def simulate_price_matrix(
     simulate_price_matrix(kind, p0, sigma, n_steps, [seed])[:, 0].
     """
     seeds = np.asarray(seeds, dtype=object)
-    if seeds.ndim != 1 or not all(isinstance(s, Integral) and 0 <= s < 2**64 for s in seeds):
+    if seeds.ndim != 1 or not all(isinstance(s, Integral) and not isinstance(s, bool)
+                                  and 0 <= s < 2**64 for s in seeds):
         raise ValueError("seeds must be a 1-d sequence of integers in [0, 2**64)")
     prices = np.empty((n_steps + 1, seeds.size))
     if seeds.size:
@@ -539,6 +541,9 @@ def sweep_fee(base: ExperimentConfig, fees) -> dict:
     if base.sigma <= 0.0:
         raise ConfigError("fee sweep needs a positive sigma: its rows report f / sigma")
     baseline, *summaries = _sweep_summaries(base, [{"fee": f} for f in [0.0, *fee_list]])
+    if not (baseline["mean_lvr"] > 0.0 and baseline["mean_volume"] > 0.0):
+        raise NumericalError(f"fee rows divide by the fee-free mean lvr {baseline['mean_lvr']} "
+                             f"and mean volume {baseline['mean_volume']}; both must be positive")
     rows = [
         {"fee": f, "f_over_sigma": f / base.sigma, **{k: m[k] for k in _ROW_KEYS},
          "lvr_ratio": m["mean_lvr"] / baseline["mean_lvr"],

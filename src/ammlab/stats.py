@@ -32,6 +32,9 @@ def distinct_positive(values: list, what: str) -> list:
 
 def fit_loglog(x, y) -> tuple[float, float]:
     """Least-squares slope of log y against log x with its standard error."""
+    bad = [v for v in (*x, *y) if not v > 0.0]
+    if bad:
+        raise NumericalError(f"a log-log slope needs positive values, got {bad[0]}")
     lx = np.log(np.asarray(x, dtype=float))
     ly = np.log(np.asarray(y, dtype=float))
     if lx.size < 2:

@@ -211,6 +211,13 @@ def test_density_small_loss_power_law():
     assert stderr < 0.01
 
 
+def test_fit_loglog_names_the_first_nonpositive_value():
+    with pytest.raises(NumericalError, match="needs positive values, got 0.0"):
+        fit_loglog([1.0, 2.0, 3.0], [1.0, 0.0, -1.0])
+    with pytest.raises(NumericalError, match="needs positive values, got nan"):
+        fit_loglog([1.0, float("nan")], [1.0, 2.0])
+
+
 def test_density_mean_frozen_value_and_route_agreement():
     mean = analytic_il_mean(DIST)
     assert mean == pytest.approx(2.536087, rel=1e-5)

@@ -215,6 +215,28 @@ def test_config_file_unknown_key_names_the_line(tmp_path, capsys):
     assert "volatility" in err
 
 
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    rc = main(SIM_ARGS + ["--config", str(missing), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert f"config error: cannot read config file {missing}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_integer_flag_in_whole_float_form_runs(tmp_path):
+    out = tmp_path / "x"
+    assert main(["simulate", "--n-runs", "1e3", "--n-steps", "10", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["n_runs"] == 1000
+    assert len((out / "table.csv").read_text().splitlines()) == 1001
+
+
+def test_integer_flag_with_a_fraction_exits_2(tmp_path, capsys):
+    rc = main(["simulate", "--n-runs", "2.5", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "config error: n_runs: expected an integer, got '2.5'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_bad_syntax_names_the_line(tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("sigma 0.01\n")
@@ -281,6 +303,16 @@ def test_csv_cells_round_trip_to_the_exact_double(tmp_path):
         assert float(cells[1]) == result.table[i, 0]
         assert float(cells[2]) == result.table[i, 1]
         assert float(cells[6]) == result.table[i, 5]
+
+
+def test_csv_cells_print_integers_as_str_does_and_floats_at_17_digits(tmp_path):
+    row = [7, np.int64(2**53 - 1), np.float64(0.1), math.nan, math.inf, -math.inf, -0.0,
+           np.float64(5e-324), 2.5]
+    cli.Bundle(tmp_path).write_csv("t.csv", list("abcdefghi"), [row], "mixed cells")
+    assert (tmp_path / "t.csv").read_text().splitlines() == [
+        "a,b,c,d,e,f,g,h,i",
+        "7,9007199254740991,0.10000000000000001,nan,inf,-inf,-0,4.9406564584124654e-324,2.5",
+    ]
 
 
 def test_csv_rows_are_streamed_to_the_file(tmp_path):
@@ -411,31 +443,45 @@ def test_failed_run_leaves_an_existing_bundle_untouched(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["b"]
 
 
-@pytest.mark.parametrize("setup, offender", [
-    (lambda d: (d.mkdir(), (d / "notes.txt").write_text("mine\n")), "notes.txt"),
-    (lambda d: (_run_sim(d), (d / "extra.csv").write_text("1\n")), "extra.csv"),
-    (lambda d: (_run_sim(d), (d / "sub").mkdir()), "sub"),
-    (lambda d: d.write_text("a file\n"), None),
-], ids=["plain-dir", "bundle-plus-file", "bundle-plus-dir", "file"])
-def test_out_that_is_not_a_bundle_is_refused(tmp_path, capsys, setup, offender):
+def _foreign_manifest(d):
+    d.mkdir()
+    (d / "manifest.json").write_text('{"outputs": [{"path": "data.csv"}]}')
+    (d / "data.csv").write_text("1,2\n")
+
+
+_LISTS = "is not a file its manifest lists"
+
+
+@pytest.mark.parametrize("setup, reason", [
+    (lambda d: (d.mkdir(), (d / "notes.txt").write_text("mine\n")),
+     f" is not a bundle directory (notes.txt {_LISTS})"),
+    (lambda d: (_run_sim(d), (d / "extra.csv").write_text("1\n")),
+     f" is not a bundle directory (extra.csv {_LISTS})"),
+    (lambda d: (_run_sim(d), (d / "sub").mkdir()), f" is not a bundle directory (sub {_LISTS})"),
+    (lambda d: d.write_text("a file\n"), " is not a bundle directory; refusing"),
+    # a manifest of another shape is refused, not trusted to list what may be replaced
+    (_foreign_manifest, "/manifest.json is not a bundle manifest"),
+], ids=["plain-dir", "bundle-plus-file", "bundle-plus-dir", "file", "foreign-manifest"])
+def test_out_that_is_not_a_bundle_is_refused(tmp_path, capsys, setup, reason):
     out = tmp_path / "b"
     setup(out)
     before = _tree(tmp_path)
     capsys.readouterr()
     rc = main(SIM_ARGS + ["--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert f"{out} is not a bundle directory" in err
-    if offender is not None:
-        assert f"({offender} is not a file its manifest lists)" in err
+    assert f"config error: {out}{reason}" in capsys.readouterr().err
     assert _tree(tmp_path) == before
 
 
-def _edit_manifest_config(out, **changes):
+def _edit_manifest(out, edit):
     path = out / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["config"].update(changes)
+    edit(manifest)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _edit_manifest_config(out, **changes):
+    _edit_manifest(out, lambda manifest: manifest["config"].update(changes))
 
 
 def test_replay_refuses_a_manifest_with_streaming_on(tmp_path, capsys):
@@ -469,6 +515,38 @@ def test_replay_refuses_a_bundle_from_another_version(tmp_path, capsys):
     assert f"written by ammlab 0.1.0 cannot be replayed by ammlab {ammlab.__version__}" in err
     assert "exact price law, not a tabulated loss table" in err
     assert "summed step by step, not pairwise" in err
+
+
+def _entry(manifest, name):
+    return next(entry for entry in manifest["outputs"] if entry["path"] == name)
+
+
+@pytest.mark.parametrize("edit, verdicts", [
+    (lambda out, m: _entry(m, "table.csv").update(sha256="0" * 64), ["MISMATCH  table.csv"]),
+    (lambda out, m: m["outputs"].append({"path": "ghost.csv", "sha256": "0" * 64}),
+     ["MISSING   ghost.csv"]),
+    (lambda out, m: m["outputs"].remove(_entry(m, "table.csv")),
+     ["EXTRA     table.csv", "EXTRA     table.csv (not in manifest)"]),
+    (lambda out, m: (out / "table.csv").unlink(), ["MISSING   table.csv (bundle file deleted)"]),
+], ids=["digest-changed", "ghost-entry", "entry-dropped", "file-deleted"])
+def test_replay_names_each_file_that_differs(tmp_path, capsys, edit, verdicts):
+    out = _run_sim(tmp_path / "b")
+    _edit_manifest(out, lambda manifest: edit(out, manifest))
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("ok")] == [
+        *verdicts, f"replay differs in {len(verdicts)} file(s)"]
+
+
+def test_replay_refuses_an_unknown_command(tmp_path, capsys):
+    out = _run_sim(tmp_path / "b")
+    _edit_manifest(out, lambda manifest: manifest.update(command=["simulate", "twice"]))
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: manifest names unknown command ['simulate', 'twice']" in captured.err
+    assert captured.out == ""
 
 
 _SINGLE_PROCESS = [command for command, (_, keys, _) in cli._COMMANDS.items()
@@ -515,8 +593,9 @@ def test_replay_missing_manifest_exits_2(tmp_path):
     lambda m: {**m, "outputs": {"table.csv": "00"}},
     lambda m: {**m, "outputs": [{"path": "table.csv"}]},
     lambda m: {**m, "outputs": [{"path": 7, "sha256": "00"}]},
+    lambda m: {"outputs": [{"path": "data.csv"}]},
 ], ids=["list", "no-command", "command-str", "command-nested", "config-list",
-        "no-outputs", "outputs-dict", "entry-no-digest", "entry-int-path"])
+        "no-outputs", "outputs-dict", "entry-no-digest", "entry-int-path", "foreign"])
 def test_replay_refuses_a_malformed_manifest(tmp_path, capsys, edit):
     out = _run_sim(tmp_path / "b")
     path = out / "manifest.json"
@@ -862,6 +941,28 @@ def test_metrics_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason)
     assert rc == 4
     err = capsys.readouterr().err
     assert "numerical failure" in err and reason in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, reason", [
+    pytest.param(argv, reason, id=" ".join(argv)) for argv, reason in (
+        (["sweep", "fee", "--sigma", "1e-20", "--fees", "0.001,0.002"],
+         "fee rows divide by the fee-free mean lvr 0.0 and mean volume 0.0"),
+        (["sweep", "sigma", "--sigmas", "1e-20,2e-20"],
+         "a log-log slope needs positive values, got 0.0"),
+        (["sweep", "steps", "--steps-list", "10,20", "--total-variance", "1e-40"],
+         "a log-log slope needs positive values, got 0.0"),
+        # the baseline trades, but no run trades at the deep fees the slopes are fitted on
+        (["sweep", "fee", "--sigma", "0.001", "--fees", "0.05,0.1"],
+         "a log-log slope needs positive values, got 0.0"),
+    )
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_mean_sweeps_exit_4(tmp_path, capsys, argv, reason):
+    # at sigma 1e-20 every step factor rounds to 1, so every campaign mean is 0
+    rc = main(argv + ["--n-runs", "50", "--n-steps", "20", "--out", str(tmp_path / "x")])
+    assert rc == 4
+    assert f"numerical failure: {reason}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

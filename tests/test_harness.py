@@ -268,6 +268,20 @@ def test_config_validation():
                 ExperimentConfig(**{**good, key: bad})
 
 
+@pytest.mark.parametrize("seed, accepted", [
+    (0, True), (2**64 - 1, True), (np.int64(7), True), (np.uint64(2**64 - 1), True),
+    (-1, False), (2**64, False), (7.5, False), (7.0, False), (True, False), (False, False),
+    ("7", False), (None, False),
+], ids=repr)
+def test_config_seed_must_be_a_64_bit_integer(seed, accepted):
+    # a bool is an Integral but no seed; a float seed would reach SeedSequence
+    if accepted:
+        assert replace(BASE, seed=seed).seed == seed
+    else:
+        with pytest.raises(ConfigError, match="seed must fit in an unsigned 64-bit integer"):
+            replace(BASE, seed=seed)
+
+
 def test_config_round_trips_through_json():
     # the enum fields take their string values, as asdict and JSON give them back
     config = replace(BASE, band_rule=BandRule.LINEARIZED, target=TradeTarget.MARGINAL)

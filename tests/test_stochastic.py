@@ -174,8 +174,9 @@ def test_empty_seed_list_gives_no_columns():
 
 @pytest.mark.parametrize(
     "seeds",
-    [[1.5], 7, [[1, 2]], [-1], [2**64], ["3"], [3, None]],
-    ids=["float", "scalar", "nested", "negative", "too-large", "string", "none"],
+    [[1.5], 7, [[1, 2]], [-1], [2**64], ["3"], [3, None], [True], np.array([True])],
+    ids=["float", "scalar", "nested", "negative", "too-large", "string", "none", "bool",
+         "bool-array"],
 )
 def test_price_matrix_refuses_bad_seeds(seeds):
     with pytest.raises(ValueError, match="seeds"):
