@@ -71,6 +71,7 @@ from .analytics import (
 )
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .harness import (
+    DEFAULT_TABLE_BYTES,
     TABLE_COLUMNS,
     BandRule,
     ExperimentConfig,
@@ -176,11 +177,9 @@ _KEYS = {
                        "sigma^2 n held fixed across sweep-steps (default: from base config)"),
 }
 
-_CAMPAIGN_KEYS = (
-    "process", "p0", "sigma", "n_steps", "liquidity", "n_runs", "seed",
-    "fee", "band_rule", "target", "observables", "bins",
-)
-_IL_KEYS = ("process", "p0", "liquidity", "sigma", "t")
+# a command's keys are its record's fields, the process first as "process"
+_CAMPAIGN_KEYS = ("process", *(f.name for f in fields(ExperimentConfig) if f.name != "kind"))
+_IL_KEYS = ("process", *(f.name for f in fields(ILDistParams) if f.name != "process"))
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -227,10 +226,19 @@ def _resolve(args: argparse.Namespace, mode: str, keys: tuple[str, ...]) -> dict
 
 
 def _cast(mode: str, keys: tuple[str, ...], strings: dict[str, str]) -> dict:
-    """Parse a mode's config strings; only simulate runs both processes at once."""
+    """Parse a mode's config strings, then apply the rules across keys: only
+    simulate runs both processes at once, and no command's largest array, at
+    8 B per value, may outgrow the campaign table's byte budget."""
     cfg = {k: _KEYS[k][0](k, strings[k]) for k in keys}
     if cfg.get("process") == "both" and mode != "simulate":
         raise ConfigError(f"{mode} needs process=bm or process=gbm")
+    sizes = {k: cfg[k] for k in ("bins", "il_points", "n_samples", "n_walks") if k in cfg}
+    if "n_per_sum" in cfg:  # clt-sum draws the terms of every sum at once
+        sizes["n_per_sum * n_repeats"] = max(cfg["n_per_sum"], 0) * cfg["n_repeats"]
+    for key, n in sizes.items():
+        if 8 * n > DEFAULT_TABLE_BYTES:
+            raise ResourceLimitError(f"{key} = {n} needs an array of {8 * n} bytes, over the "
+                                     f"{DEFAULT_TABLE_BYTES}-byte budget; lower {key}")
     return cfg
 
 
@@ -297,12 +305,6 @@ class Bundle:
         return len(outputs) + 1
 
 
-def _out_dir(args: argparse.Namespace, default_name: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get("AMM_LAB_OUT", "ammlab_out")) / default_name
-
-
 # ---------------------------------------------------------------------------
 # runners (shared by live commands and replay)
 
@@ -355,15 +357,6 @@ def _run_simulate(cfg: dict, bundle: Bundle) -> list[str]:
             rows = ([i, *row] for i, row in enumerate(result.table))
             bundle.write_csv(f"{prefix}table.csv", ["run_index", *TABLE_COLUMNS], rows,
                              "per-run metrics, one row per seeded run")
-        if conf.observables is Observables.PRICES:
-            bundle.write_csv(
-                f"{prefix}price_density.csv",
-                ["price", "bin_width", "count", "empirical_density", "analytic_density"],
-                _price_density_rows(result.histograms["final_price"], kind,
-                                    conf.p0, conf.sigma, conf.n_steps),
-                "endpoint price histogram against the analytic density",
-            )
-        if conf.observables is Observables.POOL:
             notes.append(
                 f"{kind.value}: mean_lvr={result.summary['mean_lvr']:.6g} "
                 f"mean_il={result.summary['mean_il']:.6g} "
@@ -371,6 +364,13 @@ def _run_simulate(cfg: dict, bundle: Bundle) -> list[str]:
                 f"regime={result.summary['regime']}"
             )
         else:
+            bundle.write_csv(
+                f"{prefix}price_density.csv",
+                ["price", "bin_width", "count", "empirical_density", "analytic_density"],
+                _price_density_rows(result.histograms["final_price"], kind,
+                                    conf.p0, conf.sigma, conf.n_steps),
+                "endpoint price histogram against the analytic density",
+            )
             notes.append(
                 f"{kind.value}: mean_final_price={result.summary['mean_final_price']:.6g} "
                 f"regime={result.summary['regime']}"
@@ -410,22 +410,22 @@ def _run_il_pdf(cfg: dict, bundle: Bundle) -> list[str]:
         },
         "normalization and mean checks for the tabulated density",
     )
-    notes = [
+    return [
         f"mass under curve {trapz_mass:.6f}",
         f"mean via density {mean_density:.6g}, via price integral {mean_price:.6g}",
     ]
-    return notes
 
 
 def _run_il_mean(cfg: dict, bundle: Bundle) -> list[str]:
     params = _dist_params(cfg)
+    # the quadratures refuse a bad law before scale can overflow; keys are sorted on write
     payload = {
+        "mean_via_price_integral": expected_il_quadrature(params),
+        "mean_via_density": analytic_il_mean(params),
         "params": asdict(params),
         "sigma2_t": params.sigma * params.sigma * params.t,
         "regime": classify_regime(params.sigma * params.sigma * params.t).value,
         "small_sigma_mean": params.scale,
-        "mean_via_price_integral": expected_il_quadrature(params),
-        "mean_via_density": analytic_il_mean(params),
     }
     if params.process is ProcessKind.GBM:
         payload["gbm_any_horizon_mean"] = expected_il_gbm(
@@ -530,6 +530,8 @@ def _run_first_passage(cfg: dict, bundle: Bundle) -> list[str]:
         return [f"mean absorption time {res.mean_steps:.4g} +- {res.stderr:.2g}"]
 
     ks = distinct_positive(cfg["k_list"], "k_list entries, or none for a single barrier pair")
+    # the widest pair, (-k, k) at the largest k, is checked before the first walk
+    BarrierSpec(-float(max(ks)), float(max(ks)), kind)
     rows = []
     for i, k in enumerate(ks):
         row = {"k": k}
@@ -678,7 +680,9 @@ def _execute(command: tuple[str, ...], cfg: dict, out: Path) -> list[str]:
 def _cmd_bundle(args: argparse.Namespace, command: tuple[str, ...]) -> int:
     mode, keys, _ = _COMMANDS[command]
     cfg = _resolve(args, mode, keys)
-    for line in _execute(command, cfg, _out_dir(args, args.preset or mode)):
+    out = Path(args.out or Path(os.environ.get("AMM_LAB_OUT", "ammlab_out"))
+               / (args.preset or mode))
+    for line in _execute(command, cfg, out):
         print(line)
     return 0
 

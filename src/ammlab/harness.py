@@ -285,16 +285,15 @@ def _chunk_seeds(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     )
 
 
-def _require_positive_prices(prices: np.ndarray, config: ExperimentConfig) -> None:
-    if prices.min() > 0.0:
-        return
+def _nonpositive_prices(config: ExperimentConfig) -> NumericalError:
+    """Why a campaign's paths reached the nonpositive prices the arbitrage kernel refuses."""
     if config.kind is ProcessKind.BM:
-        raise NumericalError(
+        return NumericalError(
             "a path reached a nonpositive price; the additive process with "
             f"sigma*sqrt(t) = {config.sigma * sqrt(config.n_steps):.3g} leaks through zero, "
             "use a shorter horizon or the multiplicative process"
         )
-    raise NumericalError(
+    return NumericalError(
         f"a multiplicative path underflowed to zero: with sigma = {config.sigma:.3g}, step "
         f"factors 1 + sigma*dW <= 0 were clamped to GBM_FACTOR_FLOOR = {GBM_FACTOR_FLOOR:g} "
         "until the price fell below the smallest double; lower sigma"
@@ -388,9 +387,9 @@ def _compute_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     try:
         return arbitrage(prices, config.liquidity, config.fee, config.band_rule, config.target)
     except ValueError:
-        # the kernel refuses nonpositive prices; say why the paths reached them
-        _require_positive_prices(prices, config)
-        raise
+        # ExperimentConfig and plan_chunks checked liquidity, fee and shape, so the
+        # kernel can only have refused nonpositive prices; say why paths reached them
+        raise _nonpositive_prices(config) from None
 
 
 def _observable_values(rows: np.ndarray, name: str) -> np.ndarray:

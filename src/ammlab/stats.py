@@ -47,7 +47,7 @@ def fit_loglog(x, y) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Histogram:
-    """Binned view of a sample plus its first three raw-sample moments."""
+    """Binned view of a sample plus its first three raw-sample moments; built by from_samples."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
@@ -55,20 +55,6 @@ class Histogram:
     mean: float
     variance: float
     skewness: float
-
-    def __post_init__(self) -> None:
-        edges = np.asarray(self.bin_edges, dtype=float)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if edges.ndim != 1 or edges.size < 2:
-            raise ValueError("bin_edges must be a 1-d array with at least two entries")
-        if np.any(np.diff(edges) <= 0.0):
-            raise ValueError("bin_edges must be strictly increasing")
-        if counts.size != edges.size - 1:
-            raise ValueError("counts must have one entry per bin")
-        if int(counts.sum()) != self.n_total:
-            raise ValueError("counts must sum to n_total")
-        object.__setattr__(self, "bin_edges", edges)
-        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_samples(cls, values, bins: int = 50) -> "Histogram":

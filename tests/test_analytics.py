@@ -1,6 +1,7 @@
 """Closed forms, the loss density, and the small sampling experiments."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from ammlab import (
 )
 from ammlab import analytics
 from ammlab.analytics import _branch_prices
-from ammlab.errors import NumericalError
+from ammlab.errors import NumericalError, ResourceLimitError
 
 # short-horizon reference point: L sigma^2 t / (4 sqrt(p0)) = 0.25
 SHORT = dict(liquidity=10000.0, p0=100.0, sigma=0.001, t=1000.0)
@@ -59,6 +60,13 @@ def test_expected_lvr_scales_linearly_in_liquidity_and_time():
 def test_expected_lvr_warns_in_long_regime():
     with pytest.warns(UserWarning, match="long-horizon"):
         expected_lvr(10000.0, 100.0, 0.05, 1000.0)
+
+
+@pytest.mark.parametrize("liquidity, sigma", [(10000.0, 1e160), (1e300, 1e5), (1e308, 10.0)],
+                         ids=["sigma-squared", "liquidity-times-variance", "liquidity"])
+def test_expected_lvr_refuses_a_mean_outside_the_double_range(liquidity, sigma):
+    with pytest.raises(NumericalError, match="^the mean rebalancing loss leaves the double range"):
+        expected_lvr(liquidity, 100.0, sigma, 1.0)
 
 
 @pytest.mark.parametrize("bad", ["liquidity", "p0", "sigma", "t"])
@@ -399,6 +407,28 @@ def test_barrier_validation():
         first_passage(BarrierSpec(lower=-1.0, upper=1.0), n_walks=0, seed=1)
     with pytest.raises(ValueError):
         BarrierSpec(lower=-1.0, upper=1.0, step_kind="coin")
+
+
+@pytest.mark.parametrize("lower, upper", [
+    (-100.0, 100.0), (-10000.0, 1.0), (-0.5, 10000.0),
+], ids=["symmetric", "asymmetric", "fractional-lower"])
+def test_barriers_at_the_walk_limit_are_accepted(lower, upper):
+    # ceil(-lower) * ceil(upper) is 10000 = MAX_MEAN_EXIT_STEPS in each
+    assert analytics.MAX_MEAN_EXIT_STEPS == 1e4
+    BarrierSpec(lower, upper, StepKind.GAUSSIAN)
+
+
+@pytest.mark.parametrize("lower, upper, steps", [
+    (-101.0, 100.0, "1.01e+04"),
+    (-100.5, 100.0, "1.01e+04"),  # a unit walk's lower barrier is the integer below it
+    (-1e6, 1e-6, "1e+06"),
+    (-math.inf, 1.0, "inf"),
+    (-1e300, 1e300, "inf"),
+], ids=["over-by-one", "fractional", "hair-upper", "infinite", "product-overflows"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_barriers_past_the_walk_limit_are_refused(lower, upper, steps):
+    with pytest.raises(ResourceLimitError, match=re.escape(f"take about {steps} steps on average")):
+        BarrierSpec(lower, upper)
 
 
 def test_barrier_spec_reads_the_step_kind_from_its_string():

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +91,32 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_CAMPAIGN_FIELDS = {f.name for f in fields(ExperimentConfig)} - {"kind"} | {"process"}
+_LAW_FIELDS = {f.name for f in fields(ILDistParams)}
+
+
+@pytest.mark.parametrize("command, record, extra", [
+    pytest.param(command, record, extra, id=" ".join(command))
+    for command, record, extra in (
+        (("simulate",), _CAMPAIGN_FIELDS, set()),
+        (("sweep", "fee"), _CAMPAIGN_FIELDS, {"fees"}),
+        (("sweep", "sigma"), _CAMPAIGN_FIELDS, {"sigmas"}),
+        (("sweep", "steps"), _CAMPAIGN_FIELDS, {"steps_list", "total_variance"}),
+        (("analytic", "il-pdf"), _LAW_FIELDS, {"il_points"}),
+        (("analytic", "il-mean"), _LAW_FIELDS, set()),
+        (("analytic", "lvr-mean"), _LAW_FIELDS, set()),
+        (("analytic", "sample-il"), _LAW_FIELDS, {"seed", "n_samples", "bins"}),
+        (("analytic", "clt-sum"), _LAW_FIELDS, {"seed", "n_per_sum", "n_repeats", "bins"}),
+    )
+])
+def test_command_keys_are_their_records_fields(command, record, extra):
+    # a campaign record names the process `kind`; every command names it `process`, first
+    keys = cli._COMMANDS[command][1]
+    assert keys[0] == "process"
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == record | extra
 
 
 def test_missing_subcommand_is_a_usage_error():
@@ -890,6 +916,21 @@ def test_sweep_steps_command(tmp_path):
     assert fits["lvr_relative_spread"] < 0.2
 
 
+def test_sweep_fee_prints_the_deep_fee_slope_and_the_crossover(tmp_path, capsys):
+    # f / sigma is 10 and 20 at the two deep fees, and paths of sigma sqrt(n) = 0.09
+    # still cross their bands
+    out = tmp_path / "b"
+    rc = main(["sweep", "fee", "--fees", "0.0005,0.04,0.08", "--sigma", "0.004",
+               "--n-steps", "500", "--n-runs", "100", "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    fits = json.loads((out / "fits.json").read_text())
+    assert capsys.readouterr().out.splitlines() == [
+        f"deep-fee volume slope {fits['deep_volume_slope']:.3f}",
+        f"mean wait crosses 2 steps near fee {fits['crossover_fee']:.3g}",
+        f"wrote 5 files to {out}",
+    ]
+
+
 def test_sweep_fee_requires_fees(tmp_path, capsys):
     rc = main(["sweep", "fee", "--out", str(tmp_path / "x")])
     assert rc == 2
@@ -907,6 +948,55 @@ def test_resource_guard_exits_3(tmp_path, capsys):
     assert rc == 3
     assert "resource guard" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def _budget(key, n):
+    return (f"{key} = {n} needs an array of {8 * n} bytes, over the 1073741824-byte budget; "
+            f"lower {key}")
+
+
+_WALKS = "steps on average, over the 10000-step limit; narrow the barriers"
+
+
+@pytest.mark.parametrize("argv, message, spy", [
+    pytest.param(argv, message, spy, id=" ".join(argv)) for argv, message, spy in (
+        (["analytic", "sample-il", "--n-samples", "1e10"],
+         _budget("n_samples", 10**10), "sample_il"),
+        (["analytic", "il-pdf", "--il-points", "1e10"],
+         _budget("il_points", 10**10), "analytic_il_mean"),
+        (["analytic", "clt-sum", "--n-per-sum", "100000", "--n-repeats", "100000"],
+         _budget("n_per_sum * n_repeats", 10**10), "clt_sum_experiment"),
+        (["analytic", "first-passage", "--n-walks", "1e10", "--k-list", "2,3"],
+         _budget("n_walks", 10**10), "first_passage"),
+        (["simulate", "--bins", "1e9", "--n-runs", "100", "--n-steps", "10"],
+         _budget("bins", 10**9), "run_campaign"),
+        (["sweep", "sigma", "--sigmas", "0.001,0.002", "--bins", "1e9"],
+         _budget("bins", 10**9), "run_campaign"),
+        # the scan refuses its widest pair before the walks of its first entry
+        (["analytic", "first-passage", "--k-list", "2,100000", "--n-walks", "10"],
+         f"walks between barriers -100000 and 100000 take about 1e+10 {_WALKS}",
+         "first_passage"),
+        (["analytic", "first-passage", "--k-list=", "--lower=-1e6", "--upper=1e6"],
+         f"walks between barriers -1e+06 and 1e+06 take about 1e+12 {_WALKS}", "first_passage"),
+        # unit steps cross an upper barrier below 1 at 1, so the walk is as long as at (-1e6, 1)
+        (["analytic", "first-passage", "--k-list=", "--lower=-1e6", "--upper=1e-6"],
+         f"walks between barriers -1e+06 and 1e-06 take about 1e+06 {_WALKS}", "first_passage"),
+    )
+])
+def test_oversized_inputs_exit_3_before_any_work(tmp_path, capsys, monkeypatch, argv, message,
+                                                 spy):
+    out = tmp_path / "b"
+    assert main(["analytic", "lvr-mean", "--out", str(out)]) == 0
+    before = _tree(out)
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(cli, spy, lambda *a, **k: calls.append(a))
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == f"resource guard: {message}\n"
+    assert calls == []
+    assert _tree(out) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["b"]
 
 
 def test_numerical_failure_exits_4(tmp_path, capsys):
@@ -980,6 +1070,16 @@ _LVR_RANGE = "the mean rebalancing loss leaves the double range"
      "reaches losses outside the double range within 12 standard deviations"),
     (["lvr-mean", "--sigma", "1", "--t", "1900"], _LVR_RANGE),
     (["lvr-mean", "--sigma", "0.001", "--t", "1e300"], _LVR_RANGE),
+    *(pytest.param(argv, reason, id=" ".join(argv)) for argv, reason in (
+        # the law is refused before its small-sigma scale overflows a float power
+        (["il-mean", "--sigma", "1e160"], _LAW_TAIL),
+        (["il-mean", "--process", "bm", "--sigma", "1e160"], "of its mass below zero"),
+        # the small-sigma mean itself leaves the double range
+        (["lvr-mean", "--process", "bm", "--sigma", "1e160"], _LVR_RANGE),
+        (["lvr-mean", "--liquidity", "1e300", "--sigma", "1e5", "--t", "1"], _LVR_RANGE),
+        (["lvr-mean", "--process", "bm", "--liquidity", "1e300", "--sigma", "1e5", "--t", "1"],
+         _LVR_RANGE),
+    )),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_analytic_means_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason):
     # a gbm law deep in the long regime, whose mean loss reaches past the

@@ -233,6 +233,22 @@ def test_histogram_of_a_hair_wide_sample(values):
     assert hist.n_total == 2
 
 
+@pytest.mark.parametrize("values, bins", [
+    (np.linspace(-3.0, 7.0, 1001), 50),
+    (np.arange(10), 3),
+    (np.array([0.5, 0.25, 2.0], dtype=np.float32), 1),
+    ([1e100, -1e100, 0.0], 4),
+    ([1.0, np.nextafter(1.0, 2.0)], 50),
+], ids=["floats", "integers", "float32-one-bin", "wide", "hair-width"])
+def test_histograms_from_samples_hold_their_invariants(values, bins):
+    # from_samples is the one constructor, so its output carries the invariants
+    hist = Histogram.from_samples(values, bins=bins)
+    assert hist.bin_edges.dtype == np.float64 and hist.bin_edges.shape == (bins + 1,)
+    assert np.all(np.diff(hist.bin_edges) > 0.0)
+    assert hist.counts.dtype == np.int64 and hist.counts.shape == (bins,)
+    assert int(hist.counts.sum()) == hist.n_total == len(values)
+
+
 def test_stderr_shrinks_like_root_n():
     small = run_campaign(replace(BASE, fee=0.0, n_steps=200, n_runs=800))
     large = run_campaign(replace(BASE, fee=0.0, n_steps=200, n_runs=3200))
