@@ -47,7 +47,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import asdict, fields
-from math import isfinite, sqrt
+from math import ceil, isfinite, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +71,9 @@ from .analytics import (
 )
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .harness import (
-    DEFAULT_TABLE_BYTES,
+    _DRAW_BLOCK_BYTES,
+    _POOL_HISTOGRAMS,
+    DEFAULT_CHUNK_BYTES,
     TABLE_COLUMNS,
     BandRule,
     ExperimentConfig,
@@ -225,20 +227,54 @@ def _resolve(args: argparse.Namespace, mode: str, keys: tuple[str, ...]) -> dict
     return _cast(mode, keys, strings)
 
 
+BYTE_BUDGET = 1 << 30
+STEP_BUDGET = 10**9  # walks of this cost took 11-28 s on a 2-core x86 host (CHANGES.md)
+# Working bytes per unit of each size, fitted with tracemalloc at two sizes of
+# every command (CHANGES.md), and the part no size scales.  A campaign adds one
+# chunk of paths and three draw blocks of at most a chunk (the draws, their
+# prices and the clamp mask), and process=both runs two.  A pass of the walk loop
+# costs about 1000 walk-steps and the loop makes several times the mean exit
+# time of passes, so each step of a pair's mean exit costs n_walks + _PASS_WALKS.
+_UNIT_BYTES = {"n_runs": 240, "kept_bin": 20, "written_bin": 240, "il_points": 100,
+               "n_samples": 36, "n_per_sum": 36, "n_walks": 56}
+_FIXED_BYTES, _PASS_WALKS = 2 << 20, 6000
+
+
 def _cast(mode: str, keys: tuple[str, ...], strings: dict[str, str]) -> dict:
-    """Parse a mode's config strings, then apply the rules across keys: only
-    simulate runs both processes at once, and no command's largest array, at
-    8 B per value, may outgrow the campaign table's byte budget."""
+    """Parse a mode's config strings, then apply the rules across keys before any
+    work: only simulate runs both processes at once, and no command may pass the
+    byte budget, nor first-passage the walk-step budget over its barrier pairs,
+    (-k, k) and (-k, 1) for each k of a scan."""
     cfg = {k: _KEYS[k][0](k, strings[k]) for k in keys}
     if cfg.get("process") == "both" and mode != "simulate":
         raise ConfigError(f"{mode} needs process=bm or process=gbm")
-    sizes = {k: cfg[k] for k in ("bins", "il_points", "n_samples", "n_walks") if k in cfg}
+    cost = {k: max(cfg[k], 0) * _UNIT_BYTES[k] for k in _UNIT_BYTES if k in cfg}
     if "n_per_sum" in cfg:  # clt-sum draws the terms of every sum at once
-        sizes["n_per_sum * n_repeats"] = max(cfg["n_per_sum"], 0) * cfg["n_repeats"]
-    for key, n in sizes.items():
-        if 8 * n > DEFAULT_TABLE_BYTES:
-            raise ResourceLimitError(f"{key} = {n} needs an array of {8 * n} bytes, over the "
-                                     f"{DEFAULT_TABLE_BYTES}-byte budget; lower {key}")
+        cost["n_per_sum * n_repeats"] = cost.pop("n_per_sum") * max(cfg["n_repeats"], 0)
+    hists = 1
+    if "n_runs" in cfg:
+        step_counts = cfg.get("steps_list") or [cfg["n_steps"]]  # sweep-steps runs its list
+        path = 8 * (max(0, *step_counts) + 1)
+        chunk = min(DEFAULT_CHUNK_BYTES, max(cfg["n_runs"], 0) * path)
+        cost["n_runs"] += chunk + 3 * min(max(_DRAW_BLOCK_BYTES, path), chunk)
+        hists = len(_POOL_HISTOGRAMS) if cfg["observables"] == Observables.POOL else 1
+    if "bins" in cfg:  # a sweep writes none of its histograms
+        written = _UNIT_BYTES["written_bin"] * (not mode.startswith("sweep"))
+        cost["bins"] = max(cfg["bins"], 0) * (hists * _UNIT_BYTES["kept_bin"] + written)
+    total = _FIXED_BYTES + (1 + (cfg.get("process") == "both")) * sum(cost.values())
+    if total > BYTE_BUDGET:
+        key = max(cost, key=cost.get)
+        raise ResourceLimitError(f"{key} brings the working set to about {total} bytes, over "
+                                 f"the {BYTE_BUDGET}-byte budget; lower {key}")
+    if mode == "first-passage":
+        exits = (sum(k * k + k for k in set(cfg["k_list"]) if k > 0) if cfg["k_list"] else
+                 max(ceil(-cfg["lower"]), 0) * max(ceil(cfg["upper"]), 0))
+        steps = (max(cfg["n_walks"], 0) + _PASS_WALKS) * exits
+        if steps > STEP_BUDGET:
+            pairs = "k_list" if cfg["k_list"] else "lower and upper"
+            raise ResourceLimitError(f"n_walks walks between the barriers of {pairs} take about "
+                                     f"{steps} walk-steps, over the {STEP_BUDGET}-step budget; "
+                                     "lower n_walks or narrow the barriers")
     return cfg
 
 
@@ -530,8 +566,6 @@ def _run_first_passage(cfg: dict, bundle: Bundle) -> list[str]:
         return [f"mean absorption time {res.mean_steps:.4g} +- {res.stderr:.2g}"]
 
     ks = distinct_positive(cfg["k_list"], "k_list entries, or none for a single barrier pair")
-    # the widest pair, (-k, k) at the largest k, is checked before the first walk
-    BarrierSpec(-float(max(ks)), float(max(ks)), kind)
     rows = []
     for i, k in enumerate(ks):
         row = {"k": k}

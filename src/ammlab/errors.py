@@ -8,7 +8,7 @@ class ConfigError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A campaign would exceed the configured memory budget."""
+    """A command would exceed the byte or walk-step budget, or one path the chunk budget."""
 
 
 class NumericalError(RuntimeError):

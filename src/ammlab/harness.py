@@ -87,7 +87,6 @@ _N_COLS = len(KERNEL_COLUMNS)
 _LAST_EVENT = _N_COLS - 1
 
 DEFAULT_CHUNK_BYTES = 64 << 20
-DEFAULT_TABLE_BYTES = 1 << 30
 # simulate_price_matrix draws through a reused block of about this many bytes
 _DRAW_BLOCK_BYTES = 1 << 20
 
@@ -419,22 +418,12 @@ def _summarize(config: ExperimentConfig, table: np.ndarray) -> dict:
 
 
 def run_campaign(
-    config: ExperimentConfig,
-    *,
-    max_table_bytes: int = DEFAULT_TABLE_BYTES,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+    config: ExperimentConfig, *, chunk_bytes: int = DEFAULT_CHUNK_BYTES
 ) -> CampaignResult:
     """Evaluate the configuration over its run ensemble.
 
-    Raises ResourceLimitError when the per-run table would exceed
-    max_table_bytes or when one path alone overflows the chunk budget.
+    Raises ResourceLimitError when one path alone overflows the chunk budget.
     """
-    table_bytes = config.n_runs * _N_COLS * 8
-    if table_bytes > max_table_bytes:
-        raise ResourceLimitError(
-            f"per-run table needs {table_bytes} bytes (> {max_table_bytes}); "
-            "lower n_runs or raise max_table_bytes"
-        )
     full = np.empty((config.n_runs, _N_COLS), dtype=float)
     # Histogram.from_samples, not numpy warnings, reports paths leaving the double range
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

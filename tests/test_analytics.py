@@ -1,7 +1,6 @@
 """Closed forms, the loss density, and the small sampling experiments."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -28,9 +27,9 @@ from ammlab import (
     il_pdf,
     sample_il,
 )
-from ammlab import analytics
-from ammlab.analytics import _branch_prices
-from ammlab.errors import NumericalError, ResourceLimitError
+from ammlab import analytics, cli
+from ammlab.analytics import FirstPassageResult, _branch_prices
+from ammlab.errors import ConfigError, NumericalError
 
 # short-horizon reference point: L sigma^2 t / (4 sqrt(p0)) = 0.25
 SHORT = dict(liquidity=10000.0, p0=100.0, sigma=0.001, t=1000.0)
@@ -409,26 +408,53 @@ def test_barrier_validation():
         BarrierSpec(lower=-1.0, upper=1.0, step_kind="coin")
 
 
+# at this many walks the step budget admits a mean exit time of at most 1e4 steps
+_EDGE_WALKS = cli.STEP_BUDGET // 10**4 - cli._PASS_WALKS
+
+
+def _walk_barriers(monkeypatch, tmp_path, lower, upper):
+    """Exit code of first-passage between the barriers at _EDGE_WALKS, and its walk calls."""
+    calls = []
+
+    def spy(spec, n_walks, seed):
+        calls.append(spec)
+        return FirstPassageResult(1.0, 0.0, 0.5, n_walks)
+
+    monkeypatch.setattr(cli, "first_passage", spy)
+    rc = cli.main(["analytic", "first-passage", "--k-list=", f"--lower={lower!r}",
+                   f"--upper={upper!r}", "--n-walks", str(_EDGE_WALKS), "--step-kind", "gaussian",
+                   "--out", str(tmp_path / "x")])
+    return rc, calls
+
+
 @pytest.mark.parametrize("lower, upper", [
     (-100.0, 100.0), (-10000.0, 1.0), (-0.5, 10000.0),
 ], ids=["symmetric", "asymmetric", "fractional-lower"])
-def test_barriers_at_the_walk_limit_are_accepted(lower, upper):
-    # ceil(-lower) * ceil(upper) is 10000 = MAX_MEAN_EXIT_STEPS in each
-    assert analytics.MAX_MEAN_EXIT_STEPS == 1e4
-    BarrierSpec(lower, upper, StepKind.GAUSSIAN)
+def test_barriers_at_the_walk_limit_are_accepted(monkeypatch, tmp_path, lower, upper):
+    # ceil(-lower) * ceil(upper) is 10000 in each, so the walks take the whole step budget
+    assert (_EDGE_WALKS + cli._PASS_WALKS) * 10**4 == cli.STEP_BUDGET
+    rc, calls = _walk_barriers(monkeypatch, tmp_path, lower, upper)
+    assert rc == 0
+    assert calls == [BarrierSpec(lower, upper, StepKind.GAUSSIAN)]
 
 
-@pytest.mark.parametrize("lower, upper, steps", [
-    (-101.0, 100.0, "1.01e+04"),
-    (-100.5, 100.0, "1.01e+04"),  # a unit walk's lower barrier is the integer below it
-    (-1e6, 1e-6, "1e+06"),
-    (-math.inf, 1.0, "inf"),
-    (-1e300, 1e300, "inf"),
+@pytest.mark.parametrize("lower, upper, code", [
+    (-101.0, 100.0, 3),
+    (-100.5, 100.0, 3),  # a unit walk's lower barrier is the integer below it
+    (-1e6, 1e-6, 3),
+    (-math.inf, 1.0, 2),  # the command line takes finite numbers only
+    (-1e300, 1e300, 3),
 ], ids=["over-by-one", "fractional", "hair-upper", "infinite", "product-overflows"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_barriers_past_the_walk_limit_are_refused(lower, upper, steps):
-    with pytest.raises(ResourceLimitError, match=re.escape(f"take about {steps} steps on average")):
-        BarrierSpec(lower, upper)
+def test_barriers_past_the_walk_limit_are_refused(monkeypatch, tmp_path, capsys, lower, upper,
+                                                  code):
+    rc, calls = _walk_barriers(monkeypatch, tmp_path, lower, upper)
+    assert (rc, calls) == (code, [])
+    assert capsys.readouterr().err.count("\n") == 1
+    # a library caller cannot walk forever either: the barriers must be finite
+    if not math.isfinite(lower):
+        with pytest.raises(ConfigError, match="need finite lower < 0 < upper, got -inf, 1"):
+            BarrierSpec(lower, upper)
 
 
 def test_barrier_spec_reads_the_step_kind_from_its_string():

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -190,6 +191,17 @@ def test_non_finite_number_exits_2(tmp_path, capsys, argv, key):
     (["simulate", "--observables", "prices", "--sigma", "1e-170"],
      "price-density campaigns compare with the analytic density, so sigma^2 n_steps must be "
      "positive, got sigma = 1e-170"),
+    # the endpoint-loss laws refuse a t, sigma^2 or sigma^2 t below the normal doubles
+    *(pytest.param(argv, message, id=" ".join(argv)) for argv, message in (
+        *((["analytic", command, "--sigma", "1e160", "--t", "1e-320"],
+          "t = 9.99989e-321 is below the smallest normal double 2.22507e-308 (sigma = 1e+160")
+          for command in ("il-mean", "il-pdf", "sample-il", "clt-sum")),
+        (["analytic", "il-mean", "--sigma", "1e-160", "--t", "1e300"],
+         "sigma^2 = 9.99989e-321 is below the smallest normal double 2.22507e-308 "
+         "(sigma = 1e-160, t = 1e+300)"),
+        (["analytic", "il-mean", "--process", "bm", "--sigma", "1e-100", "--t", "1e-120"],
+         "sigma^2 t = 9.99989e-321 is below the smallest normal double"),
+    )),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_library_input_check_exits_2(tmp_path, capsys, argv, message):
     rc = main(argv + ["--out", str(tmp_path / "x")])
@@ -950,37 +962,50 @@ def test_resource_guard_exits_3(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def _budget(key, n):
-    return (f"{key} = {n} needs an array of {8 * n} bytes, over the 1073741824-byte budget; "
-            f"lower {key}")
+def _bytes(key, total):
+    return (f"{key} brings the working set to about {total} bytes, over the 1073741824-byte "
+            f"budget; lower {key}")
 
 
-_WALKS = "steps on average, over the 10000-step limit; narrow the barriers"
+def _steps(pairs, steps):
+    return (f"n_walks walks between the barriers of {pairs} take about {steps} walk-steps, over "
+            "the 1000000000-step budget; lower n_walks or narrow the barriers")
 
 
 @pytest.mark.parametrize("argv, message, spy", [
     pytest.param(argv, message, spy, id=" ".join(argv)) for argv, message, spy in (
+        # 36 B per draw and 260 B per written bin, plus the fixed 2 MiB
         (["analytic", "sample-il", "--n-samples", "1e10"],
-         _budget("n_samples", 10**10), "sample_il"),
+         _bytes("n_samples", 360002110152), "sample_il"),
         (["analytic", "il-pdf", "--il-points", "1e10"],
-         _budget("il_points", 10**10), "analytic_il_mean"),
+         _bytes("il_points", 1000002097152), "analytic_il_mean"),
         (["analytic", "clt-sum", "--n-per-sum", "100000", "--n-repeats", "100000"],
-         _budget("n_per_sum * n_repeats", 10**10), "clt_sum_experiment"),
+         _bytes("n_per_sum * n_repeats", 360002110152), "clt_sum_experiment"),
         (["analytic", "first-passage", "--n-walks", "1e10", "--k-list", "2,3"],
-         _budget("n_walks", 10**10), "first_passage"),
+         _bytes("n_walks", 560002097152), "first_passage"),
+        # seven histograms kept at 20 B per bin and one written at 240 B per bin; a
+        # sweep writes none
         (["simulate", "--bins", "1e9", "--n-runs", "100", "--n-steps", "10"],
-         _budget("bins", 10**9), "run_campaign"),
+         _bytes("bins", 380002156352), "run_campaign"),
+        (["simulate", "--bins", "1e8", "--n-runs", "100", "--n-steps", "10"],
+         _bytes("bins", 38002156352), "run_campaign"),
         (["sweep", "sigma", "--sigmas", "0.001,0.002", "--bins", "1e9"],
-         _budget("bins", 10**9), "run_campaign"),
-        # the scan refuses its widest pair before the walks of its first entry
+         _bytes("bins", 140074751744), "run_campaign"),
+        (["simulate", "--n-runs", "4.3e6", "--n-steps", "10"],
+         _bytes("n_runs", 1104370744), "run_campaign"),
+        (["simulate", "--process", "both", "--n-runs", "2.2e6", "--n-steps", "10"],
+         _bytes("n_runs", 1198644336), "run_campaign"),
+        # the walk-steps of a scan or a pair: (n_walks + 6000) times the mean exit times
         (["analytic", "first-passage", "--k-list", "2,100000", "--n-walks", "10"],
-         f"walks between barriers -100000 and 100000 take about 1e+10 {_WALKS}",
-         "first_passage"),
+         _steps("k_list", 60100601036060), "first_passage"),
+        (["analytic", "first-passage", "--k-list=", "--lower=-100", "--upper=100",
+          "--n-walks", "2e6"],
+         _steps("lower and upper", 20060000000), "first_passage"),
         (["analytic", "first-passage", "--k-list=", "--lower=-1e6", "--upper=1e6"],
-         f"walks between barriers -1e+06 and 1e+06 take about 1e+12 {_WALKS}", "first_passage"),
+         _steps("lower and upper", 26000000000000000), "first_passage"),
         # unit steps cross an upper barrier below 1 at 1, so the walk is as long as at (-1e6, 1)
         (["analytic", "first-passage", "--k-list=", "--lower=-1e6", "--upper=1e-6"],
-         f"walks between barriers -1e+06 and 1e-06 take about 1e+06 {_WALKS}", "first_passage"),
+         _steps("lower and upper", 26000000000), "first_passage"),
     )
 ])
 def test_oversized_inputs_exit_3_before_any_work(tmp_path, capsys, monkeypatch, argv, message,
@@ -997,6 +1022,116 @@ def test_oversized_inputs_exit_3_before_any_work(tmp_path, capsys, monkeypatch, 
     assert calls == []
     assert _tree(out) == before
     assert [p.name for p in tmp_path.iterdir()] == ["b"]
+
+
+def _budget_verdict(command, **strings):
+    """'ok', or the refusal the command check gives the defaults of command under strings."""
+    mode, keys, _ = cli._COMMANDS[command]
+    try:
+        cli._cast(mode, keys, {**{k: cli._KEYS[k][1] for k in keys}, **strings})
+    except ammlab.ResourceLimitError as exc:
+        return str(exc)
+    return "ok"
+
+
+@pytest.mark.parametrize("command, key, largest, strings", [
+    pytest.param(command, key, largest, strings,
+                 id=" ".join([*command, *(f"--{k}={v}" for k, v in strings.items()), key]))
+    for command, key, largest, strings in (
+        (("simulate",), "n_runs", 4172379, {}),
+        (("simulate",), "n_runs", 1939786, {"process": "both"}),
+        (("simulate",), "bins", 2628921, {}),
+        (("simulate",), "bins", 3842269, {"observables": "prices"}),
+        (("sweep", "sigma"), "bins", 7135643, {}),
+        (("analytic", "il-pdf"), "il_points", 10716446, {}),
+        (("analytic", "sample-il"), "n_samples", 29767546, {}),
+        (("analytic", "clt-sum"), "n_repeats", 29767546, {"n_per_sum": "1"}),
+        (("analytic", "first-passage"), "n_walks", 944570, {}),
+        # the walks of a scan up to k = 100 fit at the default 20000 walks, and more
+        (("analytic", "first-passage"), "n_walks", 83670, {"k_list": "3,10,30,100"}),
+        (("analytic", "first-passage"), "n_walks", 94000,
+         {"k_list": "", "lower": "-100", "upper": "100"}),
+    )
+])
+def test_each_size_is_accepted_up_to_its_budget_edge(command, key, largest, strings):
+    assert _budget_verdict(command, **strings, **{key: str(largest)}) == "ok"
+    assert key in _budget_verdict(command, **strings, **{key: str(largest + 1)})
+
+
+_SIZE = "{size}"
+
+
+# Every size key of every command at two sizes; the sweeps share simulate's
+# campaign terms, so one sweep row checks n_runs, one the sweep's own step
+# counts, and one the bins of histograms a sweep never writes.  Campaign runs
+# and written bins are slow under tracemalloc, so those rows use fewer units.
+@pytest.mark.parametrize("argv, sizes", [
+    pytest.param(argv, sizes, id=" ".join(argv)) for argv, sizes in (
+        (["simulate", "--n-steps", "10", "--n-runs", _SIZE], (5_000, 10_000)),
+        (["simulate", "--observables", "prices", "--n-runs", "10", "--n-steps", _SIZE],
+         (50_000, 100_000)),
+        (["simulate", "--n-runs", "10", "--n-steps", "10", "--bins", _SIZE], (5_000, 10_000)),
+        (["simulate", "--observables", "prices", "--n-runs", "10", "--n-steps", "10",
+          "--bins", _SIZE], (10_000, 20_000)),
+        (["sweep", "fee", "--fees", "0.001", "--n-steps", "10", "--n-runs", _SIZE],
+         (5_000, 10_000)),
+        (["sweep", "steps", "--n-runs", "10", "--steps-list", f"10,{_SIZE}"], (5_000, 10_000)),
+        (["sweep", "sigma", "--sigmas", "0.001,0.002", "--n-runs", "10", "--n-steps", "10",
+          "--bins", _SIZE], (50_000, 100_000)),
+        (["analytic", "il-pdf", "--il-points", _SIZE], (50_000, 100_000)),
+        (["analytic", "sample-il", "--n-samples", _SIZE], (50_000, 100_000)),
+        (["analytic", "sample-il", "--n-samples", "100", "--bins", _SIZE], (10_000, 20_000)),
+        (["analytic", "clt-sum", "--n-repeats", "10", "--n-per-sum", _SIZE], (50_000, 100_000)),
+        (["analytic", "clt-sum", "--n-per-sum", "1", "--n-repeats", _SIZE], (50_000, 100_000)),
+        (["analytic", "clt-sum", "--n-per-sum", "10", "--n-repeats", "10", "--bins", _SIZE],
+         (10_000, 20_000)),
+        (["analytic", "first-passage", "--k-list", "2,3", "--n-walks", _SIZE], (50_000, 100_000)),
+        (["analytic", "first-passage", "--k-list=", "--lower=-2", "--upper=2",
+          "--n-walks", _SIZE], (50_000, 100_000)),
+    )
+])
+def test_stated_working_bytes_bound_the_measured_peak(tmp_path, capsys, monkeypatch, argv,
+                                                      sizes):
+    # the refusal at a zero budget states the bytes; tracemalloc measures the run's peak
+    def run(size):
+        return main([a.format(size=size) for a in argv] + ["--out", str(tmp_path / "b")])
+
+    assert run(100) == 0  # the first run imports what the command uses
+    for size in sizes:
+        with monkeypatch.context() as m:
+            m.setattr(cli, "BYTE_BUDGET", 0)
+            assert run(size) == 3
+        stated = int(capsys.readouterr().err.split(" about ")[1].split()[0])
+        tracemalloc.start()
+        try:
+            assert run(size) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= stated <= 3 * peak, (size, peak, stated)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3_000_000 << 10,) * 2)
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(argv, code, id=" ".join(argv)) for argv, code in (
+        (["simulate", "--bins", "1e8", "--n-runs", "100", "--n-steps", "10"], 3),
+        (["analytic", "first-passage", "--k-list=", "--lower=-100", "--upper=100",
+          "--n-walks", "2e6"], 3),
+        (["analytic", "il-mean", "--sigma", "1e160", "--t", "1e-320"], 2),
+    )
+])
+def test_refusals_hold_under_a_real_memory_limit(tmp_path, argv, code):
+    # the child alone runs under a 3 GB address-space limit, and must answer within seconds
+    proc = subprocess.run([sys.executable, "-m", "ammlab.cli", *argv, "--out", tmp_path / "x"],
+                          capture_output=True, text=True, timeout=10,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == code
+    assert proc.stderr.startswith(("resource guard: ", "config error: "))
+    assert proc.stderr.count("\n") == 1  # no traceback, no warning
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numerical_failure_exits_4(tmp_path, capsys):

@@ -28,6 +28,7 @@ from ammlab import (
     sweep_volume_vs_sigma,
     sweep_volume_vs_steps,
 )
+from ammlab.cli import main
 from ammlab.harness import TABLE_COLUMNS, plan_chunks
 
 BASE = ExperimentConfig(
@@ -105,9 +106,14 @@ def test_campaign_rows_match_scalar_engine_with_fee():
 # -------------------------------------------------------------- resource plan
 
 
-def test_table_over_budget_is_refused():
-    with pytest.raises(ResourceLimitError, match="raise max_table_bytes"):
-        run_campaign(BASE, max_table_bytes=1000)
+def test_table_over_budget_is_refused(tmp_path, capsys):
+    # the fewest runs whose 56 B table rows passed 1 GiB; the command refuses them before any
+    # campaign starts, and a library campaign is guarded only by plan_chunks
+    rc = main(["simulate", "--n-runs", str((1 << 30) // 56 + 1), "--n-steps", "10",
+               "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert "resource guard: n_runs brings the working set to about" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_chunk_plan_partitions_the_runs():
