@@ -121,7 +121,8 @@ def _check_law(params: ILDistParams) -> float:
     window, Phi(s - 12), since the mean-loss integrand, e^(-s z) times the
     normal density, peaks at z = -s.  A multiplicative law must also keep
     its price 14 deviations below entry, the quadrature's lower limit,
-    positive.  sqrt_loss_range bounds the loss range.
+    positive.  sigma^2, which the price densities take whole, must be a
+    double.  sqrt_loss_range bounds the loss range.
     """
     sst = params.sigma * sqrt(params.t)
     bm = params.process is ProcessKind.BM
@@ -132,6 +133,9 @@ def _check_law(params: ILDistParams) -> float:
         raise NumericalError(f"the {law} price law puts {share:.3g} {lost} (sigma sqrt(t) "
                              f"= {sst:.3g}), over the {LEAK_TOLERANCE:g} the loss integrals "
                              "can absorb")
+    if not isfinite(params.sigma * params.sigma * params.t):
+        raise NumericalError(f"sigma^2 leaves the double range (sigma = {params.sigma:g}, "
+                             f"t = {params.t:g}), and the price densities need sigma^2 t")
     if not (bm or _price_at(params, -14.0) > 0.0):
         raise NumericalError(f"the price law at sigma sqrt(t) = {sst:.3g} reaches prices "
                              "outside the double range within 14 standard deviations of entry")
@@ -177,8 +181,9 @@ def expected_lvr(liquidity: float, p0: float, sigma: float, t: float) -> float:
     """Mean rebalancing loss L sigma^2 t / (4 sqrt(p0)).
 
     Exact in the short-horizon limit and accurate through the intermediate
-    regime; warns once sigma^2 t reaches 1 where the price level spreads
-    enough for the running prefactor to matter.
+    regime.  In the long regime, which harness.classify_regime alone labels,
+    the price level spreads enough for the running prefactor to matter and
+    this closed form underestimates the mean; it does not warn there.
     """
     _check_positive(liquidity=liquidity, p0=p0, sigma=sigma, t=t)
     s2t = sigma * sigma * t
@@ -186,12 +191,6 @@ def expected_lvr(liquidity: float, p0: float, sigma: float, t: float) -> float:
     if not isfinite(mean):
         raise NumericalError(f"the mean rebalancing loss leaves the double range "
                              f"(sigma^2 t = {s2t:.3g}, liquidity = {liquidity:.3g})")
-    if s2t >= 1.0:
-        warnings.warn(
-            f"sigma^2 * t = {s2t:.3g} is in the long-horizon regime; "
-            "the closed form underestimates the mean there",
-            stacklevel=2,
-        )
     return mean
 
 

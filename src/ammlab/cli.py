@@ -39,13 +39,13 @@ end in a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import shutil
 import sys
 import tempfile
-import warnings
 from dataclasses import asdict, fields
 from math import ceil, isfinite, sqrt
 from pathlib import Path
@@ -232,9 +232,10 @@ STEP_BUDGET = 10**9  # walks of this cost took 11-28 s on a 2-core x86 host (CHA
 # Working bytes per unit of each size, fitted with tracemalloc at two sizes of
 # every command (CHANGES.md), and the part no size scales.  A campaign adds one
 # chunk of paths and three draw blocks of at most a chunk (the draws, their
-# prices and the clamp mask), and process=both runs two.  A pass of the walk loop
-# costs about 1000 walk-steps and the loop makes several times the mean exit
-# time of passes, so each step of a pair's mean exit costs n_walks + _PASS_WALKS.
+# prices and the clamp mask); process=both counts one campaign, since it frees
+# each once its files are written.  A pass of the walk loop costs about 1000
+# walk-steps and the loop makes several times the mean exit time of passes, so
+# each step of a pair's mean exit costs n_walks + _PASS_WALKS.
 _UNIT_BYTES = {"n_runs": 240, "kept_bin": 20, "written_bin": 240, "il_points": 100,
                "n_samples": 36, "n_per_sum": 36, "n_walks": 56}
 _FIXED_BYTES, _PASS_WALKS = 2 << 20, 6000
@@ -242,9 +243,9 @@ _FIXED_BYTES, _PASS_WALKS = 2 << 20, 6000
 
 def _cast(mode: str, keys: tuple[str, ...], strings: dict[str, str]) -> dict:
     """Parse a mode's config strings, then apply the rules across keys before any
-    work: only simulate runs both processes at once, and no command may pass the
-    byte budget, nor first-passage the walk-step budget over its barrier pairs,
-    (-k, k) and (-k, 1) for each k of a scan."""
+    work: only simulate runs both processes, one campaign after the other, and no
+    command may pass the byte budget, nor first-passage the walk-step budget over
+    its barrier pairs, (-k, k) and (-k, 1) for each k of a scan."""
     cfg = {k: _KEYS[k][0](k, strings[k]) for k in keys}
     if cfg.get("process") == "both" and mode != "simulate":
         raise ConfigError(f"{mode} needs process=bm or process=gbm")
@@ -261,7 +262,7 @@ def _cast(mode: str, keys: tuple[str, ...], strings: dict[str, str]) -> dict:
     if "bins" in cfg:  # a sweep writes none of its histograms
         written = _UNIT_BYTES["written_bin"] * (not mode.startswith("sweep"))
         cost["bins"] = max(cfg["bins"], 0) * (hists * _UNIT_BYTES["kept_bin"] + written)
-    total = _FIXED_BYTES + (1 + (cfg.get("process") == "both")) * sum(cost.values())
+    total = _FIXED_BYTES + sum(cost.values())
     if total > BYTE_BUDGET:
         key = max(cost, key=cost.get)
         raise ResourceLimitError(f"{key} brings the working set to about {total} bytes, over "
@@ -378,43 +379,42 @@ def _run_simulate(cfg: dict, bundle: Bundle) -> list[str]:
     notes = []
     summaries: dict[str, dict] = {}
     for kind in kinds:
-        prefix = f"{kind.value}_" if both else ""
-        conf = _campaign_config(cfg, kind)
-        result = run_campaign(conf)
-        summaries[kind.value] = result.summary
-        bundle.write_json(
-            f"{prefix}summary.json",
-            {"config": asdict(conf), "summary": result.summary},
-            "campaign configuration and ensemble summary",
-        )
-        for name, hist in result.histograms.items():
-            bundle.write_histogram(f"{prefix}hist_{name}.json", name, hist)
-        if conf.observables is Observables.POOL:
-            rows = ([i, *row] for i, row in enumerate(result.table))
-            bundle.write_csv(f"{prefix}table.csv", ["run_index", *TABLE_COLUMNS], rows,
-                             "per-run metrics, one row per seeded run")
-            notes.append(
-                f"{kind.value}: mean_lvr={result.summary['mean_lvr']:.6g} "
-                f"mean_il={result.summary['mean_il']:.6g} "
-                f"mean_volume={result.summary['mean_volume']:.6g} "
-                f"regime={result.summary['regime']}"
-            )
-        else:
-            bundle.write_csv(
-                f"{prefix}price_density.csv",
-                ["price", "bin_width", "count", "empirical_density", "analytic_density"],
-                _price_density_rows(result.histograms["final_price"], kind,
-                                    conf.p0, conf.sigma, conf.n_steps),
-                "endpoint price histogram against the analytic density",
-            )
-            notes.append(
-                f"{kind.value}: mean_final_price={result.summary['mean_final_price']:.6g} "
-                f"regime={result.summary['regime']}"
-            )
+        conf, prefix = _campaign_config(cfg, kind), f"{kind.value}_" if both else ""
+        summary = summaries[kind.value] = _write_campaign(conf, prefix, bundle)
+        means = (("mean_lvr", "mean_il", "mean_volume") if conf.observables is Observables.POOL
+                 else ("mean_final_price",))
+        notes.append(" ".join([f"{kind.value}:", *(f"{k}={summary[k]:.6g}" for k in means),
+                               f"regime={summary['regime']}"]))
     if both:
         bundle.write_json("compare.json", summaries,
                           "per-process summaries on matched per-run seeds")
     return notes
+
+
+def _write_campaign(conf: ExperimentConfig, prefix: str, bundle: Bundle) -> dict:
+    """Run one campaign and write its files; only its summary outlives the call,
+    so process=both holds one campaign at a time."""
+    result = run_campaign(conf)
+    bundle.write_json(
+        f"{prefix}summary.json",
+        {"config": asdict(conf), "summary": result.summary},
+        "campaign configuration and ensemble summary",
+    )
+    for name, hist in result.histograms.items():
+        bundle.write_histogram(f"{prefix}hist_{name}.json", name, hist)
+    if conf.observables is Observables.POOL:
+        bundle.write_csv(f"{prefix}table.csv", ["run_index", *TABLE_COLUMNS],
+                         ([i, *row] for i, row in enumerate(result.table)),
+                         "per-run metrics, one row per seeded run")
+    else:
+        bundle.write_csv(
+            f"{prefix}price_density.csv",
+            ["price", "bin_width", "count", "empirical_density", "analytic_density"],
+            _price_density_rows(result.histograms["final_price"], conf.kind,
+                                conf.p0, conf.sigma, conf.n_steps),
+            "endpoint price histogram against the analytic density",
+        )
+    return result.summary
 
 
 def _run_il_pdf(cfg: dict, bundle: Bundle) -> list[str]:
@@ -452,15 +452,19 @@ def _run_il_pdf(cfg: dict, bundle: Bundle) -> list[str]:
     ]
 
 
+def _law_fields(params: ILDistParams) -> dict:
+    """What il-mean and lvr-mean both write: the law, sigma^2 t and its regime."""
+    s2t = params.sigma * params.sigma * params.t
+    return {"params": asdict(params), "sigma2_t": s2t, "regime": classify_regime(s2t).value}
+
+
 def _run_il_mean(cfg: dict, bundle: Bundle) -> list[str]:
     params = _dist_params(cfg)
     # the quadratures refuse a bad law before scale can overflow; keys are sorted on write
     payload = {
         "mean_via_price_integral": expected_il_quadrature(params),
         "mean_via_density": analytic_il_mean(params),
-        "params": asdict(params),
-        "sigma2_t": params.sigma * params.sigma * params.t,
-        "regime": classify_regime(params.sigma * params.sigma * params.t).value,
+        **_law_fields(params),
         "small_sigma_mean": params.scale,
     }
     if params.process is ProcessKind.GBM:
@@ -472,22 +476,13 @@ def _run_il_mean(cfg: dict, bundle: Bundle) -> list[str]:
 
 
 def _run_lvr_mean(cfg: dict, bundle: Bundle) -> list[str]:
-    liq, p0, sigma, t = cfg["liquidity"], cfg["p0"], cfg["sigma"], cfg["t"]
-    gbm = cfg["process"] == ProcessKind.GBM
+    params = _dist_params(cfg)
+    liq, p0, sigma, t = params.liquidity, params.p0, params.sigma, params.t
+    gbm = params.process is ProcessKind.GBM
     if gbm and t != int(t):
         raise ConfigError(f"t must be a whole number under gbm, got {t}: the any-horizon "
                           "mean sums the per-step loss over whole steps")
-    s2t = sigma * sigma * t
-    with warnings.catch_warnings():
-        # the long-regime warning says what "regime" already records
-        warnings.simplefilter("ignore")
-        small_sigma_mean = expected_lvr(liq, p0, sigma, t)
-    payload = {
-        "params": {k: cfg[k] for k in _IL_KEYS},
-        "sigma2_t": s2t,
-        "regime": classify_regime(s2t).value,
-        "small_sigma_mean": small_sigma_mean,
-    }
+    payload = {"small_sigma_mean": expected_lvr(liq, p0, sigma, t), **_law_fields(params)}
     if gbm:
         payload["gbm_any_horizon_mean"] = expected_lvr_gbm(liq, p0, sigma, int(t))
     bundle.write_json("analytic.json", payload, "mean cumulative rebalancing loss")
@@ -688,6 +683,7 @@ def _execute(command: tuple[str, ...], cfg: dict, out: Path) -> list[str]:
     """
     runner = _COMMANDS[command][2]
     _check_replaceable(out)
+    made = [d for d in (out.parent, *out.parent.parents) if not os.path.lexists(d)]
     out.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
     try:
@@ -708,6 +704,11 @@ def _execute(command: tuple[str, ...], cfg: dict, out: Path) -> list[str]:
     finally:
         # after a successful rename the stage is gone and this does nothing
         shutil.rmtree(stage, ignore_errors=True)
+        # a failed run also removes the directories it made; rmdir spares a filled one
+        if not os.path.lexists(out):
+            for parent in made:
+                with contextlib.suppress(OSError):
+                    parent.rmdir()
     return notes + [f"wrote {n_files} files to {out}"]
 
 

@@ -1,6 +1,7 @@
 """Closed forms, the loss density, and the small sampling experiments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,9 +57,12 @@ def test_expected_lvr_scales_linearly_in_liquidity_and_time():
     assert expected_lvr(10000.0, 100.0, 0.001, 500.0) == pytest.approx(base / 2)
 
 
-def test_expected_lvr_warns_in_long_regime():
-    with pytest.warns(UserWarning, match="long-horizon"):
-        expected_lvr(10000.0, 100.0, 0.05, 1000.0)
+def test_expected_lvr_does_not_warn_in_long_regime():
+    # sigma^2 t = 2.5: the regime label alone says where the long regime begins
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = expected_lvr(10000.0, 100.0, 0.05, 1000.0)
+    assert mean == pytest.approx(10000.0 * 0.05**2 * 1000.0 / 40.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("liquidity, sigma", [(10000.0, 1e160), (1e300, 1e5), (1e308, 10.0)],

@@ -150,7 +150,8 @@ def test_non_finite_number_exits_2(tmp_path, capsys, argv, key):
     (["analytic", "il-pdf", "--liquidity", "-1"], "p0 and liquidity must be positive"),
     (["analytic", "il-pdf", "--il-points", "-1"], "il_points must be at least 2, got -1"),
     (["analytic", "il-pdf", "--il-points", "1"], "il_points must be at least 2, got 1"),
-    (["analytic", "lvr-mean", "--sigma", "0"], "sigma must be positive, got 0.0"),
+    pytest.param(["analytic", "lvr-mean", "--sigma", "0"], "sigma and t must be positive",
+                 id="analytic lvr-mean --sigma 0"),
     (["analytic", "lvr-mean", "--t", "0.4"], "t must be a whole number under gbm, got 0.4"),
     (["analytic", "lvr-mean", "--t", "2.5"], "t must be a whole number under gbm, got 2.5"),
     (["analytic", "first-passage", "--n-walks", "0"], "n_walks must be positive, got 0"),
@@ -207,6 +208,40 @@ def test_library_input_check_exits_2(tmp_path, capsys, argv, message):
     rc = main(argv + ["--out", str(tmp_path / "x")])
     assert rc == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=" ".join(argv)) for argv in (
+        ["--p0", "0"],
+        ["--liquidity", "-1"],
+        ["--sigma", "0"],
+        ["--t", "-1"],
+        ["--sigma", "1e160", "--t", "1e-320"],
+        ["--sigma", "1e-160", "--t", "1e300"],
+        ["--process", "bm", "--sigma", "1e-100", "--t", "1e-120"],
+    )
+])
+def test_il_mean_and_lvr_mean_refuse_the_same_laws(tmp_path, capsys, argv):
+    # the two means the regimes are read from check one law record
+    answers = []
+    for command in ("il-mean", "lvr-mean"):
+        rc = main(["analytic", command, *argv, "--out", str(tmp_path / "x")])
+        answers.append((rc, capsys.readouterr().err))
+    assert answers[0] == answers[1]
+    rc, err = answers[0]
+    assert rc == 2 and err.startswith("config error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(argv, code, id=" ".join(argv)) for argv, code in (
+        (["simulate", "--n-runs", "0"], 2),
+        (["simulate", "--sigma", "1e200", "--n-runs", "10", "--n-steps", "10"], 4),
+    )
+])
+def test_a_refused_run_removes_the_directories_it_made(tmp_path, capsys, argv, code):
+    assert main(argv + ["--out", str(tmp_path / "missing" / "deep" / "b")]) == code
     assert list(tmp_path.iterdir()) == []
 
 
@@ -993,8 +1028,9 @@ def _steps(pairs, steps):
          _bytes("bins", 140074751744), "run_campaign"),
         (["simulate", "--n-runs", "4.3e6", "--n-steps", "10"],
          _bytes("n_runs", 1104370744), "run_campaign"),
-        (["simulate", "--process", "both", "--n-runs", "2.2e6", "--n-steps", "10"],
-         _bytes("n_runs", 1198644336), "run_campaign"),
+        # process=both runs one campaign at a time, so it counts as one
+        (["simulate", "--process", "both", "--n-runs", "4.3e6", "--n-steps", "10"],
+         _bytes("n_runs", 1104370744), "run_campaign"),
         # the walk-steps of a scan or a pair: (n_walks + 6000) times the mean exit times
         (["analytic", "first-passage", "--k-list", "2,100000", "--n-walks", "10"],
          _steps("k_list", 60100601036060), "first_passage"),
@@ -1039,7 +1075,7 @@ def _budget_verdict(command, **strings):
                  id=" ".join([*command, *(f"--{k}={v}" for k, v in strings.items()), key]))
     for command, key, largest, strings in (
         (("simulate",), "n_runs", 4172379, {}),
-        (("simulate",), "n_runs", 1939786, {"process": "both"}),
+        (("simulate",), "n_runs", 4172379, {"process": "both"}),
         (("simulate",), "bins", 2628921, {}),
         (("simulate",), "bins", 3842269, {"observables": "prices"}),
         (("sweep", "sigma"), "bins", 7135643, {}),
@@ -1068,6 +1104,8 @@ _SIZE = "{size}"
 @pytest.mark.parametrize("argv, sizes", [
     pytest.param(argv, sizes, id=" ".join(argv)) for argv, sizes in (
         (["simulate", "--n-steps", "10", "--n-runs", _SIZE], (5_000, 10_000)),
+        (["simulate", "--process", "both", "--n-steps", "10", "--n-runs", _SIZE],
+         (5_000, 10_000)),
         (["simulate", "--observables", "prices", "--n-runs", "10", "--n-steps", _SIZE],
          (50_000, 100_000)),
         (["simulate", "--n-runs", "10", "--n-steps", "10", "--bins", _SIZE], (5_000, 10_000)),
@@ -1214,8 +1252,12 @@ _LVR_RANGE = "the mean rebalancing loss leaves the double range"
         (["lvr-mean", "--liquidity", "1e300", "--sigma", "1e5", "--t", "1"], _LVR_RANGE),
         (["lvr-mean", "--process", "bm", "--liquidity", "1e300", "--sigma", "1e5", "--t", "1"],
          _LVR_RANGE),
+        # sigma sqrt(t) is about 2.3, but sigma^2 overflows
+        *(([command, "--sigma", "1.5e154", "--t", "2.3e-308"], "sigma^2 leaves the double range")
+          for command in ("il-mean", "il-pdf", "sample-il", "clt-sum")),
     )),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_analytic_means_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason):
     # a gbm law deep in the long regime, whose mean loss reaches past the
     # 12-deviation loss range from sigma sqrt(t) of about 6 on; a law whose
@@ -1224,7 +1266,7 @@ def test_analytic_means_outside_the_double_range_exit_4(tmp_path, capsys, argv, 
     rc = main(["analytic", *argv, "--out", str(tmp_path / "x")])
     assert rc == 4
     err = capsys.readouterr().err
-    assert "numerical failure" in err and reason in err
+    assert err.startswith("numerical failure: ") and reason in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 
