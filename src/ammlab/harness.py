@@ -13,7 +13,10 @@ from the whole table.  Chunks are sized by a byte budget on the chunk price
 matrix, so the chunk boundaries are a pure function of the configuration.
 The matrix is the chunk's only full-size array: its normal draws are staged
 through one small reused block of runs, and each block's prices are
-written into its columns before the next block is drawn.
+written into its columns before the next block is drawn.  A sweep hands
+its campaigns one memo of the last chunk matrix, keyed on the arguments
+that built it, so when consecutive campaigns share their paths (a fee
+sweep's do) each chunk's paths are built once.
 
 Arbitrage against the reference price.  With a proportional fee f the pool
 is only worth trading once the reference price leaves a no-trade band
@@ -378,9 +381,16 @@ def _metrics_prices_only(prices: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compute_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+def _compute_chunk(config: ExperimentConfig, lo: int, hi: int, paths: dict) -> np.ndarray:
     seeds = _chunk_seeds(config, lo, hi)
-    prices = simulate_price_matrix(config.kind, config.p0, config.sigma, config.n_steps, seeds)
+    # paths holds one matrix under simulate_price_matrix's arguments; a miss drops it
+    # before the next build, so at most one chunk of paths is ever alive
+    key = (config.kind, config.p0, config.sigma, config.n_steps, seeds.tobytes())
+    prices = paths.get(key)
+    if prices is None:
+        paths.clear()
+        prices = paths[key] = simulate_price_matrix(*key[:4], seeds)
+        prices.flags.writeable = False  # shared with later campaigns; arbitrage only reads
     if config.observables is Observables.PRICES:
         return _metrics_prices_only(prices)
     try:
@@ -418,17 +428,21 @@ def _summarize(config: ExperimentConfig, table: np.ndarray) -> dict:
 
 
 def run_campaign(
-    config: ExperimentConfig, *, chunk_bytes: int = DEFAULT_CHUNK_BYTES
+    config: ExperimentConfig, *, chunk_bytes: int = DEFAULT_CHUNK_BYTES, paths: dict | None = None
 ) -> CampaignResult:
     """Evaluate the configuration over its run ensemble.
 
-    Raises ResourceLimitError when one path alone overflows the chunk budget.
+    paths, when given, holds the last chunk's price matrix between calls, so a
+    campaign on the same paths as the previous one reuses it instead of
+    building it again; None starts empty.  Raises ResourceLimitError when one
+    path alone overflows the chunk budget.
     """
+    paths = {} if paths is None else paths
     full = np.empty((config.n_runs, _N_COLS), dtype=float)
     # Histogram.from_samples, not numpy warnings, reports paths leaving the double range
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo, hi in plan_chunks(config.n_runs, config.n_steps, chunk_bytes):
-            full[lo:hi] = _compute_chunk(config, lo, hi)
+            full[lo:hi] = _compute_chunk(config, lo, hi, paths)
     histograms = {
         name: Histogram.from_samples(_observable_values(full, name), bins=config.bins)
         for name in config.histogram_names()
@@ -450,7 +464,8 @@ def _sweep_summaries(base: ExperimentConfig, changes: list[dict]) -> list[dict]:
     """Summaries of one campaign per change to base, in order, all on base.seed."""
     if base.observables is not Observables.POOL:
         raise ConfigError("sweeps report pool metrics, so observables must be pool")
-    return [run_campaign(replace(base, **change)).summary for change in changes]
+    paths: dict = {}  # consecutive campaigns on the same paths build each chunk once
+    return [run_campaign(replace(base, **change), paths=paths).summary for change in changes]
 
 
 def sweep_volume_vs_sigma(base: ExperimentConfig, sigmas) -> dict:

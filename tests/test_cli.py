@@ -1113,6 +1113,8 @@ _SIZE = "{size}"
           "--bins", _SIZE], (10_000, 20_000)),
         (["sweep", "fee", "--fees", "0.001", "--n-steps", "10", "--n-runs", _SIZE],
          (5_000, 10_000)),
+        (["sweep", "fee", "--fees", "0.001,0.002,0.004", "--n-steps", "10", "--n-runs", _SIZE],
+         (5_000, 10_000)),
         (["sweep", "steps", "--n-runs", "10", "--steps-list", f"10,{_SIZE}"], (5_000, 10_000)),
         (["sweep", "sigma", "--sigmas", "0.001,0.002", "--n-runs", "10", "--n-steps", "10",
           "--bins", _SIZE], (50_000, 100_000)),

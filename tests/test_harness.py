@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from ammlab import (
     RegimeLabel,
     ResourceLimitError,
     TradeTarget,
+    arbitrage,
     classify_regime,
     derive_run_seed,
     run_campaign,
@@ -29,7 +31,7 @@ from ammlab import (
     sweep_volume_vs_steps,
 )
 from ammlab.cli import main
-from ammlab.harness import TABLE_COLUMNS, plan_chunks
+from ammlab.harness import _ROW_KEYS, TABLE_COLUMNS, plan_chunks
 
 BASE = ExperimentConfig(
     kind=ProcessKind.GBM,
@@ -406,30 +408,72 @@ def test_sweep_validation(monkeypatch):
 _SEAM_BASE = replace(BASE, fee=0.0, sigma=0.01, n_steps=16, n_runs=20, seed=71009)
 
 
-@pytest.mark.parametrize("sweep, values, changes, keys", [
-    (sweep_fee, [0.001, 0.01], [{"fee": 0.0}, {"fee": 0.001}, {"fee": 0.01}],
-     {"rows", "fits", "baseline"}),
-    (sweep_volume_vs_sigma, [0.002, 0.001], [{"sigma": 0.002}, {"sigma": 0.001}],
-     {"rows", "fits"}),
-    (sweep_volume_vs_steps, [64, 4],
+@pytest.mark.parametrize("sweep, base, values, changes, keys, builds", [
+    (sweep_fee, _SEAM_BASE, [0.001, 0.01], [{"fee": 0.0}, {"fee": 0.001}, {"fee": 0.01}],
+     {"rows", "fits", "baseline"}, 1),
+    (sweep_volume_vs_sigma, _SEAM_BASE, [0.002, 0.001], [{"sigma": 0.002}, {"sigma": 0.001}],
+     {"rows", "fits"}, 2),
+    (sweep_volume_vs_steps, _SEAM_BASE, [64, 4],
      [{"n_steps": n, "sigma": math.sqrt(_SEAM_BASE.sigma2_t / n)} for n in (64, 4)],
-     {"rows", "fits"}),
-], ids=["fee", "sigma", "steps"])
-def test_sweep_runs_one_campaign_per_point_in_order(monkeypatch, sweep, values, changes, keys):
-    # the fee sweep's fee-free baseline runs first; every campaign keeps base.seed
-    seen = []
+     {"rows", "fits"}, 2),
+    (sweep_fee, replace(_SEAM_BASE, target=TradeTarget.MARGINAL), [0.001, 0.002, 0.01],
+     [{"fee": 0.0}, {"fee": 0.001}, {"fee": 0.002}, {"fee": 0.01}],
+     {"rows", "fits", "baseline"}, 1),
+], ids=["fee", "sigma", "steps", "fee-marginal"])
+def test_sweep_runs_one_campaign_per_point_in_order(monkeypatch, sweep, base, values, changes,
+                                                    keys, builds):
+    # the fee sweep's fee-free baseline runs first; every campaign keeps base.seed, and
+    # one that shares the previous campaign's paths reuses its price matrix (one chunk each)
+    seen, built = [], []
 
     def counting(config, **budgets):
         seen.append(config)
         return run_campaign(config, **budgets)
 
+    def building(*args):
+        built.append(args)
+        return simulate_price_matrix(*args)
+
     monkeypatch.setattr("ammlab.harness.run_campaign", counting)
-    swept = sweep(_SEAM_BASE, values)
-    assert seen == [replace(_SEAM_BASE, **change) for change in changes]
+    monkeypatch.setattr("ammlab.harness.simulate_price_matrix", building)
+    swept = sweep(base, values)
+    assert len(built) == builds
+    assert seen == [replace(base, **change) for change in changes]
     assert set(swept) == keys
-    assert len(swept["rows"]) == len(values)
+    # every row is what its campaign gives when it runs alone
+    alone = [run_campaign(config).summary for config in seen]
     if "baseline" in swept:
-        assert swept["baseline"] == run_campaign(seen[0]).summary
+        assert swept["baseline"] == alone.pop(0)
+    assert [{k: row[k] for k in _ROW_KEYS} for row in swept["rows"]] == [
+        {k: summary[k] for k in _ROW_KEYS} for summary in alone]
+
+
+def test_a_shared_memo_holds_one_read_only_chunk_matrix():
+    # three chunks each, so the second campaign's first chunk misses the held last chunk
+    # of the first: the held matrix is dropped before the build, so no two chunk
+    # matrices are ever alive and the pair peaks like one campaign alone
+    config = replace(BASE, n_steps=1000, n_runs=1800)
+    other = replace(config, fee=0.0)
+    budget = 600 * (config.n_steps + 1) * 8
+    assert len(plan_chunks(config.n_runs, config.n_steps, budget)) == 3
+    other_alone = run_campaign(other, chunk_bytes=budget).table
+    paths: dict = {}
+    tracemalloc.start()
+    try:
+        config_alone = run_campaign(config, chunk_bytes=budget).table
+        alone_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        shared = [run_campaign(c, chunk_bytes=budget, paths=paths).table for c in (config, other)]
+        pair_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [t.tobytes() for t in shared] == [config_alone.tobytes(), other_alone.tobytes()]
+    assert pair_peak <= 1.05 * alone_peak, (pair_peak, alone_peak)
+    assert alone_peak < 2 * budget, (alone_peak, budget)
+    (held,) = paths.values()
+    with pytest.raises(ValueError):
+        held[0, 0] = 1.0
+    assert arbitrage(held, 1e4, 0.002).tobytes() == arbitrage(held.copy(), 1e4, 0.002).tobytes()
 
 
 def test_result_column_accessor():
