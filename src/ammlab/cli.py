@@ -22,8 +22,8 @@ which also holds the one rule across keys: process=both is for simulate only.
 
 Each command is one `_COMMANDS` entry: its mode, its config keys and its
 runner.  A runner only computes and writes: runner(cfg, bundle) fills the
-bundle it is handed and returns the lines to print.  `_execute` alone creates
-the bundle, seals it and publishes it.
+bundle it is handed and returns the lines to print.  `_execute` creates,
+seals and publishes it; replay only seals a re-run in a temporary directory.
 
 A bundle is written into a hidden sibling of <out> and renamed into place
 once sealed, so it appears whole or not at all.  A rerun into a bundle
@@ -71,14 +71,13 @@ from .analytics import (
 )
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .harness import (
-    _DRAW_BLOCK_BYTES,
     _POOL_HISTOGRAMS,
-    DEFAULT_CHUNK_BYTES,
     TABLE_COLUMNS,
     BandRule,
     ExperimentConfig,
     Observables,
     TradeTarget,
+    chunk_working_bytes,
     classify_regime,
     run_campaign,
     sweep_fee,
@@ -230,10 +229,10 @@ def _resolve(args: argparse.Namespace, mode: str, keys: tuple[str, ...]) -> dict
 BYTE_BUDGET = 1 << 30
 STEP_BUDGET = 10**9  # walks of this cost took 11-28 s on a 2-core x86 host (CHANGES.md)
 # Working bytes per unit of each size, fitted with tracemalloc at two sizes of
-# every command (CHANGES.md), and the part no size scales.  A campaign adds one
-# chunk of paths and three draw blocks of at most a chunk (the draws, their
-# prices and the clamp mask); process=both counts one campaign, since it frees
-# each once its files are written.  A pass of the walk loop costs about 1000
+# every command (CHANGES.md), and the part no size scales.  A campaign adds what
+# harness.chunk_working_bytes says one chunk of the command's longest paths
+# holds; process=both counts one campaign, since it frees each once its files
+# are written.  A pass of the walk loop costs about 1000
 # walk-steps and the loop makes several times the mean exit time of passes, so
 # each step of a pair's mean exit costs n_walks + _PASS_WALKS.
 _UNIT_BYTES = {"n_runs": 240, "kept_bin": 20, "written_bin": 240, "il_points": 100,
@@ -243,9 +242,9 @@ _FIXED_BYTES, _PASS_WALKS = 2 << 20, 6000
 
 def _cast(mode: str, keys: tuple[str, ...], strings: dict[str, str]) -> dict:
     """Parse a mode's config strings, then apply the rules across keys before any
-    work: only simulate runs both processes, one campaign after the other, and no
-    command may pass the byte budget, nor first-passage the walk-step budget over
-    its barrier pairs, (-k, k) and (-k, 1) for each k of a scan."""
+    work: only simulate runs both processes, one campaign after the other, no path
+    may pass the chunk budget nor any command the byte budget, nor first-passage
+    the walk-step budget over its barrier pairs, (-k, k) and (-k, 1) for each k."""
     cfg = {k: _KEYS[k][0](k, strings[k]) for k in keys}
     if cfg.get("process") == "both" and mode != "simulate":
         raise ConfigError(f"{mode} needs process=bm or process=gbm")
@@ -255,9 +254,7 @@ def _cast(mode: str, keys: tuple[str, ...], strings: dict[str, str]) -> dict:
     hists = 1
     if "n_runs" in cfg:
         step_counts = cfg.get("steps_list") or [cfg["n_steps"]]  # sweep-steps runs its list
-        path = 8 * (max(0, *step_counts) + 1)
-        chunk = min(DEFAULT_CHUNK_BYTES, max(cfg["n_runs"], 0) * path)
-        cost["n_runs"] += chunk + 3 * min(max(_DRAW_BLOCK_BYTES, path), chunk)
+        cost["n_runs"] += chunk_working_bytes(max(cfg["n_runs"], 0), max(0, *step_counts))
         hists = len(_POOL_HISTOGRAMS) if cfg["observables"] == Observables.POOL else 1
     if "bins" in cfg:  # a sweep writes none of its histograms
         written = _UNIT_BYTES["written_bin"] * (not mode.startswith("sweep"))
@@ -322,7 +319,7 @@ class Bundle:
             f.writelines(template % tuple(row) for row in rows)
         self.schema[name] = {"kind": "csv", "columns": columns, "description": description}
 
-    def seal(self, command: list[str], config: dict) -> int:
+    def seal(self, command: list[str], config: dict) -> list[dict]:
         self.write_json("schema.json", {"files": self.schema},
                         "description of every file in this bundle")
         outputs = []
@@ -339,7 +336,7 @@ class Bundle:
         (self.dir / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
-        return len(outputs) + 1
+        return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -684,12 +681,16 @@ def _execute(command: tuple[str, ...], cfg: dict, out: Path) -> list[str]:
     runner = _COMMANDS[command][2]
     _check_replaceable(out)
     made = [d for d in (out.parent, *out.parent.parents) if not os.path.lexists(d)]
-    out.parent.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    stage = None
     try:
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            stage = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+        except OSError as exc:
+            raise ConfigError(f"cannot create bundle directory {out}: {exc}") from None
         bundle = Bundle(stage)
         notes = runner(cfg, bundle)
-        n_files = bundle.seal(list(command), cfg)
+        n_files = len(bundle.seal(list(command), cfg)) + 1  # the outputs and the manifest
         # mkdtemp makes a private (0700) directory; publish with mkdir's mode
         umask = os.umask(0)
         os.umask(umask)
@@ -703,7 +704,8 @@ def _execute(command: tuple[str, ...], cfg: dict, out: Path) -> list[str]:
             os.rename(stage, out)
     finally:
         # after a successful rename the stage is gone and this does nothing
-        shutil.rmtree(stage, ignore_errors=True)
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
         # a failed run also removes the directories it made; rmdir spares a filled one
         if not os.path.lexists(out):
             for parent in made:
@@ -754,10 +756,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         raise ConfigError(f"manifest names unknown command {list(command)}")
     cfg = _manifest_config(manifest["config"], command)
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "replay"
-        _execute(command, cfg, out)
-        outputs = _read_manifest(out / "manifest.json")["outputs"]
-    fresh = {entry["path"]: entry["sha256"] for entry in outputs}
+        bundle = Bundle(Path(tmp))
+        _COMMANDS[command][2](cfg, bundle)
+        fresh = {entry["path"]: entry["sha256"] for entry in bundle.seal(list(command), cfg)}
     stored = {entry["path"]: entry["sha256"] for entry in manifest["outputs"]}
     bundle_dir = path.parent
     mismatches = 0

@@ -8,15 +8,16 @@ kernel, and results do not depend on chunking.
 
 A campaign is one pass over fixed run chunks: each chunk builds a step-major
 price matrix, one column per run, and the arbitrage kernel fills its rows of
-the per-run metric table; then the summary and the histograms are built
-from the whole table.  Chunks are sized by a byte budget on the chunk price
+the per-run metric table; then the summary and the histograms are built from
+the whole table.  Chunks are sized by a byte budget on the chunk price
 matrix, so the chunk boundaries are a pure function of the configuration.
 The matrix is the chunk's only full-size array: its normal draws are staged
-through one small reused block of runs, and each block's prices are
-written into its columns before the next block is drawn.  A sweep hands
-its campaigns one memo of the last chunk matrix, keyed on the arguments
-that built it, so when consecutive campaigns share their paths (a fee
-sweep's do) each chunk's paths are built once.
+through one small reused block of runs, and each block's prices are written
+into its columns before the next block is drawn; chunk_working_bytes states
+what a chunk holds.  A sweep builds and checks every campaign's record first,
+then hands its campaigns one memo of the last chunk matrix, keyed on the
+arguments that built it, so when consecutive campaigns share their paths (a
+fee sweep's do) each chunk's paths are built once.
 
 Arbitrage against the reference price.  With a proportional fee f the pool
 is only worth trading once the reference price leaves a no-trade band
@@ -75,6 +76,7 @@ __all__ = [
     "CampaignResult",
     "classify_regime",
     "plan_chunks",
+    "chunk_working_bytes",
     "simulate_price_matrix",
     "run_campaign",
     "sweep_volume_vs_sigma",
@@ -232,18 +234,29 @@ class CampaignResult:
         return self.table[:, TABLE_COLUMNS.index(name)]
 
 
+def _path_bytes(n_steps: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> int:
+    """Bytes of one price path, refused when the path alone overflows chunk_bytes."""
+    path_bytes = (n_steps + 1) * 8
+    if path_bytes > chunk_bytes:
+        raise ResourceLimitError(f"a single path of {n_steps} steps needs {path_bytes} bytes, "
+                                 f"over the {chunk_bytes}-byte chunk budget; lower n_steps or "
+                                 "raise the budget")
+    return path_bytes
+
+
 def plan_chunks(
     n_runs: int, n_steps: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES
 ) -> list[tuple[int, int]]:
     """Fixed [start, stop) run ranges whose price matrices fit chunk_bytes."""
-    path_bytes = (n_steps + 1) * 8
-    if path_bytes > chunk_bytes:
-        raise ResourceLimitError(
-            f"a single path of {n_steps} steps needs {path_bytes} bytes, over the "
-            f"{chunk_bytes}-byte chunk budget; lower n_steps or raise the budget"
-        )
-    runs = max(1, chunk_bytes // path_bytes)
+    runs = max(1, chunk_bytes // _path_bytes(n_steps, chunk_bytes))
     return [(a, min(a + runs, n_runs)) for a in range(0, n_runs, runs)]
+
+
+def chunk_working_bytes(n_runs: int, n_steps: int) -> int:
+    """Bytes a campaign's chunk holds: its price matrix and three draw blocks of at most a chunk."""
+    path = _path_bytes(n_steps)
+    chunk = min(DEFAULT_CHUNK_BYTES, n_runs * path)
+    return chunk + 3 * min(max(_DRAW_BLOCK_BYTES, path), chunk)
 
 
 def simulate_price_matrix(
@@ -464,8 +477,10 @@ def _sweep_summaries(base: ExperimentConfig, changes: list[dict]) -> list[dict]:
     """Summaries of one campaign per change to base, in order, all on base.seed."""
     if base.observables is not Observables.POOL:
         raise ConfigError("sweeps report pool metrics, so observables must be pool")
+    configs = [replace(base, **change) for change in changes]  # built before any campaign runs
+    _path_bytes(max(config.n_steps for config in configs))  # the longest path, as cli._cast does
     paths: dict = {}  # consecutive campaigns on the same paths build each chunk once
-    return [run_campaign(replace(base, **change), paths=paths).summary for change in changes]
+    return [run_campaign(config, paths=paths).summary for config in configs]
 
 
 def sweep_volume_vs_sigma(base: ExperimentConfig, sigmas) -> dict:

@@ -23,8 +23,10 @@ from ammlab import (
     pdf_bm,
     run_campaign,
     sqrt_loss_range,
+    sweep_fee,
+    sweep_volume_vs_steps,
 )
-from ammlab import cli, presets
+from ammlab import cli, harness, presets
 from ammlab.cli import build_parser, main, read_config_file
 from ammlab.presets import preset_names
 
@@ -243,6 +245,17 @@ def test_il_mean_and_lvr_mean_refuse_the_same_laws(tmp_path, capsys, argv):
 def test_a_refused_run_removes_the_directories_it_made(tmp_path, capsys, argv, code):
     assert main(argv + ["--out", str(tmp_path / "missing" / "deep" / "b")]) == code
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_below_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "afile").write_text("x\n")
+    before = _tree(tmp_path)
+    out = tmp_path / "afile" / "sub"
+    assert main(["simulate", "--n-runs", "10", "--n-steps", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create bundle directory {out}: ")
+    assert err.count("\n") == 1  # no traceback
+    assert _tree(tmp_path) == before
 
 
 def test_plain_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
@@ -1058,6 +1071,41 @@ def test_oversized_inputs_exit_3_before_any_work(tmp_path, capsys, monkeypatch, 
     assert calls == []
     assert _tree(out) == before
     assert [p.name for p in tmp_path.iterdir()] == ["b"]
+
+
+_LONG_PATH = ("a single path of 9000000 steps needs 72000008 bytes, over the 67108864-byte "
+              "chunk budget; lower n_steps or raise the budget")
+
+
+@pytest.mark.parametrize("study, code, message", [
+    pytest.param(["sweep", "fee", "--fees", "0.001,1.5"], 2, "fee must lie in [0, 1), got 1.5",
+                 id="sweep fee --fees 0.001,1.5"),
+    pytest.param(["sweep", "steps", "--steps-list", "10,9000000"], 3, _LONG_PATH,
+                 id="sweep steps --steps-list 10,9000000"),
+    pytest.param(lambda base: sweep_fee(base, [0.001, 1.5]), 2,
+                 "fee must lie in [0, 1), got 1.5", id="sweep_fee(base, [0.001, 1.5])"),
+    pytest.param(lambda base: sweep_volume_vs_steps(base, [10, 9_000_000]), 3, _LONG_PATH,
+                 id="sweep_volume_vs_steps(base, [10, 9_000_000])"),
+])
+def test_a_bad_sweep_entry_is_refused_before_the_first_campaign(tmp_path, capsys, monkeypatch,
+                                                                study, code, message):
+    builds = []
+    build = harness.simulate_price_matrix
+    monkeypatch.setattr(harness, "simulate_price_matrix",
+                        lambda *a: builds.append(a) or build(*a))
+    if callable(study):
+        base = ExperimentConfig(kind=ProcessKind.GBM, p0=100.0, sigma=0.004, n_steps=10,
+                                liquidity=1e4, n_runs=20)
+        error = ammlab.ConfigError if code == 2 else ammlab.ResourceLimitError
+        with pytest.raises(error) as refusal:
+            study(base)
+        assert str(refusal.value) == message
+    else:
+        assert main(study + ["--out", str(tmp_path / "b")]) == code
+        prefix = "config error" if code == 2 else "resource guard"
+        assert capsys.readouterr().err == f"{prefix}: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+    assert builds == []
 
 
 def _budget_verdict(command, **strings):
