@@ -14,7 +14,7 @@ from .presets import *  # noqa: F403
 from .stats import *  # noqa: F403
 from .stochastic import *  # noqa: F403
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # each module's __all__ is the one declaration of its public names
 __all__ = [

@@ -47,7 +47,7 @@ import shutil
 import sys
 import tempfile
 from dataclasses import asdict, fields
-from math import ceil, isfinite, sqrt
+from math import ceil, exp, isfinite, log, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -134,10 +134,6 @@ def _cast_int_list(key: str, v: str) -> list[int]:
     return [_cast_int(key, part) for part in _split(v)]
 
 
-def _cast_opt_float(key: str, v: str):
-    return None if v.strip() == "" else _cast_float(key, v)
-
-
 def _cast_seed(key: str, v: str) -> int:
     seed = _cast_int(key, v)
     if not 0 <= seed < 2**64:
@@ -174,13 +170,17 @@ _KEYS = {
     "fees": (_cast_float_list, "", "comma list of fees for sweep-fee"),
     "sigmas": (_cast_float_list, "", "comma list of volatilities for sweep-sigma"),
     "steps_list": (_cast_int_list, "", "comma list of step counts for sweep-steps"),
-    "total_variance": (_cast_opt_float, "",
-                       "sigma^2 n held fixed across sweep-steps (default: from base config)"),
+    "total_variance": (_cast_float, "0.001", "sigma^2 n held fixed across sweep-steps"),
 }
 
 # a command's keys are its record's fields, the process first as "process"
 _CAMPAIGN_KEYS = ("process", *(f.name for f in fields(ExperimentConfig) if f.name != "kind"))
 _IL_KEYS = ("process", *(f.name for f in fields(ILDistParams) if f.name != "process"))
+
+
+def _base_keys(*swept: str) -> tuple[str, ...]:
+    """A sweep's keys for its base: none its campaigns set, nor histogram bins or observables."""
+    return tuple(k for k in _CAMPAIGN_KEYS if k not in {*swept, "bins", "observables"})
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -251,14 +251,13 @@ def _cast(mode: str, keys: tuple[str, ...], strings: dict[str, str]) -> dict:
     cost = {k: max(cfg[k], 0) * _UNIT_BYTES[k] for k in _UNIT_BYTES if k in cfg}
     if "n_per_sum" in cfg:  # clt-sum draws the terms of every sum at once
         cost["n_per_sum * n_repeats"] = cost.pop("n_per_sum") * max(cfg["n_repeats"], 0)
-    hists = 1
     if "n_runs" in cfg:
-        step_counts = cfg.get("steps_list") or [cfg["n_steps"]]  # sweep-steps runs its list
-        cost["n_runs"] += chunk_working_bytes(max(cfg["n_runs"], 0), max(0, *step_counts))
-        hists = len(_POOL_HISTOGRAMS) if cfg["observables"] == Observables.POOL else 1
-    if "bins" in cfg:  # a sweep writes none of its histograms
-        written = _UNIT_BYTES["written_bin"] * (not mode.startswith("sweep"))
-        cost["bins"] = max(cfg["bins"], 0) * (hists * _UNIT_BYTES["kept_bin"] + written)
+        step_counts = cfg["steps_list"] if "steps_list" in cfg else [cfg["n_steps"]]
+        cost["n_runs"] += chunk_working_bytes(max(cfg["n_runs"], 0), max([0, *step_counts]))
+    if "bins" in cfg:
+        hists = len(_POOL_HISTOGRAMS) if cfg.get("observables") == Observables.POOL else 1
+        cost["bins"] = max(cfg["bins"], 0) * (hists * _UNIT_BYTES["kept_bin"]
+                                              + _UNIT_BYTES["written_bin"])
     total = _FIXED_BYTES + sum(cost.values())
     if total > BYTE_BUDGET:
         key = max(cost, key=cost.get)
@@ -344,9 +343,9 @@ class Bundle:
 
 
 def _campaign_config(cfg: dict, kind: ProcessKind) -> ExperimentConfig:
-    return ExperimentConfig(
-        kind=kind, **{f.name: cfg[f.name] for f in fields(ExperimentConfig) if f.name != "kind"}
-    )
+    """cfg's campaign record; a field a sweep leaves out takes its key's default."""
+    return ExperimentConfig(kind=kind, **{k: cfg[k] if k in cfg else _KEYS[k][0](k, _KEYS[k][1])
+                                          for k in _CAMPAIGN_KEYS[1:]})
 
 
 def _dist_params(cfg: dict) -> ILDistParams:
@@ -421,7 +420,12 @@ def _run_il_pdf(cfg: dict, bundle: Bundle) -> list[str]:
     mean_density = analytic_il_mean(params)
     mean_price = expected_il_quadrature(params)
     il_max = sqrt_loss_range(params) ** 2
-    ils = np.geomspace(mean_density * 1e-10, il_max, cfg["il_points"])
+    # the grid starts where il_cdf reaches 1e-12, found by bisection in log il
+    lo, hi = log(np.finfo(float).tiny), log(il_max)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if il_cdf(exp(mid), params) < 1e-12 else (lo, mid)
+    ils = np.geomspace(exp(hi), il_max, cfg["il_points"])
     pdf = il_pdf(ils, params)
     cdf = il_cdf(ils, params)
     trapz_mass = float(np.trapezoid(pdf, ils))
@@ -517,7 +521,7 @@ def _run_clt_sum(cfg: dict, bundle: Bundle) -> list[str]:
     hist = clt_sum_experiment(params, cfg["n_per_sum"], cfg["n_repeats"], cfg["seed"],
                               cfg["bins"])
     expected_mean = cfg["n_per_sum"] * analytic_il_mean(params)
-    stderr = sqrt(hist.variance / hist.n_total)
+    stderr = sqrt(hist.variance / (hist.n_total - 1)) if hist.n_total > 1 else 0.0  # ddof 1
     bundle.write_histogram("hist_sums.json", "sum_of_il", hist)
     bundle.write_json(
         "summary.json",
@@ -628,10 +632,10 @@ _COMMANDS = {
     ("analytic", "first-passage"): (
         "first-passage", ("k_list", "n_walks", "step_kind", "lower", "upper", "seed"),
         _run_first_passage),
-    ("sweep", "fee"): ("sweep-fee", _CAMPAIGN_KEYS + ("fees",), _run_sweep_fee),
-    ("sweep", "sigma"): ("sweep-sigma", _CAMPAIGN_KEYS + ("sigmas",), _run_sweep_sigma),
-    ("sweep", "steps"): ("sweep-steps", _CAMPAIGN_KEYS + ("steps_list", "total_variance"),
-                         _run_sweep_steps),
+    ("sweep", "fee"): ("sweep-fee", _base_keys("fee") + ("fees",), _run_sweep_fee),
+    ("sweep", "sigma"): ("sweep-sigma", _base_keys("sigma") + ("sigmas",), _run_sweep_sigma),
+    ("sweep", "steps"): ("sweep-steps", _base_keys("sigma", "n_steps")
+                         + ("steps_list", "total_variance"), _run_sweep_steps),
 }
 _GROUP_HELP = {"analytic": "closed-form and distribution commands", "sweep": "parameter sweeps"}
 
@@ -730,12 +734,8 @@ def _manifest_config(cfg: dict, command: tuple[str, ...]) -> dict:
     if set(cfg) != set(keys):
         raise ConfigError(f"manifest config keys {sorted(cfg)} do not match {mode}")
 
-    def text(value) -> str:
-        if isinstance(value, list):
-            return ",".join(str(v) for v in value)
-        return "" if value is None else str(value)
-
-    return _cast(mode, keys, {k: text(cfg[k]) for k in keys})
+    strings = {k: ",".join(map(str, v)) if isinstance(v, list) else str(v) for k, v in cfg.items()}
+    return _cast(mode, keys, strings)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -746,10 +746,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if manifest.get("version") != __version__:
         raise ConfigError(
             f"bundle written by ammlab {manifest.get('version')} cannot be replayed by "
-            f"ammlab {__version__}: output bytes differ between versions (since 0.3.0 "
-            "the endpoint-loss cdf and draws come from the exact price law, not a tabulated "
-            "loss table; since 0.2.0 fee-free lvr and volume are summed step by step, not "
-            "pairwise); rerun the command to write a fresh bundle"
+            f"ammlab {__version__}: output bytes differ between versions; rerun the "
+            "command to write a fresh bundle"
         )
     command = tuple(manifest["command"])
     if command not in _COMMANDS:
@@ -793,8 +791,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_presets(args: argparse.Namespace) -> int:
     for name in preset_names():
-        preset = get_preset(name)
-        print(f"{name}\n    {preset.description}")
+        print(f"{name}\n    {get_preset(name).description}")
     return 0
 
 
@@ -843,7 +840,9 @@ def build_parser() -> argparse.ArgumentParser:
         if len(command) == 2 and group not in groups:
             gp = sub.add_parser(group, help=_GROUP_HELP[group])
             groups[group] = gp.add_subparsers(dest=f"{group}_cmd", required=True)
-        p = groups.get(group, sub).add_parser(command[-1], help=f"run a {mode} study")
+        # exact flags only, so a key a sweep leaves out (--fee) cannot pass for its list (--fees)
+        p = groups.get(group, sub).add_parser(command[-1], help=f"run a {mode} study",
+                                              allow_abbrev=False)
         _add_io_flags(p)
         _add_key_flags(p, keys)
         p.set_defaults(func=lambda a, c=command: _cmd_bundle(a, c))

@@ -21,7 +21,7 @@ PINNED = {
         "hist_lvr.json": "ddef57a739d65a23f7655e5f85bf9948874bee65b6dcb4ee1392d6c09bcb2b9b",
         "hist_lvr_minus_fees.json": "2cd09e0ff31dac4d94c8b9813c519c3ad98282f42c065b77d6189a4a401cf945",
         "hist_volume.json": "3d4e402f494e701115309a74d129be5ea9cf6adb54c92b95c2e28efeced487c4",
-        "manifest.json": "b080c2d66a69b268d1026366b445cf8b4f2d32613feaa51fdb44ad92b3f2d975",
+        "manifest.json": "28eff608257cb148b64349cdb3f1c530fa0ea934a719c147d0722da7c32d14ed",
         "schema.json": "bb359d0134d1c4defc22291c7ab6137a6d462cc0b8eb91b42c44335a0c475896",
         "summary.json": "e4747d94e9ad31728ae200897716d90e4cee71ca0757afafbe431d72f31905c3",
         "table.csv": "d9ecdfa9597a51a649f5822e58a95e43a10dfa87cd6b396f143d9b089a2fa176",
@@ -34,7 +34,7 @@ PINNED = {
         "hist_lvr.json": "38a9dbf627dfd72dea56e4827f9565a1d3a159d97bd9aad7860cde2ae86705c0",
         "hist_lvr_minus_fees.json": "068dc473bfa163121ef3a270a771a74feee7675d6010836b0481f8b5474cd8f6",
         "hist_volume.json": "cc2532c36f25839648f736a1f187282f64015f70d00fbd7b6de423ff8b031ff0",
-        "manifest.json": "530d49d4e0f4d70bfa91685cc5cf163b7ca3b1cf354d65bfe41e8978a799da53",
+        "manifest.json": "c5b28e32074dc562ee1cc3caa0911eb31bef52536fd24a683cb98b2cc8321877",
         "schema.json": "bb359d0134d1c4defc22291c7ab6137a6d462cc0b8eb91b42c44335a0c475896",
         "summary.json": "e79b2bd6e8727e9d6cc09cc99e7d5623b16db4b1102b7658131bb61ed20a849b",
         "table.csv": "e6290db7bd1b079e9936779ac2c819e5c672ba25177bdc8d494ccac0f9bab5e7",
@@ -47,36 +47,36 @@ PINNED = {
         "gbm_hist_final_price.json": "fdc7dd6019fbe1ab5ecf13e5fffbcb82b540021dc7929a2267b089267f11a35c",
         "gbm_price_density.csv": "bf45d012fdc3bc1e797e9a49e30440ff07a1d38d95acf2c8624c7e5d61e3a618",
         "gbm_summary.json": "1fb5ddba8536a4fe9a7ab7bab17bb4015fcbc5a3ba2b73995e2a63d9b3ba9926",
-        "manifest.json": "a73c2636572bfba10c5cae6e914607ad6dd8426c57db70dd7528dc3f8819bc0a",
+        "manifest.json": "a931442f6d87e33f37617adeefd2269eddc61cf46f3a6f9045c3c45adeffa898",
         "schema.json": "08e28df21dbd1f4035ed091d992d737a71e21fd522b577b2a0400086f447629e",
     },
     "sweep fee --fees 0.0001,0.0004,0.004 --sigma 0.004 --n-runs 300 --n-steps 100 --seed 5": {
         "baseline.json": "d1177d5321713b5aba0f77c14f0aa918ad73b83d9c389600fad9e68f305e2da9",
         "fits.json": "0cc7f544b8beea123c8666467dc1194cd70f795e5026cd69f01b4004fc30f80d",
-        "manifest.json": "32d621e8c464a85c2074cd09b4ef1534db771bc4dd8b1e88dc495a914709fda9",
+        "manifest.json": "6a079a8b8e8c2b6c028a3265bb8469021dba20ded00dfe17ccc5ea6f2dc3dc8c",
         "rows.csv": "ee44d9331470a918af2e0e968fd6bd14ec93a965bc9626df3cd02b943138ca27",
         "schema.json": "07086cf4317d6b697a2ffef4bfa044aa1b20882602fb3cef83dabc349d463375",
     },
     "sweep sigma --sigmas 0.0005,0.001,0.002 --n-runs 300 --n-steps 100 --seed 5": {
         "fits.json": "14710a9a77fd895708a68a93d0b1b550fd9a3bd00902846920a0b1b8b5ba5164",
-        "manifest.json": "3a567231184fc6377eafa38e0c9de0662222544a5e59b05ecaf4f03663097425",
+        "manifest.json": "5193de5ce4c1d91cf01c3c6e9c637f9474d405ea41bb90cd2f0c15343570a91b",
         "rows.csv": "499ebd948267dcc4b19b464eb5e9b5ffe1ae963d27b26e7d10184fc61610ef56",
         "schema.json": "46724af6b5fba5bb0cd5cc042fb1681fcdf8be2ec6370f6ad368485a5cd2c519",
     },
-    "sweep steps --steps-list 50,100,200 --total-variance 0.001 --n-runs 300 --n-steps 100 --seed 5": {
+    "sweep steps --steps-list 50,100,200 --total-variance 0.001 --n-runs 300 --seed 5": {
         "fits.json": "48a92ef5e9388b92e369ceccff0eaaa561d993011895fc936e75a311c957c66b",
-        "manifest.json": "a1d368e3853c228d35e82a0916798a27b3967abba5f5074967f16789d64cd4a0",
+        "manifest.json": "d9f5c691ea143670bbef4f88c72c411960ece3a5d056ed5fe05495109e0968d4",
         "rows.csv": "57a360f592d3975355431820a200606aa3911d85f5f06a033382aa843bd275a0",
         "schema.json": "bdf8ea2a6a99d304b21c3d931915356773f14317cd1c789b92db283cfaa69755",
     },
     "analytic lvr-mean --sigma 0.02 --t 1000": {
         "analytic.json": "1b03cd0da20769e0daf9c5e07152ce8335a5b805e2c0e55852f20e91db570c7a",
-        "manifest.json": "6c1f74b0431e513d865ed64b36a3b21ef8ee5f0e8813e1aed87292a1e7dea5a4",
+        "manifest.json": "cbe58c63308b84d9adb2f4a57ab42a4704f959962839ca1769a4263217d6e3e1",
         "schema.json": "1c2dd0ba28e24b4af4a1193df1c349bc729abed0ab682dda6ed0eec172cd4c47",
     },
     "analytic first-passage --k-list 2,6 --n-walks 2000 --seed 11": {
         "fits.json": "4a81c50f3742a6d3f5370a72f302084994d213a6c81dd9e6dae2c922d60ba048",
-        "manifest.json": "44da119b07686f8b7e3508c482173e5001c443b0b3781dd8927b0e81054695f2",
+        "manifest.json": "83a3b935b25148f83179e06b50442db042baceb713393f81818d5a6b58f677af",
         "rows.csv": "3f0a70a2710c6be69d678aff51ee5725d036638ee06880c65807b83d29972ef4",
         "schema.json": "3e3aed37388df52fb302825e671f01b9f1fc5dc601afc214a29fa2dd2ef915a5",
     },

@@ -20,8 +20,10 @@ from ammlab import (
     ILDistParams,
     ProcessKind,
     il_pdf,
+    mean_stderr,
     pdf_bm,
     run_campaign,
+    sample_il,
     sqrt_loss_range,
     sweep_fee,
     sweep_volume_vs_steps,
@@ -104,9 +106,12 @@ _LAW_FIELDS = {f.name for f in fields(ILDistParams)}
     pytest.param(command, record, extra, id=" ".join(command))
     for command, record, extra in (
         (("simulate",), _CAMPAIGN_FIELDS, set()),
-        (("sweep", "fee"), _CAMPAIGN_FIELDS, {"fees"}),
-        (("sweep", "sigma"), _CAMPAIGN_FIELDS, {"sigmas"}),
-        (("sweep", "steps"), _CAMPAIGN_FIELDS, {"steps_list", "total_variance"}),
+        # a sweep leaves out what its campaigns set, and the bins and observables of the
+        # histograms it never writes
+        (("sweep", "fee"), _CAMPAIGN_FIELDS - {"fee", "bins", "observables"}, {"fees"}),
+        (("sweep", "sigma"), _CAMPAIGN_FIELDS - {"sigma", "bins", "observables"}, {"sigmas"}),
+        (("sweep", "steps"), _CAMPAIGN_FIELDS - {"sigma", "n_steps", "bins", "observables"},
+         {"steps_list", "total_variance"}),
         (("analytic", "il-pdf"), _LAW_FIELDS, {"il_points"}),
         (("analytic", "il-mean"), _LAW_FIELDS, set()),
         (("analytic", "lvr-mean"), _LAW_FIELDS, set()),
@@ -174,17 +179,6 @@ def test_non_finite_number_exits_2(tmp_path, capsys, argv, key):
     (["analytic", "first-passage", "--seed", "-1"], "seed must fit in an unsigned 64-bit"),
     (["analytic", "first-passage", "--k-list", "", "--seed", "-1"], "seed must fit in an"),
     (["simulate", "--seed", str(2**64)], "seed must fit in an unsigned 64-bit integer"),
-    (["sweep", "fee", "--fees", "0.001", "--observables", "prices"],
-     "sweeps report pool metrics, so observables must be pool"),
-    (["sweep", "sigma", "--sigmas", "0.001,0.002", "--observables", "prices"],
-     "sweeps report pool metrics, so observables must be pool"),
-    (["sweep", "steps", "--steps-list", "10,20", "--observables", "prices"],
-     "sweeps report pool metrics, so observables must be pool"),
-    # a bad list is named before the price-only base
-    (["sweep", "sigma", "--sigmas", "0.001", "--observables", "prices"],
-     "need at least two distinct positive volatilities"),
-    (["sweep", "fee", "--fees", "0.002,0.001", "--observables", "prices"],
-     "fees must be strictly increasing"),
     (["simulate", "--observables", "prices", "--sigma", "0"],
      "price-density campaigns compare with the analytic density, so sigma^2 n_steps must be "
      "positive, got sigma = 0.0"),
@@ -599,8 +593,7 @@ def test_replay_refuses_a_bundle_from_another_version(tmp_path, capsys):
     assert main(["replay", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"written by ammlab 0.1.0 cannot be replayed by ammlab {ammlab.__version__}" in err
-    assert "exact price law, not a tabulated loss table" in err
-    assert "summed step by step, not pairwise" in err
+    assert "output bytes differ between versions" in err
 
 
 def _entry(manifest, name):
@@ -868,6 +861,11 @@ def test_loss_law_commands_run_in_the_long_regime(tmp_path, t):
     cdf = np.loadtxt(tmp_path / "pdf" / "il_pdf.csv", delimiter=",", skiprows=1)[:, 2]
     assert np.all(np.diff(cdf) >= 0.0)
     assert cdf[-1] == pytest.approx(1.0, abs=1e-6)
+    # the grid starts below the law's mass, not at a fraction of its mean, so the
+    # tabulated density holds the whole law
+    assert cdf[0] <= 1e-10
+    meta = json.loads((tmp_path / "pdf" / "pdf_meta.json").read_text())
+    assert meta["mass_under_tabulated_points"] == pytest.approx(cdf[-1] - cdf[0], abs=5e-4)
 
 
 def test_sample_il_command(tmp_path):
@@ -896,6 +894,20 @@ def test_clt_sum_command(tmp_path):
     assert summary["mean"] == pytest.approx(
         summary["expected_mean"], abs=5 * summary["stderr_of_mean"]
     )
+
+
+@pytest.mark.parametrize("n_repeats", [1000, 1])
+def test_clt_sum_stderr_is_that_of_the_sums(tmp_path, n_repeats):
+    # the standard error of the mean sum is mean_stderr's, ddof 1, of the same sums
+    out = tmp_path / "b"
+    assert main(["analytic", "clt-sum", "--sigma", "0.1", "--n-per-sum", "100",
+                 "--n-repeats", str(n_repeats), "--seed", "3", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    params = ILDistParams(**summary["params"])
+    sums = sample_il(params, 100 * n_repeats, 3).reshape(n_repeats, 100).sum(axis=1)
+    mean, stderr = mean_stderr(sums)
+    assert summary["mean"] == pytest.approx(mean, rel=1e-12)
+    assert summary["stderr_of_mean"] == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
 
 def test_first_passage_single_pair(tmp_path):
@@ -968,7 +980,7 @@ def test_sweep_steps_command(tmp_path):
     out = tmp_path / "b"
     rc = main([
         "sweep", "steps", "--steps-list", "50,200", "--n-runs", "150",
-        "--sigma", "0.004", "--seed", "27", "--out", str(out),
+        "--total-variance", "0.016", "--seed", "27", "--out", str(out),
     ])
     assert rc == 0
     fits = json.loads((out / "fits.json").read_text())
@@ -995,6 +1007,75 @@ def test_sweep_fee_requires_fees(tmp_path, capsys):
     rc = main(["sweep", "fee", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "nonempty fees" in capsys.readouterr().err
+
+
+# One small base per sweep, with a fee above 0 and trades to the band edge, where
+# the band rule moves them, and a second valid value for every key a sweep takes.
+_SWEEP_BASES = {
+    ("sweep", "fee"): ["--fees", "0.001,0.002", "--n-steps", "10", "--target", "marginal",
+                       "--n-runs", "20"],
+    ("sweep", "sigma"): ["--sigmas", "0.001,0.002", "--n-steps", "10", "--fee", "0.0005",
+                         "--target", "marginal", "--n-runs", "20"],
+    ("sweep", "steps"): ["--steps-list", "10,20", "--fee", "0.0005", "--target", "marginal",
+                         "--n-runs", "20"],
+}
+_SECOND_VALUES = {
+    "process": "bm", "p0": "50", "sigma": "0.002", "n_steps": "12", "liquidity": "20000",
+    "n_runs": "21", "seed": "1", "fee": "0.001", "band_rule": "linearized",
+    "target": "oracle", "fees": "0.001,0.003", "sigmas": "0.001,0.003",
+    "steps_list": "10,30", "total_variance": "0.002",
+}
+
+
+def _data_digests(argv, out):
+    """The digests of a bundle's data files, and its manifest's config keys."""
+    assert main([*argv, "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    return ({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+             if p.name not in ("manifest.json", "schema.json")}, set(config))
+
+
+@pytest.fixture(scope="module")
+def sweep_base_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bases")
+    return {command: _data_digests([*command, *base], root / command[1])
+            for command, base in _SWEEP_BASES.items()}
+
+
+@pytest.mark.parametrize("command, key", [
+    pytest.param(command, key, id=f"{' '.join(command)} {key}")
+    for command in _SWEEP_BASES for key in cli._COMMANDS[command][1]
+])
+def test_every_key_a_sweep_takes_moves_its_data(tmp_path, sweep_base_data, command, key):
+    base_data, base_config = sweep_base_data[command]
+    data, config = _data_digests([*command, *_SWEEP_BASES[command],
+                                  "--" + key.replace("_", "-"), _SECOND_VALUES[key]], tmp_path)
+    assert config == base_config == set(cli._COMMANDS[command][1])
+    assert data != base_data
+
+
+@pytest.mark.parametrize("command, left_out", [
+    pytest.param(command, left_out, id=" ".join(command)) for command, left_out in (
+        (("sweep", "fee"), ("fee", "bins", "observables")),
+        (("sweep", "sigma"), ("sigma", "bins", "observables")),
+        (("sweep", "steps"), ("sigma", "n_steps", "bins", "observables")),
+    )
+])
+def test_a_key_a_sweep_leaves_out_exits_2(tmp_path, capsys, monkeypatch, command, left_out):
+    source = tmp_path / "study.cfg"
+    for key in left_out:
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--" + key.replace("_", "-"), "1", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        source.write_text(f"{key}=1\n")
+        monkeypatch.setitem(presets.PRESETS, "probe", presets._preset("probe", "", **{key: 1}))
+        for layer, name in ((["--config", str(source)], source), (["--preset", "probe"],
+                                                                  "preset 'probe'")):
+            capsys.readouterr()
+            assert main([*command, *layer, "--out", str(tmp_path / "x")]) == 2
+            assert capsys.readouterr().err == (f"config error: {name} sets {key!r}, unused by "
+                                               f"sweep-{command[1]}\n")
+    assert list(tmp_path.iterdir()) == [source]
 
 
 # ------------------------------------------------------------------ exit codes
@@ -1031,14 +1112,11 @@ def _steps(pairs, steps):
          _bytes("n_per_sum * n_repeats", 360002110152), "clt_sum_experiment"),
         (["analytic", "first-passage", "--n-walks", "1e10", "--k-list", "2,3"],
          _bytes("n_walks", 560002097152), "first_passage"),
-        # seven histograms kept at 20 B per bin and one written at 240 B per bin; a
-        # sweep writes none
+        # seven histograms kept at 20 B per bin and one written at 240 B per bin
         (["simulate", "--bins", "1e9", "--n-runs", "100", "--n-steps", "10"],
          _bytes("bins", 380002156352), "run_campaign"),
         (["simulate", "--bins", "1e8", "--n-runs", "100", "--n-steps", "10"],
          _bytes("bins", 38002156352), "run_campaign"),
-        (["sweep", "sigma", "--sigmas", "0.001,0.002", "--bins", "1e9"],
-         _bytes("bins", 140074751744), "run_campaign"),
         (["simulate", "--n-runs", "4.3e6", "--n-steps", "10"],
          _bytes("n_runs", 1104370744), "run_campaign"),
         # process=both runs one campaign at a time, so it counts as one
@@ -1126,7 +1204,6 @@ def _budget_verdict(command, **strings):
         (("simulate",), "n_runs", 4172379, {"process": "both"}),
         (("simulate",), "bins", 2628921, {}),
         (("simulate",), "bins", 3842269, {"observables": "prices"}),
-        (("sweep", "sigma"), "bins", 7135643, {}),
         (("analytic", "il-pdf"), "il_points", 10716446, {}),
         (("analytic", "sample-il"), "n_samples", 29767546, {}),
         (("analytic", "clt-sum"), "n_repeats", 29767546, {"n_per_sum": "1"}),
@@ -1146,9 +1223,9 @@ _SIZE = "{size}"
 
 
 # Every size key of every command at two sizes; the sweeps share simulate's
-# campaign terms, so one sweep row checks n_runs, one the sweep's own step
-# counts, and one the bins of histograms a sweep never writes.  Campaign runs
-# and written bins are slow under tracemalloc, so those rows use fewer units.
+# campaign terms, so one sweep row checks n_runs and one the sweep's own step
+# counts.  Campaign runs and written bins are slow under tracemalloc, so those
+# rows use fewer units.
 @pytest.mark.parametrize("argv, sizes", [
     pytest.param(argv, sizes, id=" ".join(argv)) for argv, sizes in (
         (["simulate", "--n-steps", "10", "--n-runs", _SIZE], (5_000, 10_000)),
@@ -1164,8 +1241,6 @@ _SIZE = "{size}"
         (["sweep", "fee", "--fees", "0.001,0.002,0.004", "--n-steps", "10", "--n-runs", _SIZE],
          (5_000, 10_000)),
         (["sweep", "steps", "--n-runs", "10", "--steps-list", f"10,{_SIZE}"], (5_000, 10_000)),
-        (["sweep", "sigma", "--sigmas", "0.001,0.002", "--n-runs", "10", "--n-steps", "10",
-          "--bins", _SIZE], (50_000, 100_000)),
         (["analytic", "il-pdf", "--il-points", _SIZE], (50_000, 100_000)),
         (["analytic", "sample-il", "--n-samples", _SIZE], (50_000, 100_000)),
         (["analytic", "sample-il", "--n-samples", "100", "--bins", _SIZE], (10_000, 20_000)),
@@ -1272,8 +1347,10 @@ def test_metrics_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason)
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_zero_mean_sweeps_exit_4(tmp_path, capsys, argv, reason):
-    # at sigma 1e-20 every step factor rounds to 1, so every campaign mean is 0
-    rc = main(argv + ["--n-runs", "50", "--n-steps", "20", "--out", str(tmp_path / "x")])
+    # at sigma 1e-20 every step factor rounds to 1, so every campaign mean is 0; a
+    # steps sweep takes its step counts from its list
+    steps = [] if argv[1] == "steps" else ["--n-steps", "20"]
+    rc = main(argv + ["--n-runs", "50", *steps, "--out", str(tmp_path / "x")])
     assert rc == 4
     assert f"numerical failure: {reason}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
