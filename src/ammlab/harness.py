@@ -9,8 +9,8 @@ kernel, and results do not depend on chunking.
 A campaign is one pass over fixed run chunks: each chunk builds a step-major
 price matrix, one column per run, and the arbitrage kernel fills its rows of
 the per-run metric table; then the summary and the histograms are built from
-the whole table.  Chunks are sized by a byte budget on the chunk price
-matrix, so the chunk boundaries are a pure function of the configuration.
+the whole table.  Chunks are sized by CHUNK_BYTES, one byte budget on the
+chunk price matrix, so the chunk boundaries depend only on n_runs and n_steps.
 The matrix is the chunk's only full-size array: its normal draws are staged
 through one small reused block of runs, and each block's prices are written
 into its columns before the next block is drawn; chunk_working_bytes states
@@ -91,7 +91,7 @@ KERNEL_COLUMNS = TABLE_COLUMNS + ("last_trade",)
 _N_COLS = len(KERNEL_COLUMNS)
 _LAST_EVENT = _N_COLS - 1
 
-DEFAULT_CHUNK_BYTES = 64 << 20
+CHUNK_BYTES = 64 << 20
 # simulate_price_matrix draws through a reused block of about this many bytes
 _DRAW_BLOCK_BYTES = 1 << 20
 
@@ -225,7 +225,6 @@ class CampaignResult:
     statistics and the regime label.
     """
 
-    config: ExperimentConfig
     table: np.ndarray
     histograms: dict[str, Histogram]
     summary: dict
@@ -234,28 +233,25 @@ class CampaignResult:
         return self.table[:, TABLE_COLUMNS.index(name)]
 
 
-def _path_bytes(n_steps: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> int:
-    """Bytes of one price path, refused when the path alone overflows chunk_bytes."""
+def _path_bytes(n_steps: int) -> int:
+    """Bytes of one price path, refused when the path alone overflows CHUNK_BYTES."""
     path_bytes = (n_steps + 1) * 8
-    if path_bytes > chunk_bytes:
+    if path_bytes > CHUNK_BYTES:
         raise ResourceLimitError(f"a single path of {n_steps} steps needs {path_bytes} bytes, "
-                                 f"over the {chunk_bytes}-byte chunk budget; lower n_steps or "
-                                 "raise the budget")
+                                 f"over the {CHUNK_BYTES}-byte chunk budget; lower n_steps")
     return path_bytes
 
 
-def plan_chunks(
-    n_runs: int, n_steps: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES
-) -> list[tuple[int, int]]:
-    """Fixed [start, stop) run ranges whose price matrices fit chunk_bytes."""
-    runs = max(1, chunk_bytes // _path_bytes(n_steps, chunk_bytes))
+def plan_chunks(n_runs: int, n_steps: int) -> list[tuple[int, int]]:
+    """Fixed [start, stop) run ranges whose price matrices fit CHUNK_BYTES."""
+    runs = CHUNK_BYTES // _path_bytes(n_steps)
     return [(a, min(a + runs, n_runs)) for a in range(0, n_runs, runs)]
 
 
 def chunk_working_bytes(n_runs: int, n_steps: int) -> int:
     """Bytes a campaign's chunk holds: its price matrix and three draw blocks of at most a chunk."""
     path = _path_bytes(n_steps)
-    chunk = min(DEFAULT_CHUNK_BYTES, n_runs * path)
+    chunk = min(CHUNK_BYTES, n_runs * path)
     return chunk + 3 * min(max(_DRAW_BLOCK_BYTES, path), chunk)
 
 
@@ -440,9 +436,7 @@ def _summarize(config: ExperimentConfig, table: np.ndarray) -> dict:
     return summary
 
 
-def run_campaign(
-    config: ExperimentConfig, *, chunk_bytes: int = DEFAULT_CHUNK_BYTES, paths: dict | None = None
-) -> CampaignResult:
+def run_campaign(config: ExperimentConfig, *, paths: dict | None = None) -> CampaignResult:
     """Evaluate the configuration over its run ensemble.
 
     paths, when given, holds the last chunk's price matrix between calls, so a
@@ -454,14 +448,13 @@ def run_campaign(
     full = np.empty((config.n_runs, _N_COLS), dtype=float)
     # Histogram.from_samples, not numpy warnings, reports paths leaving the double range
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for lo, hi in plan_chunks(config.n_runs, config.n_steps, chunk_bytes):
+        for lo, hi in plan_chunks(config.n_runs, config.n_steps):
             full[lo:hi] = _compute_chunk(config, lo, hi, paths)
     histograms = {
         name: Histogram.from_samples(_observable_values(full, name), bins=config.bins)
         for name in config.histogram_names()
     }
     return CampaignResult(
-        config=config,
         table=full[:, : len(TABLE_COLUMNS)].copy(),
         histograms=histograms,
         summary=_summarize(config, full),
@@ -503,11 +496,7 @@ def sweep_volume_vs_sigma(base: ExperimentConfig, sigmas) -> dict:
     return {"rows": rows, "fits": fits}
 
 
-def sweep_volume_vs_steps(
-    base: ExperimentConfig,
-    steps_list,
-    total_variance: float | None = None,
-) -> dict:
+def sweep_volume_vs_steps(base: ExperimentConfig, steps_list, total_variance: float) -> dict:
     """Campaigns across step counts at fixed total price variance.
 
     Each campaign uses sigma_n = sqrt(total_variance / n_steps), so the
@@ -517,8 +506,6 @@ def sweep_volume_vs_steps(
     relative spread of the mean loss.
     """
     steps = distinct_positive([int(v) for v in steps_list], "step counts")
-    if total_variance is None:
-        total_variance = base.sigma2_t
     if total_variance <= 0.0:
         raise ConfigError("total_variance must be positive")
     changes = [{"n_steps": n, "sigma": sqrt(total_variance / n)} for n in steps]
@@ -532,12 +519,12 @@ def sweep_volume_vs_steps(
     return {"rows": rows, "fits": fits}
 
 
-def _interp_crossover(fees, waits, level: float = 2.0) -> float | None:
-    # first log-linear crossing of the pooled mean wait through `level`
+def _interp_crossover(fees, waits) -> float | None:
+    # first log-linear crossing of the pooled mean wait through two steps
     for i in range(len(fees) - 1):
         w0, w1 = waits[i], waits[i + 1]
-        if w0 < level <= w1:
-            frac = (level - w0) / (w1 - w0)
+        if w0 < 2.0 <= w1:
+            frac = (2.0 - w0) / (w1 - w0)
             return float(np.exp(log(fees[i]) + frac * (log(fees[i + 1]) - log(fees[i]))))
     return None
 

@@ -1101,6 +1101,10 @@ def _steps(pairs, steps):
             "the 1000000000-step budget; lower n_walks or narrow the barriers")
 
 
+_LONG_PATH = ("a single path of 9000000 steps needs 72000008 bytes, over the 67108864-byte "
+              "chunk budget; lower n_steps")
+
+
 @pytest.mark.parametrize("argv, message, spy", [
     pytest.param(argv, message, spy, id=" ".join(argv)) for argv, message, spy in (
         # 36 B per draw and 260 B per written bin, plus the fixed 2 MiB
@@ -1122,6 +1126,8 @@ def _steps(pairs, steps):
         # process=both runs one campaign at a time, so it counts as one
         (["simulate", "--process", "both", "--n-runs", "4.3e6", "--n-steps", "10"],
          _bytes("n_runs", 1104370744), "run_campaign"),
+        # one path over the 64 MiB chunk budget
+        (["simulate", "--n-steps", "9000000", "--n-runs", "1"], _LONG_PATH, "run_campaign"),
         # the walk-steps of a scan or a pair: (n_walks + 6000) times the mean exit times
         (["analytic", "first-passage", "--k-list", "2,100000", "--n-walks", "10"],
          _steps("k_list", 60100601036060), "first_passage"),
@@ -1151,10 +1157,6 @@ def test_oversized_inputs_exit_3_before_any_work(tmp_path, capsys, monkeypatch, 
     assert [p.name for p in tmp_path.iterdir()] == ["b"]
 
 
-_LONG_PATH = ("a single path of 9000000 steps needs 72000008 bytes, over the 67108864-byte "
-              "chunk budget; lower n_steps or raise the budget")
-
-
 @pytest.mark.parametrize("study, code, message", [
     pytest.param(["sweep", "fee", "--fees", "0.001,1.5"], 2, "fee must lie in [0, 1), got 1.5",
                  id="sweep fee --fees 0.001,1.5"),
@@ -1162,8 +1164,8 @@ _LONG_PATH = ("a single path of 9000000 steps needs 72000008 bytes, over the 671
                  id="sweep steps --steps-list 10,9000000"),
     pytest.param(lambda base: sweep_fee(base, [0.001, 1.5]), 2,
                  "fee must lie in [0, 1), got 1.5", id="sweep_fee(base, [0.001, 1.5])"),
-    pytest.param(lambda base: sweep_volume_vs_steps(base, [10, 9_000_000]), 3, _LONG_PATH,
-                 id="sweep_volume_vs_steps(base, [10, 9_000_000])"),
+    pytest.param(lambda base: sweep_volume_vs_steps(base, [10, 9_000_000], base.sigma2_t), 3,
+                 _LONG_PATH, id="sweep_volume_vs_steps(base, [10, 9_000_000])"),
 ])
 def test_a_bad_sweep_entry_is_refused_before_the_first_campaign(tmp_path, capsys, monkeypatch,
                                                                 study, code, message):

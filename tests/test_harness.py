@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from ammlab import (
     sweep_volume_vs_sigma,
     sweep_volume_vs_steps,
 )
+from ammlab import harness
 from ammlab.cli import main
-from ammlab.harness import _ROW_KEYS, TABLE_COLUMNS, plan_chunks
+from ammlab.harness import _ROW_KEYS, TABLE_COLUMNS, chunk_working_bytes, plan_chunks
 
 BASE = ExperimentConfig(
     kind=ProcessKind.GBM,
@@ -59,9 +61,10 @@ def test_repeat_run_is_byte_identical():
     assert np.array_equal(a.table, b.table)
 
 
-def test_chunk_size_does_not_change_results():
-    small = run_campaign(BASE, chunk_bytes=TINY_CHUNK)
+def test_chunk_size_does_not_change_results(monkeypatch):
     large = run_campaign(BASE)
+    monkeypatch.setattr(harness, "CHUNK_BYTES", TINY_CHUNK)
+    small = run_campaign(BASE)
     assert small.summary == large.summary
     assert np.array_equal(small.table, large.table)
     for name, hist in large.histograms.items():
@@ -118,8 +121,9 @@ def test_table_over_budget_is_refused(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_chunk_plan_partitions_the_runs():
-    chunks = plan_chunks(1000, 257, chunk_bytes=TINY_CHUNK)
+def test_chunk_plan_partitions_the_runs(monkeypatch):
+    monkeypatch.setattr(harness, "CHUNK_BYTES", TINY_CHUNK)
+    chunks = plan_chunks(1000, 257)
     assert chunks[0][0] == 0
     assert chunks[-1][1] == 1000
     for (a0, a1), (b0, b1) in zip(chunks, chunks[1:]):
@@ -129,8 +133,32 @@ def test_chunk_plan_partitions_the_runs():
 
 
 def test_single_path_over_budget_is_an_error():
-    with pytest.raises(ResourceLimitError, match="chunk budget"):
-        plan_chunks(10, 10**6, chunk_bytes=1000)
+    # the real 64 MiB budget holds a path of 2**23 - 1 steps, and 2**23 steps are one
+    # 8-byte price past it: the plan and the stated bytes accept and refuse the same paths
+    assert plan_chunks(3, 2**23 - 1) == [(0, 1), (1, 2), (2, 3)]
+    assert chunk_working_bytes(3, 2**23 - 1) == 4 * harness.CHUNK_BYTES
+    for refuse in (plan_chunks, chunk_working_bytes):
+        with pytest.raises(ResourceLimitError, match="chunk budget; lower n_steps$"):
+            refuse(3, 2**23)
+
+
+@pytest.mark.parametrize("n_runs, n_steps, n_chunks", [
+    (1, 2**23 - 1, 1),  # one run
+    (5, 2**23 - 1, 5),  # one run per chunk
+    (10**6, 10, 2),  # 762600 runs, then a partial chunk
+    (1000, 10**5, 13),  # twelve chunks of 83 runs, then one of 4
+    (4 * 8380, 1000, 4),  # four full chunks
+])
+def test_the_planned_chunk_fits_the_stated_chunk(n_runs, n_steps, n_chunks):
+    # at the real budget, with no allocation: the largest planned chunk matrix, with the
+    # draw blocks simulate_price_matrix stages through for it, is within chunk_working_bytes
+    chunks = plan_chunks(n_runs, n_steps)
+    assert len(chunks) == n_chunks
+    assert chunks[0][0] == 0 and chunks[-1][1] == n_runs
+    path = (n_steps + 1) * 8
+    largest = max(hi - lo for lo, hi in chunks) * path
+    blocks = 3 * min(max(harness._DRAW_BLOCK_BYTES, path), largest)
+    assert largest + blocks <= chunk_working_bytes(n_runs, n_steps)
 
 
 # --------------------------------------------------------------------- regimes
@@ -339,7 +367,7 @@ def test_volume_grows_like_root_steps_at_fixed_endpoint_spread():
         kind=ProcessKind.GBM, p0=100.0, sigma=0.02, n_steps=100,
         liquidity=10000.0, n_runs=600, seed=71006,
     )
-    swept = sweep_volume_vs_steps(base, [100, 400, 1600])
+    swept = sweep_volume_vs_steps(base, [100, 400, 1600], total_variance=0.04)
     assert swept["fits"]["volume_slope"] == pytest.approx(0.5, abs=0.03)
     # cumulative loss is set by the total variance, not the sampling
     assert swept["fits"]["lvr_relative_spread"] < 0.05
@@ -380,9 +408,9 @@ def test_sweep_validation(monkeypatch):
     with pytest.raises(ConfigError):
         sweep_volume_vs_sigma(base, [0.01, -0.02])
     with pytest.raises(ConfigError):
-        sweep_volume_vs_steps(base, [100])
-    with pytest.raises(ConfigError):
-        sweep_volume_vs_steps(replace(base, sigma=0.0), [10, 20])
+        sweep_volume_vs_steps(base, [100], total_variance=base.sigma2_t)
+    with pytest.raises(ConfigError, match="total_variance must be positive"):
+        sweep_volume_vs_steps(base, [10, 20], total_variance=0.0)
     with pytest.raises(ConfigError):
         sweep_fee(base, [])
     with pytest.raises(ConfigError):
@@ -395,12 +423,13 @@ def test_sweep_validation(monkeypatch):
     with pytest.raises(ConfigError, match="distinct"):
         sweep_volume_vs_sigma(base, [0.001, 0.001])
     with pytest.raises(ConfigError, match="distinct"):
-        sweep_volume_vs_steps(base, [10, 10])
+        sweep_volume_vs_steps(base, [10, 10], total_variance=base.sigma2_t)
     # price-only campaigns have no pool rows to sweep: refused before any campaign runs
     monkeypatch.setattr("ammlab.harness.run_campaign", None)
     prices = replace(base, observables=Observables.PRICES)
+    steps = partial(sweep_volume_vs_steps, total_variance=base.sigma2_t)
     for sweep, values in ((sweep_fee, [0.01]), (sweep_volume_vs_sigma, [0.01, 0.02]),
-                          (sweep_volume_vs_steps, [10, 20])):
+                          (steps, [10, 20])):
         with pytest.raises(ConfigError, match="observables must be pool"):
             sweep(prices, values)
 
@@ -413,7 +442,7 @@ _SEAM_BASE = replace(BASE, fee=0.0, sigma=0.01, n_steps=16, n_runs=20, seed=7100
      {"rows", "fits", "baseline"}, 1),
     (sweep_volume_vs_sigma, _SEAM_BASE, [0.002, 0.001], [{"sigma": 0.002}, {"sigma": 0.001}],
      {"rows", "fits"}, 2),
-    (sweep_volume_vs_steps, _SEAM_BASE, [64, 4],
+    (partial(sweep_volume_vs_steps, total_variance=_SEAM_BASE.sigma2_t), _SEAM_BASE, [64, 4],
      [{"n_steps": n, "sigma": math.sqrt(_SEAM_BASE.sigma2_t / n)} for n in (64, 4)],
      {"rows", "fits"}, 2),
     (sweep_fee, replace(_SEAM_BASE, target=TradeTarget.MARGINAL), [0.001, 0.002, 0.01],
@@ -426,9 +455,9 @@ def test_sweep_runs_one_campaign_per_point_in_order(monkeypatch, sweep, base, va
     # one that shares the previous campaign's paths reuses its price matrix (one chunk each)
     seen, built = [], []
 
-    def counting(config, **budgets):
+    def counting(config, **memo):
         seen.append(config)
-        return run_campaign(config, **budgets)
+        return run_campaign(config, **memo)
 
     def building(*args):
         built.append(args)
@@ -448,22 +477,23 @@ def test_sweep_runs_one_campaign_per_point_in_order(monkeypatch, sweep, base, va
         {k: summary[k] for k in _ROW_KEYS} for summary in alone]
 
 
-def test_a_shared_memo_holds_one_read_only_chunk_matrix():
+def test_a_shared_memo_holds_one_read_only_chunk_matrix(monkeypatch):
     # three chunks each, so the second campaign's first chunk misses the held last chunk
     # of the first: the held matrix is dropped before the build, so no two chunk
     # matrices are ever alive and the pair peaks like one campaign alone
     config = replace(BASE, n_steps=1000, n_runs=1800)
     other = replace(config, fee=0.0)
     budget = 600 * (config.n_steps + 1) * 8
-    assert len(plan_chunks(config.n_runs, config.n_steps, budget)) == 3
-    other_alone = run_campaign(other, chunk_bytes=budget).table
+    monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+    assert len(plan_chunks(config.n_runs, config.n_steps)) == 3
+    other_alone = run_campaign(other).table
     paths: dict = {}
     tracemalloc.start()
     try:
-        config_alone = run_campaign(config, chunk_bytes=budget).table
+        config_alone = run_campaign(config).table
         alone_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        shared = [run_campaign(c, chunk_bytes=budget, paths=paths).table for c in (config, other)]
+        shared = [run_campaign(c, paths=paths).table for c in (config, other)]
         pair_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
