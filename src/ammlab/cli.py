@@ -8,11 +8,14 @@ Every command that produces data writes a self-describing bundle:
       *.csv, *.json   the data, floats at full 17-digit precision
 
 Bundles contain no timestamps, hostnames or other incidental state, so the
-same command line yields byte-identical bundles on any machine; `ammlab
-replay <bundle>` re-executes the manifest and verifies that, and flags any
-file in the bundle directory that the manifest does not list.  A bundle
-written by another ammlab version is refused with exit 2, since output
-bytes may differ between versions.
+same command line yields byte-identical campaign data on any machine with the
+same numpy.  The values of il-pdf, sample-il, clt-sum, simulate's price
+densities and the sweeps' slope fits pass through np.exp and np.log, so they
+repeat only where numpy dispatches those alike.  `ammlab replay <bundle>`
+re-executes the manifest, verifies its bytes, and flags any file in the
+bundle directory that the manifest does not list.  A bundle written by
+another ammlab version is refused with exit 2, since output bytes may
+differ between versions.
 Configuration is resolved in a fixed order: built-in defaults, then
 --preset, then --config KEY=VALUE file, then explicit flags.  A preset and a
 config file are string layers alike: each may name its command's mode and may
@@ -567,7 +570,7 @@ def _run_first_passage(cfg: dict, bundle: Bundle) -> list[str]:
         row = {"k": k}
         for j, (side, upper, exact) in enumerate((("symmetric", k, k * k), ("asymmetric", 1, k))):
             res = first_passage(BarrierSpec(-float(k), float(upper), kind), cfg["n_walks"],
-                                int(derive_run_seed(cfg["seed"], 2 * i + j)))
+                                derive_run_seed(cfg["seed"], 2 * i + j))
             row.update({f"{side}_mean": res.mean_steps, f"{side}_stderr": res.stderr,
                         f"{side}_frac_lower": res.frac_lower, f"{side}_exact": float(exact)})
         rows.append(row)

@@ -40,8 +40,10 @@ to the reference price, which re-centers the band instead.  The marginal
 rule is the one that yields the linear growth of waiting times with f and
 the 1/f fee suppression of the rebalancing loss; the oracle rule keeps the
 expected loss at its fee-free value because the traded increments still
-telescope the full quadratic variation.  At f = 0 both rules trade to the
-reference price.
+telescope the full quadratic variation, up to the end term of the final
+offset z_T that the pool never trades away: at sigma = 0.001 and n = 1000
+the lvr ratio is 1.0000 at f/sigma = 1 and 0.9999 at 5, but 0.937 at 20.
+At f = 0 both rules trade to the reference price.
 """
 
 from __future__ import annotations

@@ -13,15 +13,17 @@ are a Gaussian with variance P0^2 sigma^2 t and a log-normal whose log has
 mean -sigma^2 t / 2 and variance sigma^2 t (so the mean price stays P0).
 
 Randomness comes from a counter-based generator (Philox) seeded through
-SeedSequence, which makes per-run streams cheap to derive and independent
-of execution order.  A Philox stream is fixed by its 128-bit key, so a
-batch re-keys one generator per run with the keys philox_keys hashes for a
-whole seed array at once, and each run still draws make_generator(seed)'s.
+SeedSequence.  derive_run_seed and philox_keys restate its hash (NEP 19 freezes
+it) on ints, with a campaign seed's pool cached, and on whole seed arrays, so
+per-run streams are cheap to derive and independent of execution order; a
+batch re-keys one generator per run, and each run draws make_generator(seed)'s.
 """
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -38,12 +40,6 @@ __all__ = [
 # multiplicative factors 1 + sigma*dW <= 0 are clamped here so every factor stays positive
 GBM_FACTOR_FLOOR = 1e-12
 
-# numpy's SeedSequence hash constants; NEP 19 freezes its streams
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
 _SQRT_TWO_PI = sqrt(2.0 * np.pi)
 
 
@@ -57,18 +53,36 @@ def make_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _hasher(init: int, mult: int):
-    """SeedSequence's hashmix on uint64 arrays of 32-bit words, one call per word."""
-    const = init
+# SeedSequence's hash constants: hashmix call k xors in consts[k], multiplies by consts[k + 1];
+# a pool takes calls 0-15, then a spawn key word takes 16 and 17 for pool words 0 and 1
+_MASK32 = 0xFFFFFFFF
+_HASH_A = [0x43B0D7E5 * pow(0x931E8875, k, 1 << 32) & _MASK32 for k in range(19)]
+_HASH_B = [0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _MASK32 for k in range(5)]
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
 
-    return hashmix
+def _hashmix(word, consts: list[int], call: int):
+    """SeedSequence's hashmix of 32-bit words, Python ints or uint64 arrays alike."""
+    word = (word ^ consts[call]) * consts[call + 1] & _MASK32
+    return word ^ word >> 16
+
+
+def _mix(dst, src):
+    mixed = (_MIX_L * dst - _MIX_R * src) & _MASK32
+    return mixed ^ mixed >> 16
+
+
+def _pool(seed) -> tuple:
+    """SeedSequence's four-word pool of 64-bit seeds, before any spawn key."""
+    # a seed below 2**32 is one entropy word; SeedSequence hashes a zero into
+    # every pool word past the entropy, so a zero high word gives the same pool
+    calls = iter(range(16))
+    pool = [_hashmix(word, _HASH_A, next(calls)) for word in (seed & _MASK32, seed >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, next(calls)))
+    return tuple(pool)
 
 
 def philox_keys(seeds) -> np.ndarray:
@@ -77,33 +91,38 @@ def philox_keys(seeds) -> np.ndarray:
     Row j is SeedSequence(seeds[j]).generate_state(2, np.uint64): numpy's pool
     hash, restated on arrays so that it runs over all seeds at once.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    hash_a = _hasher(_INIT_A, _MULT_A)
-    # a seed below 2**32 is one entropy word; SeedSequence hashes a zero into
-    # every pool word past the entropy, so a zero high word gives the same pool
-    zero = np.zeros_like(seeds)
-    pool = [hash_a(word) for word in (seeds & _MASK32, seeds >> 32, zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = (_MIX_L * pool[dst] - _MIX_R * hash_a(pool[src])) & _MASK32
-                pool[dst] = mixed ^ mixed >> 16
-    hash_b = _hasher(_INIT_B, _MULT_B)
-    lo0, hi0, lo1, hi1 = (hash_b(word) for word in pool)
+    pool = _pool(np.asarray(seeds, dtype=np.uint64))
+    lo0, hi0, lo1, hi1 = (_hashmix(word, _HASH_B, k) for k, word in enumerate(pool))
     return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=-1)
+
+
+_campaign_pool = lru_cache(maxsize=16)(_pool)  # derive_run_seed's, keyed on one int seed
+
+
+def _checked_int(value, bits: int, name: str) -> int:
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = -1
+    if isinstance(value, bool) or not 0 <= index < 1 << bits:
+        raise ValueError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
+    return index
 
 
 def derive_run_seed(campaign_seed: int, run_index: int) -> int:
     """Stable 64-bit seed for run number run_index of a campaign.
 
-    Uses SeedSequence spawn keys, so the mapping is reproducible across
-    processes and independent of how runs are batched.  Sweeps that share a
-    campaign seed therefore reuse common random numbers per run index.
+    Equal to SeedSequence(campaign_seed, spawn_key=(run_index,)).generate_state(
+    1, np.uint64)[0], so it does not depend on how runs are batched, and sweeps
+    sharing a campaign seed reuse common random numbers per run index.  Raises
+    ValueError unless campaign_seed is in [0, 2**64) and run_index in [0, 2**32).
     """
-    if run_index < 0:
-        raise ValueError(f"run_index must be nonnegative, got {run_index}")
-    ss = np.random.SeedSequence(campaign_seed, spawn_key=(run_index,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    campaign_seed = _checked_int(campaign_seed, 64, "campaign_seed")
+    run_index = _checked_int(run_index, 32, "run_index")
+    pool0, pool1, _, _ = _campaign_pool(campaign_seed)
+    lo = _hashmix(_mix(pool0, _hashmix(run_index, _HASH_A, 16)), _HASH_B, 0)
+    hi = _hashmix(_mix(pool1, _hashmix(run_index, _HASH_A, 17)), _HASH_B, 1)
+    return lo | hi << 32
 
 
 def pdf_bm(p, p0: float, sigma: float, t: float):

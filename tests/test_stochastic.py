@@ -1,5 +1,6 @@
 """Price process update rules, densities, and seeding guarantees."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,13 +11,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ammlab import (
+    ExperimentConfig,
     ProcessKind,
     derive_run_seed,
     make_generator,
     pdf_bm,
     pdf_gbm,
+    run_campaign,
     simulate_price_matrix,
 )
+from ammlab import harness
 from ammlab.harness import _DRAW_BLOCK_BYTES
 from ammlab.stochastic import GBM_FACTOR_FLOOR, philox_keys, prices_from_increments
 
@@ -27,6 +31,10 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 def _seed_sequence_key(seed):
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
+
+
+def _spawned_seed(seed, index):
+    return int(np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(1, np.uint64)[0])
 
 
 def _one_step(kind, p0, sigma, dw):
@@ -204,6 +212,58 @@ def test_derive_run_seed_is_stable_and_distinct():
     assert len(seeds) == 1000
     with pytest.raises(ValueError):
         derive_run_seed(123, -1)
+
+
+# the first runs, both sides of 2**31, and the top of the 32-bit index range
+RUN_INDICES = [*range(5000), *range(2**31 - 3, 2**31 + 3), *range(2**32 - 5, 2**32)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**32 + 5, 2**63, 2**64 - 1])
+def test_derive_run_seed_matches_seed_sequence(seed):
+    got = [derive_run_seed(seed, i) for i in RUN_INDICES]
+    assert got == [_spawned_seed(seed, i) for i in RUN_INDICES]
+
+
+@pytest.mark.parametrize(
+    "seed, index",
+    [(np.uint64(2**64 - 1), np.uint32(2**32 - 1)), (np.int64(7), np.int8(3)),
+     (np.uint32(2**32 - 1), np.uint64(2**31))],
+)
+def test_derive_run_seed_takes_numpy_integers(seed, index):
+    got = derive_run_seed(seed, index)
+    assert type(got) is int and got == derive_run_seed(int(seed), int(index))
+
+
+@pytest.mark.parametrize(
+    "seed, index, name, value",
+    [(3, -1, "run_index", -1), (3, 2**32, "run_index", 2**32),
+     (-1, 0, "campaign_seed", -1), (2**64, 0, "campaign_seed", 2**64),
+     (True, 0, "campaign_seed", True), (3, True, "run_index", True),
+     (3, 2.0, "run_index", 2.0), (7.0, 3, "campaign_seed", 7.0)],
+    ids=["negative-index", "index-2**32", "negative-seed", "seed-2**64", "bool-seed",
+         "bool-index", "float-index", "float-seed"],
+)
+def test_derive_run_seed_refuses_out_of_domain(seed, index, name, value):
+    with pytest.raises(ValueError, match=f"^{name} .*got {re.escape(repr(value))}$"):
+        derive_run_seed(seed, index)
+
+
+def test_campaign_builds_no_seed_sequence_per_run(monkeypatch):
+    # run seeds restate the hash; only make_generator, once per chunk, builds one
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    config = ExperimentConfig(kind=GBM, p0=100.0, sigma=0.004, n_steps=10, liquidity=1e4,
+                              n_runs=2000, seed=29, fee=0.002)
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 11 * 8 * 300)
+    chunks = harness.plan_chunks(config.n_runs, config.n_steps)
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    run_campaign(config)
+    assert len(chunks) == 7 and 1 <= len(built) <= len(chunks)
 
 
 def test_make_generator_reproducible():
