@@ -50,6 +50,7 @@ import shutil
 import sys
 import tempfile
 from dataclasses import asdict, fields
+from decimal import Decimal
 from math import ceil, exp, isfinite, log, sqrt
 from pathlib import Path
 
@@ -89,7 +90,7 @@ from .harness import (
 )
 from .presets import get_preset, preset_names
 from .stats import Histogram, distinct_positive, fit_loglog, mean_stderr
-from .stochastic import ProcessKind, derive_run_seed, pdf_bm, pdf_gbm
+from .stochastic import ProcessKind, _checked_int, derive_run_seed, pdf_bm, pdf_gbm
 
 # ---------------------------------------------------------------------------
 # config keys: one flat vocabulary shared by defaults, presets, files, flags
@@ -110,10 +111,11 @@ def _cast_int(key: str, v: str) -> int:
         return int(v)
     except ValueError:
         pass
-    f = _cast_float(key, v)
-    if f != int(f):
+    _cast_float(key, v)
+    exact = Decimal(v)  # a double would round integers past 2**53
+    if exact != exact.to_integral_value():
         raise ConfigError(f"{key}: expected an integer, got {v!r}")
-    return int(f)
+    return int(exact)
 
 
 def _cast_choice(*options: str):
@@ -137,13 +139,6 @@ def _cast_int_list(key: str, v: str) -> list[int]:
     return [_cast_int(key, part) for part in _split(v)]
 
 
-def _cast_seed(key: str, v: str) -> int:
-    seed = _cast_int(key, v)
-    if not 0 <= seed < 2**64:
-        raise ConfigError("seed must fit in an unsigned 64-bit integer")
-    return seed
-
-
 # key -> (caster, default string, help text)
 _KEYS = {
     "process": (_cast_choice(*ProcessKind, "both"),
@@ -153,7 +148,8 @@ _KEYS = {
     "n_steps": (_cast_int, "1000", "steps per run"),
     "liquidity": (_cast_float, "10000.0", "pool liquidity parameter L"),
     "n_runs": (_cast_int, "10000", "independent runs in the campaign"),
-    "seed": (_cast_seed, "0", "campaign seed; run i derives its own stream from it"),
+    "seed": (lambda key, v: _checked_int(_cast_int(key, v), key),
+             "0", "the seed that every random stream of the command derives from"),
     "fee": (_cast_float, "0.0", "proportional fee; 0 disables the no-trade band"),
     "band_rule": (_cast_choice(*BandRule), "exact", "no-trade band shape around the pool price"),
     "target": (_cast_choice(*TradeTarget),

@@ -51,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from math import isfinite, log, sqrt
-from numbers import Integral
 
 import numpy as np
 
@@ -60,6 +59,7 @@ from .stats import Histogram, distinct_positive, fit_loglog, mean_stderr
 from .stochastic import (
     GBM_FACTOR_FLOOR,
     ProcessKind,
+    _checked_int,
     derive_run_seed,
     make_generator,
     philox_keys,
@@ -158,8 +158,8 @@ _PRICE_HISTOGRAMS = ("final_price",)
 class ExperimentConfig:
     """Everything a campaign needs; hashable and JSON-friendly.
 
-    The enum fields also accept their string values, so the record round
-    trips through dataclasses.asdict and JSON.
+    The enum fields take their string values too, and seed is stored as an
+    int, so the record round trips through dataclasses.asdict and JSON.
     """
 
     kind: ProcessKind
@@ -191,9 +191,7 @@ class ExperimentConfig:
             raise ConfigError(f"n_steps must be positive, got {self.n_steps}")
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be positive, got {self.n_runs}")
-        if not (isinstance(self.seed, Integral) and not isinstance(self.seed, bool)
-                and 0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must fit in an unsigned 64-bit integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _checked_int(self.seed))
         if not 0.0 <= self.fee < 1.0:
             raise ConfigError(f"fee must lie in [0, 1), got {self.fee}")
         if self.bins < 1:
@@ -262,24 +260,24 @@ def simulate_price_matrix(
 ) -> np.ndarray:
     """Price paths for the given per-run seeds, shape (n_steps + 1, runs).
 
-    seeds is a 1-d sequence of integers in [0, 2**64).  Column j depends only
-    on seeds[j]: it holds exactly the draws of make_generator(seeds[j]), from
-    one generator whose Philox is re-keyed per run with a fresh counter and
-    buffer.  The draws pass through one reused block of about 1 MiB (never
-    less than one run), and each block's prices are written into its columns
-    before the next block is drawn, so the price matrix is the only
-    full-size array.  A single run is
+    seeds is a 1-d sequence of seeds, each checked as make_generator checks
+    one.  Column j depends only on seeds[j]: it holds exactly the draws of
+    make_generator(seeds[j]), from one generator whose Philox is re-keyed per
+    run with a fresh counter and buffer.  The draws pass through one reused
+    block of about 1 MiB (never less than one run), and each block's prices
+    are written into its columns before the next block is drawn, so the
+    price matrix is the only full-size array.  A single run is
     simulate_price_matrix(kind, p0, sigma, n_steps, [seed])[:, 0].
     """
-    seeds = np.asarray(seeds, dtype=object)
-    if seeds.ndim != 1 or not all(isinstance(s, Integral) and not isinstance(s, bool)
-                                  and 0 <= s < 2**64 for s in seeds):
-        raise ValueError("seeds must be a 1-d sequence of integers in [0, 2**64)")
+    if np.ndim(seeds) != 1:
+        raise ConfigError(f"seeds must be a 1-d sequence, got {np.ndim(seeds)} dimensions")
+    seeds = np.array([_checked_int(s, f"seeds[{j}]") for j, s in enumerate(seeds)],
+                     dtype=np.uint64)
     prices = np.empty((n_steps + 1, seeds.size))
     if seeds.size:
-        rng = make_generator(int(seeds[0]))
+        rng = make_generator(seeds[0])
         fresh = rng.bit_generator.state  # zero counter, empty buffer
-        keys = philox_keys(seeds.astype(np.uint64))
+        keys = philox_keys(seeds)
         runs = min(seeds.size, max(1, _DRAW_BLOCK_BYTES // (8 * n_steps or 1)))
         block = np.empty((runs, n_steps))
         for lo in range(0, seeds.size, runs):

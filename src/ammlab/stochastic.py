@@ -17,6 +17,8 @@ SeedSequence.  derive_run_seed and philox_keys restate its hash (NEP 19 freezes
 it) on ints, with a campaign seed's pool cached, and on whole seed arrays, so
 per-run streams are cheap to derive and independent of execution order; a
 batch re-keys one generator per run, and each run draws make_generator(seed)'s.
+A seed is an integer in [0, 2**64), not a bool: _checked_int is that rule, and
+every door that takes a seed checks it there and raises ConfigError otherwise.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from functools import lru_cache
 from math import sqrt
 
 import numpy as np
+
+from .errors import ConfigError
 
 __all__ = [
     "ProcessKind",
@@ -48,9 +52,20 @@ class ProcessKind(str, Enum):
     GBM = "gbm"
 
 
+def _checked_int(value, name: str = "seed", bits: int = 64) -> int:
+    """value as a plain int if it is an integer, not a bool, in [0, 2**bits), else ConfigError."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = -1
+    if isinstance(value, bool) or not 0 <= index < 1 << bits:
+        raise ConfigError(f"{name} must fit in an unsigned {bits}-bit integer, got {value!r}")
+    return index
+
+
 def make_generator(seed: int) -> np.random.Generator:
-    """Counter-based generator for a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    """Counter-based generator for a seed; ConfigError unless _checked_int takes it."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(_checked_int(seed))))
 
 
 # SeedSequence's hash constants: hashmix call k xors in consts[k], multiplies by consts[k + 1];
@@ -99,26 +114,16 @@ def philox_keys(seeds) -> np.ndarray:
 _campaign_pool = lru_cache(maxsize=16)(_pool)  # derive_run_seed's, keyed on one int seed
 
 
-def _checked_int(value, bits: int, name: str) -> int:
-    try:
-        index = operator.index(value)
-    except TypeError:
-        index = -1
-    if isinstance(value, bool) or not 0 <= index < 1 << bits:
-        raise ValueError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
-    return index
-
-
 def derive_run_seed(campaign_seed: int, run_index: int) -> int:
     """Stable 64-bit seed for run number run_index of a campaign.
 
     Equal to SeedSequence(campaign_seed, spawn_key=(run_index,)).generate_state(
     1, np.uint64)[0], so it does not depend on how runs are batched, and sweeps
     sharing a campaign seed reuse common random numbers per run index.  Raises
-    ValueError unless campaign_seed is in [0, 2**64) and run_index in [0, 2**32).
+    ConfigError unless campaign_seed is a seed and run_index in [0, 2**32).
     """
-    campaign_seed = _checked_int(campaign_seed, 64, "campaign_seed")
-    run_index = _checked_int(run_index, 32, "run_index")
+    campaign_seed = _checked_int(campaign_seed, "campaign_seed")
+    run_index = _checked_int(run_index, "run_index", 32)
     pool0, pool1, _, _ = _campaign_pool(campaign_seed)
     lo = _hashmix(_mix(pool0, _hashmix(run_index, _HASH_A, 16)), _HASH_B, 0)
     hi = _hashmix(_mix(pool1, _hashmix(run_index, _HASH_A, 17)), _HASH_B, 1)

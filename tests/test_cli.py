@@ -174,11 +174,13 @@ def test_non_finite_number_exits_2(tmp_path, capsys, argv, key):
     (["sweep", "steps", "--steps-list", "10,10"], "need at least two distinct positive"),
     (["sweep", "sigma"], "need at least two distinct positive volatilities"),
     (["sweep", "steps"], "need at least two distinct positive step counts"),
-    (["analytic", "sample-il", "--seed", "-1"], "seed must fit in an unsigned 64-bit integer"),
-    (["analytic", "clt-sum", "--seed", "-1"], "seed must fit in an unsigned 64-bit integer"),
-    (["analytic", "first-passage", "--seed", "-1"], "seed must fit in an unsigned 64-bit"),
-    (["analytic", "first-passage", "--k-list", "", "--seed", "-1"], "seed must fit in an"),
-    (["simulate", "--seed", str(2**64)], "seed must fit in an unsigned 64-bit integer"),
+    *(pytest.param(argv, message, id=" ".join(argv)) for argv, message in (
+        (["analytic", "sample-il", "--seed", "-1"], "seed must fit in an unsigned 64-bit integer"),
+        (["analytic", "clt-sum", "--seed", "-1"], "seed must fit in an unsigned 64-bit integer"),
+        (["analytic", "first-passage", "--seed", "-1"], "seed must fit in an unsigned 64-bit"),
+        (["analytic", "first-passage", "--k-list=", "--seed", "-1"], "seed must fit in an"),
+        (["simulate", "--seed", str(2**64)], "seed must fit in an unsigned 64-bit integer"),
+    )),
     (["simulate", "--observables", "prices", "--sigma", "0"],
      "price-density campaigns compare with the analytic density, so sigma^2 n_steps must be "
      "positive, got sigma = 0.0"),
@@ -228,6 +230,21 @@ def test_il_mean_and_lvr_mean_refuse_the_same_laws(tmp_path, capsys, argv):
     rc, err = answers[0]
     assert rc == 2 and err.startswith("config error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=" ".join(argv)) for argv in (
+        ["--process", "bm", "--sigma", "0.5", "--t", "1"],
+        ["--sigma", "3", "--t", "30"],
+    )
+])
+def test_lvr_mean_takes_a_law_whose_loss_integrals_il_mean_refuses(tmp_path, capsys, argv):
+    # the two share ILDistParams' rules only: the leak and tail limits are the loss integrals'
+    assert main(["analytic", "lvr-mean", *argv, "--out", str(tmp_path / "lvr")]) == 0
+    capsys.readouterr()
+    assert main(["analytic", "il-mean", *argv, "--out", str(tmp_path / "il")]) == 4
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not (tmp_path / "il").exists()
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -315,6 +332,26 @@ def test_integer_flag_with_a_fraction_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "config error: n_runs: expected an integer, got '2.5'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_integer_flag_in_float_form_is_read_exactly(tmp_path, capsys):
+    # through a double, 2**53 + 1 would run as 2**53, 2**64 - 1 as 2**64 and 3 + 1e-16 as 3
+    args = ["simulate", "--n-runs", "3", "--n-steps", "10"]
+    assert main(args + ["--seed", "9007199254740993", "--out", str(tmp_path / "int")]) == 0
+    assert main(args + ["--seed", "9007199254740993.0", "--out", str(tmp_path / "float")]) == 0
+    assert _tree(tmp_path / "int") == _tree(tmp_path / "float")
+    out = tmp_path / "top"
+    assert main(args + ["--seed", "1.8446744073709551615e19", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 2**64 - 1
+    capsys.readouterr()
+    rc = main(["simulate", "--n-runs", "3.0000000000000001", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert ("config error: n_runs: expected an integer, got '3.0000000000000001'"
+            in capsys.readouterr().err)
+    rc = main(["simulate", "--n-runs", "1e400", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "config error: n_runs: expected a finite number, got '1e400'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_file_bad_syntax_names_the_line(tmp_path):
@@ -581,6 +618,34 @@ def test_replay_refuses_a_manifest_with_a_bad_config_value(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", str(out)]) == 2
     assert "band_rule: expected one of" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=" ".join(argv)) for argv in (
+        ["simulate", "--n-runs", "3", "--n-steps", "10"],
+        ["sweep", "fee", "--fees", "0.001,0.002", "--n-runs", "3", "--n-steps", "10"],
+        ["sweep", "sigma", "--sigmas", "0.001,0.002", "--n-runs", "3", "--n-steps", "10"],
+        ["sweep", "steps", "--steps-list", "10,20", "--n-runs", "3"],
+        ["analytic", "sample-il", "--n-samples", "100"],
+        ["analytic", "clt-sum", "--n-per-sum", "10", "--n-repeats", "10"],
+        ["analytic", "first-passage", "--k-list", "2,3", "--n-walks", "50"],
+        ["analytic", "first-passage", "--k-list=", "--lower", "-2", "--upper", "2",
+         "--n-walks", "50"],
+    )
+])
+def test_every_seeded_command_refuses_a_bad_seed_live_and_in_replay(tmp_path, capsys, argv):
+    line = "config error: seed must fit in an unsigned 64-bit integer, got -1\n"
+    assert main(argv + ["--seed", "-1", "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == line
+    assert list(tmp_path.iterdir()) == []
+    out = tmp_path / "b"
+    assert main(argv + ["--out", str(out)]) == 0
+    _edit_manifest_config(out, seed=-1)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 2
+    assert capsys.readouterr().err == line
+    assert _tree(tmp_path) == before
 
 
 def test_replay_refuses_a_bundle_from_another_version(tmp_path, capsys):

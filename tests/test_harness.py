@@ -322,21 +322,26 @@ def test_config_validation():
 
 @pytest.mark.parametrize("seed, accepted", [
     (0, True), (2**64 - 1, True), (np.int64(7), True), (np.uint64(2**64 - 1), True),
+    (np.uint64(7), True),
     (-1, False), (2**64, False), (7.5, False), (7.0, False), (True, False), (False, False),
     ("7", False), (None, False),
 ], ids=repr)
 def test_config_seed_must_be_a_64_bit_integer(seed, accepted):
-    # a bool is an Integral but no seed; a float seed would reach SeedSequence
+    # a bool is an Integral but no seed; a float seed would reach SeedSequence;
+    # a numpy integer is stored as the plain int it equals
     if accepted:
-        assert replace(BASE, seed=seed).seed == seed
+        stored = replace(BASE, seed=seed).seed
+        assert type(stored) is int and stored == seed
     else:
         with pytest.raises(ConfigError, match="seed must fit in an unsigned 64-bit integer"):
             replace(BASE, seed=seed)
 
 
 def test_config_round_trips_through_json():
-    # the enum fields take their string values, as asdict and JSON give them back
-    config = replace(BASE, band_rule=BandRule.LINEARIZED, target=TradeTarget.MARGINAL)
+    # the enum fields take their string values, as asdict and JSON give them back,
+    # and a numpy seed is stored as a plain int, which JSON can write
+    config = replace(BASE, band_rule=BandRule.LINEARIZED, target=TradeTarget.MARGINAL,
+                     seed=np.uint64(2**64 - 1))
     again = ExperimentConfig(**json.loads(json.dumps(asdict(config))))
     assert again == config
     assert again.kind is ProcessKind.GBM and again.target is TradeTarget.MARGINAL

@@ -1,7 +1,10 @@
 """Price process update rules, densities, and seeding guarantees."""
 
+import ast
+import operator
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,15 +14,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ammlab import (
+    BarrierSpec,
+    ConfigError,
     ExperimentConfig,
+    ILDistParams,
     ProcessKind,
+    clt_sum_experiment,
     derive_run_seed,
+    first_passage,
     make_generator,
     pdf_bm,
     pdf_gbm,
     run_campaign,
+    sample_il,
     simulate_price_matrix,
 )
+import ammlab
 from ammlab import harness
 from ammlab.harness import _DRAW_BLOCK_BYTES
 from ammlab.stochastic import GBM_FACTOR_FLOOR, philox_keys, prices_from_increments
@@ -246,6 +256,50 @@ def test_derive_run_seed_takes_numpy_integers(seed, index):
 def test_derive_run_seed_refuses_out_of_domain(seed, index, name, value):
     with pytest.raises(ValueError, match=f"^{name} .*got {re.escape(repr(value))}$"):
         derive_run_seed(seed, index)
+
+
+_LAW = ILDistParams(p0=100.0, liquidity=10000.0, sigma=0.1, t=1.0)
+
+# every library door that takes a seed, and the name its refusal gives the seed
+SEED_DOORS = {
+    "make_generator": (make_generator, "seed"),
+    "sample_il": (lambda seed: sample_il(_LAW, 10, seed), "seed"),
+    "clt_sum_experiment": (lambda seed: clt_sum_experiment(_LAW, 10, 10, seed), "seed"),
+    "first_passage": (lambda seed: first_passage(BarrierSpec(-3, 3), 10, seed), "seed"),
+    "ExperimentConfig": (lambda seed: ExperimentConfig(
+        kind=GBM, p0=100.0, sigma=0.01, n_steps=5, liquidity=1e4, n_runs=2, seed=seed), "seed"),
+    "simulate_price_matrix": (
+        lambda seed: simulate_price_matrix(GBM, 100.0, 0.01, 5, [3, seed]), "seeds[1]"),
+    "derive_run_seed": (lambda seed: derive_run_seed(seed, 0), "campaign_seed"),
+}
+
+
+@pytest.mark.parametrize("door", SEED_DOORS)
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 7.0], ids=repr)
+def test_every_seed_door_gives_the_same_refusal(door, seed):
+    call, name = SEED_DOORS[door]
+    message = f"{name} must fit in an unsigned 64-bit integer, got {seed!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(seed)
+
+
+def _integers_in_code(tree):
+    """Integer literals, and powers and left shifts of two integer literals."""
+    ops = {ast.Pow: operator.pow, ast.LShift: operator.lshift}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            yield node.value
+        elif (isinstance(node, ast.BinOp) and type(node.op) in ops
+              and all(isinstance(side, ast.Constant) and type(side.value) is int
+                      for side in (node.left, node.right))):
+            yield ops[type(node.op)](node.left.value, node.right.value)
+
+
+def test_only_stochastic_states_the_seed_domain():
+    # every other module takes the seed rule from stochastic instead of restating 2**64
+    stating = {path.name for path in Path(ammlab.__file__).parent.glob("*.py")
+               if 2**64 in _integers_in_code(ast.parse(path.read_text()))}
+    assert stating <= {"stochastic.py"}
 
 
 def test_campaign_builds_no_seed_sequence_per_run(monkeypatch):
