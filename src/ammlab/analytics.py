@@ -275,7 +275,7 @@ def il_pdf(il, params: ILDistParams):
     Sum of the Jacobian-weighted price density over both inversion
     branches; the above-entry branch contributes only while
     il < L / sqrt(p0).  Diverges like 1 / sqrt(il) at the origin, which is
-    integrable.
+    integrable; a prefactor p0^1.25 / sqrt(il L) past the doubles is refused.
     """
     arr = np.atleast_1d(np.asarray(il, dtype=float))
     if np.any(arr <= 0.0):
@@ -283,7 +283,12 @@ def il_pdf(il, params: ILDistParams):
     pdf = pdf_bm if params.process is ProcessKind.BM else pdf_gbm
     law = (params.p0, params.sigma, params.t)
     q, below, above = _branch_prices(arr, params)
-    pref = params.p0**1.25 / np.sqrt(arr * params.liquidity)
+    with np.errstate(over="ignore", divide="ignore"):  # a numpy p0^1.25 overflows to inf
+        pref = np.float64(params.p0) ** 1.25 / np.sqrt(arr * params.liquidity)
+    if not np.isfinite(pref).all():
+        raise NumericalError(f"the density prefactor p0^1.25 / sqrt(il L) leaves the double "
+                             f"range (p0 = {params.p0:g}, liquidity = {params.liquidity:g}, "
+                             f"il down to {arr.min():.3g})")
     out = pref * np.asarray(pdf(below, *law)) / (1.0 + q) ** 3
     mask = q < 1.0
     out[mask] += pref[mask] * np.asarray(pdf(above[mask], *law)) / (1.0 - q[mask]) ** 3

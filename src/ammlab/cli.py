@@ -75,7 +75,6 @@ from .analytics import (
 )
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .harness import (
-    _POOL_HISTOGRAMS,
     TABLE_COLUMNS,
     BandRule,
     ExperimentConfig,
@@ -176,10 +175,18 @@ _KEYS = {
 _CAMPAIGN_KEYS = ("process", *(f.name for f in fields(ExperimentConfig) if f.name != "kind"))
 _IL_KEYS = ("process", *(f.name for f in fields(ILDistParams) if f.name != "process"))
 
+# the histograms simulate writes: every pool metric and il and lvr net of fees,
+# or the endpoint price alone
+_HISTOGRAMS = {
+    Observables.POOL: ("il", "lvr", "volume", "fees", "il_minus_fees", "lvr_minus_fees",
+                       "final_price"),
+    Observables.PRICES: ("final_price",),
+}
+
 
 def _base_keys(*swept: str) -> tuple[str, ...]:
-    """A sweep's keys for its base: none its campaigns set, nor histogram bins or observables."""
-    return tuple(k for k in _CAMPAIGN_KEYS if k not in {*swept, "bins", "observables"})
+    """A sweep's keys for its base: none its campaigns set, nor observables."""
+    return tuple(k for k in _CAMPAIGN_KEYS if k not in {*swept, "observables"})
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -241,12 +248,15 @@ _FIXED_BYTES, _PASS_WALKS = 2 << 20, 6000
 
 def _cast(mode: str, keys: tuple[str, ...], strings: dict[str, str]) -> dict:
     """Parse a mode's config strings, then apply the rules across keys before any
-    work: only simulate runs both processes, one campaign after the other, no path
-    may pass the chunk budget nor any command the byte budget, nor first-passage
-    the walk-step budget over its barrier pairs, (-k, k) and (-k, 1) for each k."""
+    work: only simulate runs both processes, one campaign after the other, bins
+    are positive, no path may pass the chunk budget nor any command the byte
+    budget, nor first-passage the walk-step budget over its barrier pairs,
+    (-k, k) and (-k, 1) for each k."""
     cfg = {k: _KEYS[k][0](k, strings[k]) for k in keys}
     if cfg.get("process") == "both" and mode != "simulate":
         raise ConfigError(f"{mode} needs process=bm or process=gbm")
+    if cfg.get("bins", 1) < 1:
+        raise ConfigError(f"bins must be positive, got {cfg['bins']}")
     cost = {k: max(cfg[k], 0) * _UNIT_BYTES[k] for k in _UNIT_BYTES if k in cfg}
     if "n_per_sum" in cfg:  # clt-sum draws the terms of every sum at once
         cost["n_per_sum * n_repeats"] = cost.pop("n_per_sum") * max(cfg["n_repeats"], 0)
@@ -254,9 +264,8 @@ def _cast(mode: str, keys: tuple[str, ...], strings: dict[str, str]) -> dict:
         step_counts = cfg["steps_list"] if "steps_list" in cfg else [cfg["n_steps"]]
         cost["n_runs"] += chunk_working_bytes(max(cfg["n_runs"], 0), max([0, *step_counts]))
     if "bins" in cfg:
-        hists = len(_POOL_HISTOGRAMS) if cfg.get("observables") == Observables.POOL else 1
-        cost["bins"] = max(cfg["bins"], 0) * (hists * _UNIT_BYTES["kept_bin"]
-                                              + _UNIT_BYTES["written_bin"])
+        hists = len(_HISTOGRAMS[Observables(cfg["observables"])]) if "observables" in cfg else 1
+        cost["bins"] = cfg["bins"] * (hists * _UNIT_BYTES["kept_bin"] + _UNIT_BYTES["written_bin"])
     total = _FIXED_BYTES + sum(cost.values())
     if total > BYTE_BUDGET:
         key = max(cost, key=cost.get)
@@ -375,7 +384,7 @@ def _run_simulate(cfg: dict, bundle: Bundle) -> list[str]:
     summaries: dict[str, dict] = {}
     for kind in kinds:
         conf, prefix = _campaign_config(cfg, kind), f"{kind.value}_" if both else ""
-        summary = summaries[kind.value] = _write_campaign(conf, prefix, bundle)
+        summary = summaries[kind.value] = _write_campaign(conf, cfg["bins"], prefix, bundle)
         means = (("mean_lvr", "mean_il", "mean_volume") if conf.observables is Observables.POOL
                  else ("mean_final_price",))
         notes.append(" ".join([f"{kind.value}:", *(f"{k}={summary[k]:.6g}" for k in means),
@@ -386,17 +395,22 @@ def _run_simulate(cfg: dict, bundle: Bundle) -> list[str]:
     return notes
 
 
-def _write_campaign(conf: ExperimentConfig, prefix: str, bundle: Bundle) -> dict:
-    """Run one campaign and write its files; only its summary outlives the call,
-    so process=both holds one campaign at a time."""
+def _write_campaign(conf: ExperimentConfig, bins: int, prefix: str, bundle: Bundle) -> dict:
+    """Run one campaign, bin its table and write its files; only its summary
+    outlives the call, so process=both holds one campaign at a time."""
     result = run_campaign(conf)
     bundle.write_json(
         f"{prefix}summary.json",
-        {"config": asdict(conf), "summary": result.summary},
+        {"config": {**asdict(conf), "bins": bins}, "summary": result.summary},
         "campaign configuration and ensemble summary",
     )
-    for name, hist in result.histograms.items():
-        bundle.write_histogram(f"{prefix}hist_{name}.json", name, hist)
+    hists = {}
+    for name in _HISTOGRAMS[conf.observables]:
+        values = result.column(name.removesuffix("_minus_fees"))
+        if name.endswith("_minus_fees"):
+            values = values - result.column("fees")
+        hists[name] = Histogram.from_samples(values, bins=bins)
+        bundle.write_histogram(f"{prefix}hist_{name}.json", name, hists[name])
     if conf.observables is Observables.POOL:
         bundle.write_csv(f"{prefix}table.csv", ["run_index", *TABLE_COLUMNS],
                          ([i, *row] for i, row in enumerate(result.table)),
@@ -405,7 +419,7 @@ def _write_campaign(conf: ExperimentConfig, prefix: str, bundle: Bundle) -> dict
         bundle.write_csv(
             f"{prefix}price_density.csv",
             ["price", "bin_width", "count", "empirical_density", "analytic_density"],
-            _price_density_rows(result.histograms["final_price"], conf.kind,
+            _price_density_rows(hists["final_price"], conf.kind,
                                 conf.p0, conf.sigma, conf.n_steps),
             "endpoint price histogram against the analytic density",
         )
@@ -491,8 +505,6 @@ def _run_lvr_mean(cfg: dict, bundle: Bundle) -> list[str]:
 
 def _run_sample_il(cfg: dict, bundle: Bundle) -> list[str]:
     params = _dist_params(cfg)
-    if cfg["bins"] < 1:
-        raise ConfigError(f"bins must be positive, got {cfg['bins']}")
     draws = sample_il(params, cfg["n_samples"], cfg["seed"])
     hist = Histogram.from_samples(draws, bins=cfg["bins"])
     mean, stderr = mean_stderr(draws)
@@ -620,7 +632,7 @@ def _run_sweep_steps(cfg: dict, bundle: Bundle) -> list[str]:
 # this order, and a mode names the command in presets, config files and the
 # default bundle directory
 _COMMANDS = {
-    ("simulate",): ("simulate", _CAMPAIGN_KEYS, _run_simulate),
+    ("simulate",): ("simulate", _CAMPAIGN_KEYS + ("bins",), _run_simulate),
     ("analytic", "il-pdf"): ("il-pdf", _IL_KEYS + ("il_points",), _run_il_pdf),
     ("analytic", "il-mean"): ("il-mean", _IL_KEYS, _run_il_mean),
     ("analytic", "lvr-mean"): ("lvr-mean", _IL_KEYS, _run_lvr_mean),

@@ -1,4 +1,4 @@
-"""Campaign driver: seeded ensembles of runs, summarized and binned.
+"""Campaign driver: seeded ensembles of runs, reduced to a per-run table and its summary.
 
 A campaign evaluates one experiment configuration over n_runs independent
 price paths.  Run i always consumes the generator seeded by
@@ -8,16 +8,17 @@ kernel, and results do not depend on chunking.
 
 A campaign is one pass over fixed run chunks: each chunk builds a step-major
 price matrix, one column per run, and the arbitrage kernel fills its rows of
-the per-run metric table; then the summary and the histograms are built from
-the whole table.  Chunks are sized by CHUNK_BYTES, one byte budget on the
-chunk price matrix, so the chunk boundaries depend only on n_runs and n_steps.
-The matrix is the chunk's only full-size array: its normal draws are staged
-through one small reused block of runs, and each block's prices are written
-into its columns before the next block is drawn; chunk_working_bytes states
-what a chunk holds.  A sweep builds and checks every campaign's record first,
-then hands its campaigns one memo of the last chunk matrix, keyed on the
-arguments that built it, so when consecutive campaigns share their paths (a
-fee sweep's do) each chunk's paths are built once.
+the per-run metric table; then the summary is built from the whole table,
+and binning the table is left to the caller.  Chunks are sized by
+CHUNK_BYTES, one byte budget on the chunk price matrix, so the chunk
+boundaries depend only on n_runs and n_steps.  The matrix is the chunk's
+only full-size array: its normal draws are staged through one small reused
+block of runs, and each block's prices are written into its columns before
+the next block is drawn; chunk_working_bytes states what a chunk holds.  A
+sweep builds and checks every campaign's record first, then hands its
+campaigns one memo of the last chunk matrix, keyed on the arguments that
+built it, so when consecutive campaigns share their paths (a fee sweep's
+do) each chunk's paths are built once.
 
 Arbitrage against the reference price.  With a proportional fee f the pool
 is only worth trading once the reference price leaves a no-trade band
@@ -55,7 +56,7 @@ from math import isfinite, log, sqrt
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ResourceLimitError
-from .stats import Histogram, distinct_positive, fit_loglog, mean_stderr
+from .stats import distinct_positive, fit_loglog, mean_stderr
 from .stochastic import (
     GBM_FACTOR_FLOOR,
     ProcessKind,
@@ -131,7 +132,7 @@ def classify_regime(sigma2_t: float) -> RegimeLabel:
 class Observables(str, Enum):
     """What a campaign measures.
 
-    POOL runs the arbitrage accounting and bins every pool-side metric.
+    POOL runs the arbitrage accounting and tables every pool-side metric.
     PRICES records endpoint prices only, for comparing the simulated
     ensemble against the analytic densities; pool metrics are left out,
     which also permits additive paths that wander below zero (there the
@@ -140,18 +141,6 @@ class Observables(str, Enum):
 
     POOL = "pool"
     PRICES = "prices"
-
-
-_POOL_HISTOGRAMS = (
-    "il",
-    "lvr",
-    "volume",
-    "fees",
-    "il_minus_fees",
-    "lvr_minus_fees",
-    "final_price",
-)
-_PRICE_HISTOGRAMS = ("final_price",)
 
 
 @dataclass(frozen=True)
@@ -173,7 +162,6 @@ class ExperimentConfig:
     band_rule: BandRule = BandRule.EXACT
     target: TradeTarget = TradeTarget.ORACLE
     observables: Observables = Observables.POOL
-    bins: int = 50
 
     def __post_init__(self) -> None:
         for name, enum in (("kind", ProcessKind), ("band_rule", BandRule),
@@ -194,8 +182,6 @@ class ExperimentConfig:
         object.__setattr__(self, "seed", _checked_int(self.seed))
         if not 0.0 <= self.fee < 1.0:
             raise ConfigError(f"fee must lie in [0, 1), got {self.fee}")
-        if self.bins < 1:
-            raise ConfigError(f"bins must be positive, got {self.bins}")
         if self.observables is Observables.PRICES and self.fee != 0.0:
             raise ConfigError("price-density campaigns skip the pool, so fee must be 0")
         if self.observables is Observables.PRICES and not self.sigma2_t > 0.0:
@@ -210,23 +196,17 @@ class ExperimentConfig:
     def regime(self) -> RegimeLabel:
         return classify_regime(self.sigma2_t)
 
-    def histogram_names(self) -> tuple[str, ...]:
-        if self.observables is Observables.PRICES:
-            return _PRICE_HISTOGRAMS
-        return _POOL_HISTOGRAMS
-
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """Output of run_campaign.
+    """Output of run_campaign: the per-run table and its summary, nothing binned.
 
-    table is the (n_runs, 6) per-run metric matrix in TABLE_COLUMNS order.
-    summary holds means with standard errors plus the pooled trade
-    statistics and the regime label.
+    table is the (n_runs, 6) per-run metric matrix in TABLE_COLUMNS order; a
+    price-density campaign leaves its pool columns NaN.  summary holds means
+    with standard errors plus the pooled trade statistics and the regime label.
     """
 
     table: np.ndarray
-    histograms: dict[str, Histogram]
     summary: dict
 
     def column(self, name: str) -> np.ndarray:
@@ -410,23 +390,18 @@ def _compute_chunk(config: ExperimentConfig, lo: int, hi: int, paths: dict) -> n
         raise _nonpositive_prices(config) from None
 
 
-def _observable_values(rows: np.ndarray, name: str) -> np.ndarray:
-    if name == "il_minus_fees":
-        return rows[:, 0] - rows[:, 3]
-    if name == "lvr_minus_fees":
-        return rows[:, 1] - rows[:, 3]
-    return rows[:, TABLE_COLUMNS.index(name)]
-
-
 def _summarize(config: ExperimentConfig, table: np.ndarray) -> dict:
     n = table.shape[0]
     summary: dict = {"n_runs": n, "sigma2_t": config.sigma2_t, "regime": config.regime.value}
-    if config.observables is Observables.PRICES:
-        summary["mean_final_price"], summary["stderr_final_price"] = mean_stderr(table[:, 5])
+    prices = config.observables is Observables.PRICES
+    for name in ("final_price",) if prices else ("il", "lvr", "volume", "fees"):
+        try:
+            summary[f"mean_{name}"], summary[f"stderr_{name}"] = mean_stderr(
+                table[:, TABLE_COLUMNS.index(name)])
+        except NumericalError as exc:
+            raise NumericalError(f"{name}: {exc}") from None
+    if prices:
         return summary
-    for name in ("il", "lvr", "volume", "fees"):
-        col = table[:, TABLE_COLUMNS.index(name)]
-        summary[f"mean_{name}"], summary[f"stderr_{name}"] = mean_stderr(col)
     total_events = float(table[:, 4].sum())
     summary["mean_events"] = total_events / n
     # pooled wait: elapsed trading time over number of trades, run start anchored
@@ -437,28 +412,23 @@ def _summarize(config: ExperimentConfig, table: np.ndarray) -> dict:
 
 
 def run_campaign(config: ExperimentConfig, *, paths: dict | None = None) -> CampaignResult:
-    """Evaluate the configuration over its run ensemble.
+    """Evaluate the configuration over its run ensemble: its per-run table and summary.
 
     paths, when given, holds the last chunk's price matrix between calls, so a
     campaign on the same paths as the previous one reuses it instead of
     building it again; None starts empty.  Raises ResourceLimitError when one
-    path alone overflows the chunk budget.
+    path alone overflows the chunk budget, and NumericalError, naming the
+    metric, when a summarized column is not finite or its mean or standard
+    error leaves the double range.
     """
     paths = {} if paths is None else paths
     full = np.empty((config.n_runs, _N_COLS), dtype=float)
-    # Histogram.from_samples, not numpy warnings, reports paths leaving the double range
+    # mean_stderr, not numpy warnings, reports paths leaving the double range
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo, hi in plan_chunks(config.n_runs, config.n_steps):
             full[lo:hi] = _compute_chunk(config, lo, hi, paths)
-    histograms = {
-        name: Histogram.from_samples(_observable_values(full, name), bins=config.bins)
-        for name in config.histogram_names()
-    }
-    return CampaignResult(
-        table=full[:, : len(TABLE_COLUMNS)].copy(),
-        histograms=histograms,
-        summary=_summarize(config, full),
-    )
+    return CampaignResult(table=full[:, : len(TABLE_COLUMNS)].copy(),
+                          summary=_summarize(config, full))
 
 
 # the campaign summaries a sweep row reports, in column order
@@ -515,6 +485,9 @@ def sweep_volume_vs_steps(base: ExperimentConfig, steps_list, total_variance: fl
     fits["volume_slope"], fits["volume_slope_stderr"] = fit_loglog(
         steps, [m["mean_volume"] for m in summaries])
     lvr_means = np.asarray([m["mean_lvr"] for m in summaries])
+    if not lvr_means.mean() > 0.0:
+        raise NumericalError(f"the lvr spread divides by the average mean lvr "
+                             f"{lvr_means.mean()}, which must be positive")
     fits["lvr_relative_spread"] = float((lvr_means.max() - lvr_means.min()) / lvr_means.mean())
     return {"rows": rows, "fits": fits}
 

@@ -12,15 +12,28 @@ from .errors import ConfigError, NumericalError
 __all__ = ["Histogram", "mean_stderr", "distinct_positive", "fit_loglog"]
 
 
-def mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error (0 for a single observation)."""
+def _finite_sample(values, use: str) -> np.ndarray:
+    """values as a float array, refused when empty or when any value is not finite."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    mean = float(arr.mean())
-    if arr.size == 1:
-        return mean, 0.0
-    return mean, float(arr.std(ddof=1) / sqrt(arr.size))
+        raise ValueError(f"cannot {use} an empty sample")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise NumericalError(f"{arr.size - finite.sum()} of {arr.size} sample values "
+                             "are not finite")
+    return arr
+
+
+def mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single observation), both finite."""
+    arr = _finite_sample(values, "summarize")
+    with np.errstate(all="ignore"):
+        mean = arr.mean()
+        stderr = arr.std(ddof=1) / sqrt(arr.size) if arr.size > 1 else 0.0
+    if not np.isfinite([mean, stderr]).all():
+        raise NumericalError(f"sample moments leave the double range: mean {mean:.3g}, "
+                             f"stderr {stderr:.3g}")
+    return float(mean), float(stderr)
 
 
 def distinct_positive(values: list, what: str) -> list:
@@ -63,14 +76,9 @@ class Histogram:
         A sample too narrow for `bins` distinct edges (all values equal, or
         a few ulps apart) gets a hair-width wider range.
         """
-        arr = np.asarray(values, dtype=float)
-        if arr.size == 0:
-            raise ValueError("cannot histogram an empty sample")
+        arr = _finite_sample(values, "histogram")
         if bins < 1:
             raise ValueError(f"bins must be positive, got {bins}")
-        finite = np.isfinite(arr)
-        if not finite.all():
-            raise NumericalError(f"{arr.size - finite.sum()} of {arr.size} sample values are not finite")
         with np.errstate(all="ignore"):
             mean = arr.mean()
             centered = arr - mean

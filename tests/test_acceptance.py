@@ -18,6 +18,7 @@ from scipy.special import ndtr
 from ammlab import (
     BarrierSpec,
     ExperimentConfig,
+    Histogram,
     ILDistParams,
     ProcessKind,
     StepKind,
@@ -187,7 +188,7 @@ def test_criterion_05():
             f"il - lvr separation {separation:.1f} combined stderr <= 5 "
             f"(il {s['mean_il']:.2f}, lvr {s['mean_lvr']:.2f})"
         )
-    skew = result.histograms["lvr"].skewness
+    skew = Histogram.from_samples(result.column("lvr")).skewness
     if skew <= 0.2:
         failures.append(f"lvr skewness {skew:.3f} <= 0.2")
     _report(5, failures)

@@ -105,12 +105,12 @@ _LAW_FIELDS = {f.name for f in fields(ILDistParams)}
 @pytest.mark.parametrize("command, record, extra", [
     pytest.param(command, record, extra, id=" ".join(command))
     for command, record, extra in (
-        (("simulate",), _CAMPAIGN_FIELDS, set()),
-        # a sweep leaves out what its campaigns set, and the bins and observables of the
-        # histograms it never writes
-        (("sweep", "fee"), _CAMPAIGN_FIELDS - {"fee", "bins", "observables"}, {"fees"}),
-        (("sweep", "sigma"), _CAMPAIGN_FIELDS - {"sigma", "bins", "observables"}, {"sigmas"}),
-        (("sweep", "steps"), _CAMPAIGN_FIELDS - {"sigma", "n_steps", "bins", "observables"},
+        # simulate bins the campaign table into the histograms it writes
+        (("simulate",), _CAMPAIGN_FIELDS, {"bins"}),
+        # a sweep leaves out what its campaigns set, and observables: it always runs the pool
+        (("sweep", "fee"), _CAMPAIGN_FIELDS - {"fee", "observables"}, {"fees"}),
+        (("sweep", "sigma"), _CAMPAIGN_FIELDS - {"sigma", "observables"}, {"sigmas"}),
+        (("sweep", "steps"), _CAMPAIGN_FIELDS - {"sigma", "n_steps", "observables"},
          {"steps_list", "total_variance"}),
         (("analytic", "il-pdf"), _LAW_FIELDS, {"il_points"}),
         (("analytic", "il-mean"), _LAW_FIELDS, set()),
@@ -180,6 +180,7 @@ def test_non_finite_number_exits_2(tmp_path, capsys, argv, key):
         (["analytic", "first-passage", "--seed", "-1"], "seed must fit in an unsigned 64-bit"),
         (["analytic", "first-passage", "--k-list=", "--seed", "-1"], "seed must fit in an"),
         (["simulate", "--seed", str(2**64)], "seed must fit in an unsigned 64-bit integer"),
+        (["simulate", "--bins", "0"], "bins must be positive, got 0"),
     )),
     (["simulate", "--observables", "prices", "--sigma", "0"],
      "price-density campaigns compare with the analytic density, so sigma^2 n_steps must be "
@@ -1380,16 +1381,21 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, reason", [
-    (["simulate", "--sigma", "1e200", "--n-runs", "10"], "sample values are not finite"),
-    (["sweep", "fee", "--fees", "0.001", "--sigma", "1e200", "--n-runs", "10"],
-     "sample values are not finite"),
-    (["simulate", "--observables", "prices", "--sigma", "1e200", "--n-runs", "10"],
-     "sample values are not finite"),
-    (["simulate", "--sigma", "100", "--n-runs", "200"], "sample moments leave the double range"),
-    (["simulate", "--p0", "1e-300", "--n-runs", "200"], "sample moments leave the double range"),
-    (["simulate", "--p0", "1e300", "--sigma", "0.5", "--n-runs", "200"],
-     "sample moments leave the double range"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    pytest.param(argv, reason, id=" ".join(argv)) for argv, reason in (
+        (["simulate", "--sigma", "1e200", "--n-runs", "10"], "sample values are not finite"),
+        (["sweep", "fee", "--fees", "0.001", "--sigma", "1e200", "--n-runs", "10"],
+         "sample values are not finite"),
+        (["simulate", "--observables", "prices", "--sigma", "1e200", "--n-runs", "10"],
+         "sample values are not finite"),
+        (["simulate", "--sigma", "100", "--n-runs", "200"],
+         "sample moments leave the double range"),
+        # every run's lvr overflows, and the summary names it
+        (["simulate", "--p0", "1e-300", "--n-runs", "200"],
+         "lvr: 200 of 200 sample values are not finite"),
+        (["simulate", "--p0", "1e300", "--sigma", "0.5", "--n-runs", "200"],
+         "sample moments leave the double range"),
+    )
+])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_metrics_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason):
     rc = main(argv + ["--n-steps", "10", "--out", str(tmp_path / "x")])
@@ -1410,6 +1416,9 @@ def test_metrics_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason)
         # the baseline trades, but no run trades at the deep fees the slopes are fitted on
         (["sweep", "fee", "--sigma", "0.001", "--fees", "0.05,0.1"],
          "a log-log slope needs positive values, got 0.0"),
+        # at p0 = 1e300 every run's lvr underflows to 0 while its volume does not
+        (["sweep", "steps", "--steps-list", "10,20", "--p0", "1e300", "--total-variance", "2.5"],
+         "the lvr spread divides by the average mean lvr 0.0, which must be positive"),
     )
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1449,6 +1458,15 @@ _LVR_RANGE = "the mean rebalancing loss leaves the double range"
         # sigma sqrt(t) is about 2.3, but sigma^2 overflows
         *(([command, "--sigma", "1.5e154", "--t", "2.3e-308"], "sigma^2 leaves the double range")
           for command in ("il-mean", "il-pdf", "sample-il", "clt-sum")),
+        # the density's prefactor overflows at the smallest losses, or p0^1.25 alone does
+        *(([*command, *law], "the density prefactor p0^1.25 / sqrt(il L) leaves the double range")
+          for command, law in (
+              (["il-pdf"], ["--sigma", "0.1", "--t", "1", "--p0", "1e200"]),
+              (["il-mean"], ["--p0", "1e250"]),
+              (["il-pdf"], ["--p0", "1e250"]),
+              (["il-mean"], ["--p0", "1e246"]),
+              (["il-mean"], ["--liquidity", "1e-200"]),
+          )),
     )),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,15 +1,18 @@
 """Campaign driver: determinism, resource guards, sweeps."""
 
+import ast
 import json
 import math
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scalar_engine import Pool, run_no_fee, run_with_fees
 
+import ammlab
 from ammlab import (
     BandRule,
     CampaignResult,
@@ -44,7 +47,6 @@ BASE = ExperimentConfig(
     n_runs=400,
     seed=71001,
     fee=0.002,
-    bins=23,
 )
 
 # forces dozens of chunks so chunk seams are exercised
@@ -67,8 +69,6 @@ def test_chunk_size_does_not_change_results(monkeypatch):
     small = run_campaign(BASE)
     assert small.summary == large.summary
     assert np.array_equal(small.table, large.table)
-    for name, hist in large.histograms.items():
-        np.testing.assert_array_equal(small.histograms[name].counts, hist.counts)
 
 
 def _run_path(config: ExperimentConfig, i: int) -> np.ndarray:
@@ -212,7 +212,6 @@ def test_price_observables_allow_zero_crossing_additive_paths():
         observables=Observables.PRICES,
     )
     result = run_campaign(cfg)
-    assert set(result.histograms) == {"final_price"}
     mean = result.summary["mean_final_price"]
     stderr = result.summary["stderr_final_price"]
     assert abs(mean - 100.0) < 3.0 * stderr
@@ -234,11 +233,26 @@ def test_pool_campaign_rejects_zero_crossing_additive_paths():
         run_campaign(cfg)
 
 
-def test_histogram_counts_conserve_runs():
+def _simulate_bundle(tmp_path, config: ExperimentConfig) -> Path:
+    """The simulate bundle of config's campaign, binned in 23 bins."""
+    flags = [f"--{k.replace('_', '-')}={getattr(v, 'value', v)}"
+             for k, v in asdict(config).items() if k != "kind"]
+    out = tmp_path / config.observables.value
+    assert main(["simulate", f"--process={config.kind.value}", *flags, "--bins=23",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_histogram_counts_conserve_runs(tmp_path):
+    # each histogram simulate writes bins its column of the campaign table, every run once
     result = run_campaign(BASE)
-    for name, hist in result.histograms.items():
-        assert hist.n_total == BASE.n_runs, name
-        assert int(hist.counts.sum()) == BASE.n_runs, name
+    net = {f"{m}_minus_fees": result.column(m) - result.column("fees") for m in ("il", "lvr")}
+    for path in _simulate_bundle(tmp_path, BASE).glob("hist_*.json"):
+        written = json.loads(path.read_text())
+        name = written.pop("observable")
+        hist = Histogram.from_samples(net[name] if name in net else result.column(name), bins=23)
+        assert written == json.loads(json.dumps(hist.to_dict())), name
+        assert written["n_total"] == sum(written["counts"]) == BASE.n_runs, name
 
 
 @pytest.mark.parametrize("values, reason", [
@@ -310,8 +324,6 @@ def test_config_validation():
         ExperimentConfig(**good, seed=-1)
     with pytest.raises(ConfigError):
         ExperimentConfig(**good, fee=1.0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(**good, bins=0)
     with pytest.raises(ConfigError, match="fee must be 0"):
         ExperimentConfig(**good, fee=0.01, observables=Observables.PRICES)
     for key in ("p0", "sigma", "liquidity"):
@@ -347,10 +359,64 @@ def test_config_round_trips_through_json():
     assert again.kind is ProcessKind.GBM and again.target is TradeTarget.MARGINAL
 
 
-def test_histogram_names_by_observables():
-    assert "il_minus_fees" in BASE.histogram_names()
-    prices = replace(BASE, fee=0.0, observables=Observables.PRICES)
-    assert prices.histogram_names() == ("final_price",)
+def test_histogram_names_by_observables(tmp_path):
+    # a pool campaign bins its table and il and lvr net of fees; a price campaign its prices
+    pool = _simulate_bundle(tmp_path, BASE)
+    prices = _simulate_bundle(tmp_path, replace(BASE, fee=0.0, observables=Observables.PRICES))
+    assert {p.name for p in pool.glob("hist_*.json")} == {f"hist_{name}.json" for name in (
+        "il", "lvr", "volume", "fees", "il_minus_fees", "lvr_minus_fees", "final_price")}
+    assert {p.name for p in prices.glob("hist_*.json")} == {"hist_final_price.json"}
+
+
+# a second valid value of every field of the campaign record
+_SECOND_VALUES = {
+    "kind": ProcessKind.BM, "p0": 120.0, "sigma": 0.005, "n_steps": 256, "liquidity": 5000.0,
+    "n_runs": 399, "seed": 71002, "fee": 0.003, "band_rule": BandRule.LINEARIZED,
+    "target": TradeTarget.MARGINAL, "observables": Observables.PRICES,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+def test_every_record_field_changes_the_campaign(name):
+    # band_rule and target act through the fee band (BASE has a fee); a price campaign takes none
+    base = replace(BASE, fee=0.0) if name == "observables" else BASE
+    a, b = run_campaign(base), run_campaign(replace(base, **{name: _SECOND_VALUES[name]}))
+    assert not (a.table.shape == b.table.shape
+                and np.array_equal(a.table, b.table, equal_nan=True)
+                and json.dumps(a.summary) == json.dumps(b.summary))
+
+
+def test_sweeps_bin_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(Histogram, "from_samples",
+                        classmethod(lambda cls, *args, **kwargs: calls.append(args)))
+    sweep_fee(replace(BASE, n_runs=50), [0.001, 0.002])
+    assert calls == []
+    assert not hasattr(harness, "Histogram")
+
+
+def _names_in(tree):
+    """The identifiers, attribute names and string constants of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_only_cli_bins_net_losses_and_no_module_imports_harness_private_names():
+    # the net-of-fee losses are histograms of the simulate bundle, which cli alone writes
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(ammlab.__file__).parent.glob("*.py")}
+    naming = {name for name, tree in trees.items()
+              if {"il_minus_fees", "lvr_minus_fees"} & set(_names_in(tree))}
+    assert naming == {"cli.py"}
+    private = [(name, alias.name) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module in ("harness", "ammlab.harness")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 # ---------------------------------------------------------------------- sweeps
