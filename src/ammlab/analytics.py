@@ -11,7 +11,9 @@ their loss against holding the entry reserves,
 depends only on the endpoints.  Charged per step and summed, the same
 expression gives the path-dependent loss against a continuously rebalanced
 shadow portfolio, never smaller than any single-step view of the same move.
-il_between states it; harness.arbitrage has its own vectorised sums.
+il_between states it; harness.arbitrage has its own vectorised sums.  The
+law functions work on the scale-free unit pool (p0 = L = 1), whose law is
+one of sigma sqrt(t) and the process, and scale once through to_pool.
 
 Central results wired up here, all in token-x units with one time unit per
 step:
@@ -38,7 +40,7 @@ from __future__ import annotations
 # calling any of them.
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from math import erfc, exp, expm1, inf, isfinite, sqrt
 
@@ -63,6 +65,7 @@ __all__ = [
     "sample_il",
     "sqrt_loss_range",
     "analytic_il_mean",
+    "to_pool",
     "clt_sum_experiment",
     "first_passage",
 ]
@@ -97,7 +100,21 @@ class ILDistParams:
     @property
     def scale(self) -> float:
         """The closed-form mean L sigma^2 t / (4 sqrt(p0)), a natural unit."""
-        return self.liquidity * self.sigma**2 * self.t / (4.0 * sqrt(self.p0))
+        return float(to_pool(self, self.sigma**2 * self.t / 4.0))
+
+
+def to_pool(record, unit, inverse: bool = False):
+    """unit, a unit-pool loss, times record's L / sqrt(p0), or over it when inverse.
+
+    NumericalError, naming L / sqrt(p0), when a finite value becomes inf or a nonzero one 0."""
+    scale = record.liquidity / sqrt(record.p0)
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.divide(unit, scale) if inverse else np.multiply(unit, scale)
+        lost = np.isinf(out) & np.isfinite(unit) | (out == 0.0) & (unit != 0.0)
+    if not 0.0 < scale < inf or lost.any():
+        raise NumericalError(f"L / sqrt(p0) = {scale:.3g} (liquidity = {record.liquidity:g}, p0 "
+                             f"= {record.p0:g}) takes a unit-pool value outside the double range")
+    return out
 
 
 # Largest share of a law that the loss integrals may lose: the additive law's
@@ -108,9 +125,6 @@ LEAK_TOLERANCE = 1e-9
 
 _TINY = float(np.finfo(float).tiny)
 
-# largest u = sqrt(il) whose cube, in the loss-mean integrand, is still a double
-_U_LIMIT = float(np.finfo(float).max) ** (1.0 / 3.0)
-
 
 def _check_law(params: ILDistParams) -> float:
     """Refuse a price law the loss integrals cannot carry; return its mass above price zero.
@@ -119,10 +133,8 @@ def _check_law(params: ILDistParams) -> float:
     additive law its mass below price zero, Phi(-1 / s), and the
     multiplicative law its mean loss beyond sqrt_loss_range's 12-deviation
     window, Phi(s - 12), since the mean-loss integrand, e^(-s z) times the
-    normal density, peaks at z = -s.  A multiplicative law must also keep
-    its price 14 deviations below entry, the quadrature's lower limit,
-    positive.  sigma^2, which the price densities take whole, must be a
-    double.  sqrt_loss_range bounds the loss range.
+    normal density, peaks at z = -s, which keeps s below about 6 and the unit
+    law in the doubles.  sigma^2, which the price densities take whole, must be a double.
     """
     sst = params.sigma * sqrt(params.t)
     bm = params.process is ProcessKind.BM
@@ -136,32 +148,29 @@ def _check_law(params: ILDistParams) -> float:
     if not isfinite(params.sigma * params.sigma * params.t):
         raise NumericalError(f"sigma^2 leaves the double range (sigma = {params.sigma:g}, "
                              f"t = {params.t:g}), and the price densities need sigma^2 t")
-    if not (bm or _price_at(params, -14.0) > 0.0):
-        raise NumericalError(f"the price law at sigma sqrt(t) = {sst:.3g} reaches prices "
-                             "outside the double range within 14 standard deviations of entry")
     return 1.0 - share if bm else 1.0
 
 
 def _price_at(params: ILDistParams, z):
-    """Price at the standardized endpoint z, with s = sigma sqrt(t).
+    """Unit-pool price at the standardized endpoint z, with s = sigma sqrt(t).
 
-    p0 (1 + s z) for the additive law, p0 exp(-s^2 / 2 + s z) for the
-    multiplicative one.  A float z goes through math.exp, whose roundings
-    the quadratures' outputs carry; an array through numpy's.
+    1 + s z for the additive law, exp(-s^2 / 2 + s z) for the multiplicative
+    one.  A float z goes through math.exp, whose roundings the quadratures'
+    outputs carry; an array through numpy's.
     """
     sst = params.sigma * sqrt(params.t)
     if params.process is ProcessKind.BM:
-        return params.p0 * (1.0 + sst * z)
+        return 1.0 + sst * z
     log_ratio = -0.5 * sst * sst + sst * z
-    return params.p0 * (np.exp(log_ratio) if isinstance(z, np.ndarray) else exp(log_ratio))
+    return np.exp(log_ratio) if isinstance(z, np.ndarray) else exp(log_ratio)
 
 
 def _endpoint_at(params: ILDistParams, p: np.ndarray) -> np.ndarray:
-    """Standardized endpoint z of the prices p, the inverse of _price_at."""
+    """Standardized endpoint z of the unit-pool prices p, the inverse of _price_at."""
     sst = params.sigma * sqrt(params.t)
     if params.process is ProcessKind.BM:
-        return (p / params.p0 - 1.0) / sst
-    return (np.log(p / params.p0) + 0.5 * sst * sst) / sst
+        return (p - 1.0) / sst
+    return (np.log(p) + 0.5 * sst * sst) / sst
 
 
 def _check_positive(**named: float) -> None:
@@ -233,19 +242,18 @@ def expected_lvr_gbm(liquidity: float, p0: float, sigma: float, n_steps: int) ->
 def expected_il_quadrature(params: ILDistParams) -> float:
     """Mean endpoint loss by direct quadrature against the price density.
 
-    Integrates il(p0, p) rho(p, t) dp in a standardized variable.  For the
-    additive process the lower limit is the zero-price cutoff of the
+    Integrates the unit pool's loss against it in a standardized variable.
+    For the additive process the lower limit is the zero-price cutoff of the
     Gaussian; for the multiplicative process the log-price is integrated
     over +-14 standard deviations.
     """
     from scipy.integrate import quad
 
     _check_law(params)
-    p0, liq = params.p0, params.liquidity
     norm = 1.0 / sqrt(2.0 * np.pi)
 
     def integrand(z: float) -> float:
-        return il_between(liq, p0, _price_at(params, z)) * norm * exp(-0.5 * z * z)
+        return il_between(1.0, 1.0, _price_at(params, z)) * norm * exp(-0.5 * z * z)
 
     if params.process is ProcessKind.BM:
         z_cut = 1.0 / (params.sigma * sqrt(params.t))
@@ -253,45 +261,39 @@ def expected_il_quadrature(params: ILDistParams) -> float:
     else:
         lo, hi = -14.0, 14.0
     value, abserr = quad(integrand, lo, hi, limit=200, points=[0.0], epsabs=0.0, epsrel=1e-9)
-    if not np.isfinite(value) or abserr > max(1e-13, 1e-6 * abs(value)):
+    if not np.isfinite(value) or abserr > 1e-6 * abs(value):
         raise NumericalError(f"loss quadrature did not converge (error estimate {abserr:g})")
-    return value
+    return float(to_pool(params, value))
 
 
-def _branch_prices(arr: np.ndarray, params: ILDistParams):
-    """q = p0^(1/4) sqrt(il / L) and the prices p0 / (1 + q)^2 below and
-    p0 / (1 - q)^2 above entry that give the losses arr; above is inf where
-    q >= 1, past the above branch's bound L / sqrt(p0)."""
-    q = params.p0**0.25 * np.sqrt(arr / params.liquidity)
+def _branch_prices(u: np.ndarray):
+    """q = sqrt(u) and the unit-pool prices 1 / (1 + q)^2 below and 1 / (1 - q)^2 above
+    entry of the unit losses u; above is inf where q >= 1, past the above branch."""
+    q = np.sqrt(u)
     above = np.full_like(q, inf)
     mask = q < 1.0
-    above[mask] = params.p0 / (1.0 - q[mask]) ** 2
-    return q, params.p0 / (1.0 + q) ** 2, above
+    above[mask] = 1.0 / (1.0 - q[mask]) ** 2
+    return q, 1.0 / (1.0 + q) ** 2, above
 
 
 def il_pdf(il, params: ILDistParams):
     """Density of the endpoint loss induced by the price density.
 
-    Sum of the Jacobian-weighted price density over both inversion
-    branches; the above-entry branch contributes only while
-    il < L / sqrt(p0).  Diverges like 1 / sqrt(il) at the origin, which is
-    integrable; a prefactor p0^1.25 / sqrt(il L) past the doubles is refused.
+    A unit-pool loss u comes from the prices 1 / (1 -+ sqrt(u))^2, each
+    weighted by |dp / du| = 1 / (sqrt(u) (1 -+ sqrt(u))^3); the above-entry
+    branch only while u < 1.  It diverges like 1 / sqrt(u) at the origin,
+    which is integrable.  u and the density are il's over L / sqrt(p0).
     """
     arr = np.atleast_1d(np.asarray(il, dtype=float))
     if np.any(arr <= 0.0):
         raise ValueError("il must be positive")
     pdf = pdf_bm if params.process is ProcessKind.BM else pdf_gbm
-    law = (params.p0, params.sigma, params.t)
-    q, below, above = _branch_prices(arr, params)
-    with np.errstate(over="ignore", divide="ignore"):  # a numpy p0^1.25 overflows to inf
-        pref = np.float64(params.p0) ** 1.25 / np.sqrt(arr * params.liquidity)
-    if not np.isfinite(pref).all():
-        raise NumericalError(f"the density prefactor p0^1.25 / sqrt(il L) leaves the double "
-                             f"range (p0 = {params.p0:g}, liquidity = {params.liquidity:g}, "
-                             f"il down to {arr.min():.3g})")
-    out = pref * np.asarray(pdf(below, *law)) / (1.0 + q) ** 3
+    law = (1.0, params.sigma, params.t)
+    q, below, above = _branch_prices(to_pool(params, arr, inverse=True))
+    out = np.asarray(pdf(below, *law)) / (1.0 + q) ** 3
     mask = q < 1.0
-    out[mask] += pref[mask] * np.asarray(pdf(above[mask], *law)) / (1.0 - q[mask]) ** 3
+    out[mask] += np.asarray(pdf(above[mask], *law)) / (1.0 - q[mask]) ** 3
+    out = to_pool(params, out / q, inverse=True)
     return float(out[0]) if np.ndim(il) == 0 else out
 
 
@@ -307,7 +309,7 @@ def il_cdf(il, params: ILDistParams):
 
     mass = _check_law(params)
     arr = np.atleast_1d(np.clip(np.asarray(il, dtype=float), 0.0, None))
-    _, below, above = _branch_prices(arr, params)
+    _, below, above = _branch_prices(to_pool(params, arr, inverse=True))
     out = (ndtr(_endpoint_at(params, above)) - ndtr(_endpoint_at(params, below))) / mass
     return float(out[0]) if np.ndim(il) == 0 else out
 
@@ -319,7 +321,7 @@ def sample_il(params: ILDistParams, n: int, seed: int) -> np.ndarray:
     seed and i: 52 of its bits, centred in their cell, give a uniform u
     strictly inside (0, 1), the standardized endpoint is -Phi^-1(u m) with
     m the law's mass above price zero (this truncates the additive law
-    there), and the loss is il(p0, p(z)).
+    there), and the loss is the unit pool's at the price p(z), scaled.
     """
     from scipy.special import ndtri
 
@@ -328,29 +330,23 @@ def sample_il(params: ILDistParams, n: int, seed: int) -> np.ndarray:
         raise ConfigError(f"n must be positive, got {n}")
     u = (make_generator(seed).integers(0, 2**52, n) + 0.5) * 2.0**-52
     price = _price_at(params, -ndtri(u * mass))
-    return params.liquidity / sqrt(params.p0) * (1.0 - np.sqrt(params.p0 / price)) ** 2
+    return to_pool(params, (1.0 - np.sqrt(1.0 / price)) ** 2)
 
 
 def sqrt_loss_range(params: ILDistParams) -> float:
     """sqrt of the larger loss at the prices 12 standard deviations either side of entry.
 
-    The end, in u = sqrt(il), of the range analytic_il_mean integrates over.
+    The end, in sqrt(il), of the range analytic_il_mean integrates over.
     """
     lo = _price_at(params, -12.0)
     if params.process is ProcessKind.BM:
-        # the additive law reaches zero price; stop short of it
-        lo = max(lo, params.p0 * 1e-9)
-    u_max = sqrt(max(il_between(params.liquidity, params.p0, p)
-                     for p in (lo, _price_at(params, 12.0))))
-    if not u_max < _U_LIMIT:
-        sst = params.sigma * sqrt(params.t)
-        raise NumericalError(f"the price law at sigma sqrt(t) = {sst:.3g} reaches losses "
-                             "outside the double range within 12 standard deviations of entry")
-    return u_max
+        lo = max(lo, 1e-9)  # the additive law reaches zero price; stop short of it
+    il_max = max(il_between(1.0, 1.0, p) for p in (lo, _price_at(params, 12.0)))
+    return sqrt(to_pool(params, il_max))
 
 
 def analytic_il_mean(params: ILDistParams) -> float:
-    """Mean of the loss density by quadrature in u = sqrt(il).
+    """Mean of the loss density by quadrature in r = sqrt(u) over the unit loss u.
 
     This goes through the density itself (not the price integral), so
     comparing it against expected_il_quadrature exercises the two routes
@@ -359,26 +355,27 @@ def analytic_il_mean(params: ILDistParams) -> float:
     from scipy.integrate import IntegrationWarning, quad
 
     _check_law(params)
-    u_max = sqrt_loss_range(params)
+    unit = replace(params, p0=1.0, liquidity=1.0)  # the unit law, where to_pool is exact
+    r_max = sqrt_loss_range(unit)
 
-    def integrand(u: float) -> float:
-        return 2.0 * u**3 * il_pdf(u * u, params)
+    def integrand(r: float) -> float:
+        return 2.0 * r**3 * il_pdf(r * r, unit)
 
-    # One pass over [0, u_max] first.  The additive law's lower price, clamped
-    # at 1e-9 p0, can stretch u_max to about 1e6 against a bulk near 10, and
+    # One pass over [0, r_max] first.  The additive law's lower price, clamped
+    # at 1e-9, can stretch r_max to about 3e4 against a bulk below 1, and
     # then one pass loses the mass; the retry integrates up to the loss at +12
     # sigma in one piece and the tail beyond it in 12 geometric pieces.
-    knots = [0.0, u_max]
+    knots = [0.0, r_max]
     for _ in range(2):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             pieces = [quad(integrand, a, b, limit=400, epsabs=0.0, epsrel=1e-9)
                       for a, b in zip(knots, knots[1:])]
         value, abserr = sum(v for v, _ in pieces), sum(e for _, e in pieces)
-        if np.isfinite(value) and abserr <= max(1e-13, 1e-6 * abs(value)):
-            return value
-        u_bulk = sqrt(il_between(params.liquidity, params.p0, _price_at(params, 12.0)))
-        knots = [0.0, *np.geomspace(u_bulk, u_max, 13)]
+        if np.isfinite(value) and abserr <= 1e-6 * abs(value):
+            return float(to_pool(params, value))
+        r_bulk = sqrt(il_between(1.0, 1.0, _price_at(params, 12.0)))
+        knots = [0.0, *np.geomspace(r_bulk, r_max, 13)]
     raise NumericalError(f"loss-mean quadrature did not converge (error {abserr:g})")
 
 

@@ -409,7 +409,10 @@ def _write_campaign(conf: ExperimentConfig, bins: int, prefix: str, bundle: Bund
         values = result.column(name.removesuffix("_minus_fees"))
         if name.endswith("_minus_fees"):
             values = values - result.column("fees")
-        hists[name] = Histogram.from_samples(values, bins=bins)
+        try:
+            hists[name] = Histogram.from_samples(values, bins=bins)
+        except NumericalError as exc:
+            raise NumericalError(f"{name}: {exc}") from None
         bundle.write_histogram(f"{prefix}hist_{name}.json", name, hists[name])
     if conf.observables is Observables.POOL:
         bundle.write_csv(f"{prefix}table.csv", ["run_index", *TABLE_COLUMNS],

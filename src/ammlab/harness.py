@@ -4,7 +4,10 @@ A campaign evaluates one experiment configuration over n_runs independent
 price paths.  Run i always consumes the generator seeded by
 derive_run_seed(seed, i), so any single run of a campaign can be reproduced
 bit for bit by simulate_price_matrix with that one seed and the arbitrage
-kernel, and results do not depend on chunking.
+kernel, and results do not depend on chunking.  Runs go on the unit pool,
+p0 = L = 1: the processes and the band test are scale-free, so run_campaign
+scales the loss, volume and fee columns by L / sqrt(p0) and the final
+prices by p0, once, through analytics.to_pool.
 
 A campaign is one pass over fixed run chunks: each chunk builds a step-major
 price matrix, one column per run, and the arbitrage kernel fills its rows of
@@ -55,6 +58,7 @@ from math import isfinite, log, sqrt
 
 import numpy as np
 
+from .analytics import to_pool
 from .errors import ConfigError, NumericalError, ResourceLimitError
 from .stats import distinct_positive, fit_loglog, mean_stderr
 from .stochastic import (
@@ -235,10 +239,8 @@ def chunk_working_bytes(n_runs: int, n_steps: int) -> int:
     return chunk + 3 * min(max(_DRAW_BLOCK_BYTES, path), chunk)
 
 
-def simulate_price_matrix(
-    kind: ProcessKind, p0: float, sigma: float, n_steps: int, seeds
-) -> np.ndarray:
-    """Price paths for the given per-run seeds, shape (n_steps + 1, runs).
+def simulate_price_matrix(kind: ProcessKind, sigma: float, n_steps: int, seeds) -> np.ndarray:
+    """Price paths from 1 for the given per-run seeds, shape (n_steps + 1, runs).
 
     seeds is a 1-d sequence of seeds, each checked as make_generator checks
     one.  Column j depends only on seeds[j]: it holds exactly the draws of
@@ -246,8 +248,8 @@ def simulate_price_matrix(
     run with a fresh counter and buffer.  The draws pass through one reused
     block of about 1 MiB (never less than one run), and each block's prices
     are written into its columns before the next block is drawn, so the
-    price matrix is the only full-size array.  A single run is
-    simulate_price_matrix(kind, p0, sigma, n_steps, [seed])[:, 0].
+    price matrix is the only full-size array.  A single run from p0 is
+    p0 * simulate_price_matrix(kind, sigma, n_steps, [seed])[:, 0].
     """
     if np.ndim(seeds) != 1:
         raise ConfigError(f"seeds must be a 1-d sequence, got {np.ndim(seeds)} dimensions")
@@ -266,7 +268,7 @@ def simulate_price_matrix(
                 fresh["state"]["key"] = key
                 rng.bit_generator.state = fresh
                 rng.standard_normal(out=row)
-            prices[:, lo:hi] = prices_from_increments(kind, p0, sigma, block[:hi - lo].T)
+            prices[:, lo:hi] = prices_from_increments(kind, sigma, block[:hi - lo].T)
     return prices
 
 
@@ -293,7 +295,6 @@ def _nonpositive_prices(config: ExperimentConfig) -> NumericalError:
 
 def arbitrage(
     prices,
-    liquidity: float,
     fee: float = 0.0,
     band_rule: BandRule = BandRule.EXACT,
     target: TradeTarget = TradeTarget.ORACLE,
@@ -306,17 +307,15 @@ def arbitrage(
     the pool price; fee 0 is the band of zero width.  The loss is charged
     over the executed jump only (pre-trade pool price to post-trade pool
     price), so steps the pool sits out are coarse grained into the next
-    trade.  Losses and volumes are summed step by step; fees are tallied on
-    the x leg without compounding; il runs from the path start to the final
-    pool price.
+    trade.  Losses and volumes, per unit of L, are summed step by step; fees
+    are tallied on the x leg without compounding; il runs from the path start
+    prices[0] to the final pool price.
     """
     prices = np.asarray(prices, dtype=float)
     if prices.ndim == 1:
         prices = prices[:, None]
     if prices.ndim != 2 or prices.shape[0] < 2:
         raise ValueError("prices must hold at least two steps, shape (n_steps + 1, runs)")
-    if not liquidity > 0.0:
-        raise ValueError(f"liquidity must be positive, got {liquidity}")
     if not 0.0 <= fee < 1.0:
         raise ValueError(f"fee must lie in [0, 1), got {fee}")
     if not prices.min() > 0.0:
@@ -345,14 +344,14 @@ def arbitrage(
         p_amm = np.where(hit, tgt, p_amm)
         rh = np.sqrt(p_amm)
         dr = rh - ra
-        lvr += liquidity * dr * dr / (ra * rh * rh)
-        vol += liquidity * np.abs(dr) / (ra * rh)
+        lvr += dr * dr / (ra * rh * rh)
+        vol += np.abs(dr) / (ra * rh)
         n_ev += hit
         np.putmask(last_ev, hit, step)
         ra = rh
     out = np.empty((p_amm.size, _N_COLS), dtype=float)
     # ra is now the root of the final pool price
-    out[:, 0] = liquidity / r0 * (1.0 - r0 / ra) ** 2
+    out[:, 0] = (1.0 - r0 / ra) ** 2 / r0
     out[:, 1] = lvr
     out[:, 2] = vol
     out[:, 3] = fee * vol
@@ -374,18 +373,18 @@ def _compute_chunk(config: ExperimentConfig, lo: int, hi: int, paths: dict) -> n
     seeds = _chunk_seeds(config, lo, hi)
     # paths holds one matrix under simulate_price_matrix's arguments; a miss drops it
     # before the next build, so at most one chunk of paths is ever alive
-    key = (config.kind, config.p0, config.sigma, config.n_steps, seeds.tobytes())
+    key = (config.kind, config.sigma, config.n_steps, seeds.tobytes())
     prices = paths.get(key)
     if prices is None:
         paths.clear()
-        prices = paths[key] = simulate_price_matrix(*key[:4], seeds)
+        prices = paths[key] = simulate_price_matrix(*key[:3], seeds)
         prices.flags.writeable = False  # shared with later campaigns; arbitrage only reads
     if config.observables is Observables.PRICES:
         return _metrics_prices_only(prices)
     try:
-        return arbitrage(prices, config.liquidity, config.fee, config.band_rule, config.target)
+        return arbitrage(prices, config.fee, config.band_rule, config.target)
     except ValueError:
-        # ExperimentConfig and plan_chunks checked liquidity, fee and shape, so the
+        # ExperimentConfig and plan_chunks checked fee and shape, so the
         # kernel can only have refused nonpositive prices; say why paths reached them
         raise _nonpositive_prices(config) from None
 
@@ -417,9 +416,9 @@ def run_campaign(config: ExperimentConfig, *, paths: dict | None = None) -> Camp
     paths, when given, holds the last chunk's price matrix between calls, so a
     campaign on the same paths as the previous one reuses it instead of
     building it again; None starts empty.  Raises ResourceLimitError when one
-    path alone overflows the chunk budget, and NumericalError, naming the
-    metric, when a summarized column is not finite or its mean or standard
-    error leaves the double range.
+    path alone overflows the chunk budget, and NumericalError when to_pool
+    refuses the scale or, naming the metric, when a summarized column is not
+    finite or its mean or standard error leaves the double range.
     """
     paths = {} if paths is None else paths
     full = np.empty((config.n_runs, _N_COLS), dtype=float)
@@ -427,6 +426,8 @@ def run_campaign(config: ExperimentConfig, *, paths: dict | None = None) -> Camp
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo, hi in plan_chunks(config.n_runs, config.n_steps):
             full[lo:hi] = _compute_chunk(config, lo, hi, paths)
+        full[:, :4] = to_pool(config, full[:, :4])
+        full[:, 5] *= config.p0
     return CampaignResult(table=full[:, : len(TABLE_COLUMNS)].copy(),
                           summary=_summarize(config, full))
 

@@ -11,6 +11,7 @@ by the initial price, so sigma is a relative volatility in both cases and
 the two rules agree over short horizons.  The matching continuum densities
 are a Gaussian with variance P0^2 sigma^2 t and a log-normal whose log has
 mean -sigma^2 t / 2 and variance sigma^2 t (so the mean price stays P0).
+Paths are built from P0 = 1: a path from P0 is P0 times that path.
 
 Randomness comes from a counter-based generator (Philox) seeded through
 SeedSequence.  derive_run_seed and philox_keys restate its hash (NEP 19 freezes
@@ -157,10 +158,8 @@ def pdf_gbm(p, p0: float, sigma: float, t: float):
     return out.item() if out.ndim == 0 else out
 
 
-def prices_from_increments(
-    kind: ProcessKind, p0: float, sigma: float, dw: np.ndarray
-) -> np.ndarray:
-    """Apply the update rule along the first axis of a block of increments.
+def prices_from_increments(kind: ProcessKind, sigma: float, dw: np.ndarray) -> np.ndarray:
+    """Apply the update rule from a start at 1 along the first axis of a block of increments.
 
     Accepts either a single path of draws (shape (n,)) or a step-major batch
     (shape (n, runs), one column per run); returns prices with the start row
@@ -168,12 +167,12 @@ def prices_from_increments(
     """
     dw = np.asarray(dw, dtype=float)
     out = np.empty((dw.shape[0] + 1,) + dw.shape[1:], dtype=float)
-    out[0] = p0
+    out[0] = 1.0
     body = out[1:]
     if kind is ProcessKind.BM:
         np.cumsum(dw, axis=0, out=body)
-        body *= p0 * sigma
-        body += p0
+        body *= sigma
+        body += 1.0
     else:
         # the factors 1 + sigma*dW are built in the output itself, so the
         # only temporary is the clamp mask; dw is never written
@@ -181,5 +180,4 @@ def prices_from_increments(
         body += 1.0
         np.copyto(body, GBM_FACTOR_FLOOR, where=body <= 0.0)
         np.cumprod(body, axis=0, out=body)
-        body *= p0
     return out

@@ -36,6 +36,7 @@ from ammlab import (
     sweep_fee,
     sweep_volume_vs_sigma,
     sweep_volume_vs_steps,
+    to_pool,
 )
 from ammlab.analytics import _branch_prices
 
@@ -436,7 +437,7 @@ def test_criterion_10():
     # the kernel on every two-point path of the grid, one path per column
     off_diagonal = ~np.eye(prices.size, dtype=bool)
     starts, ends = (g[off_diagonal] for g in np.meshgrid(prices, prices, indexing="ij"))
-    one_step = arbitrage(np.stack([starts, ends]), liq)
+    one_step = liq * arbitrage(np.stack([starts, ends]))
     worst_step = float(np.max(np.abs(one_step[:, 1] - one_step[:, 0]) / one_step[:, 1]))
     worst_flow = 0.0
     for a, b in zip(starts, ends):
@@ -450,11 +451,11 @@ def test_criterion_10():
 
     params = ILDistParams(p0=p0, liquidity=liq, sigma=0.1, t=1.0)
     ils = np.geomspace(1e-6, 900.0, 60)
-    _, lows, highs = _branch_prices(ils, params)
+    _, lows, highs = _branch_prices(to_pool(params, ils, inverse=True))
     worst_invert = 0.0
     for il, low, high in zip(ils, lows, highs):
-        worst_invert = max(worst_invert, abs(il_between(liq, p0, float(low)) - il) / il)
-        worst_invert = max(worst_invert, abs(il_between(liq, p0, float(high)) - il) / il)
+        worst_invert = max(worst_invert, abs(il_between(liq, p0, p0 * float(low)) - il) / il)
+        worst_invert = max(worst_invert, abs(il_between(liq, p0, p0 * float(high)) - il) / il)
     if worst_invert > 1e-10:
         failures.append(f"loss inversion round-trip off by {worst_invert:.2e} > 1e-10")
 

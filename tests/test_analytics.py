@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from ammlab import (
     il_cdf,
     il_pdf,
     sample_il,
+    to_pool,
 )
 from ammlab import analytics, cli
 from ammlab.analytics import FirstPassageResult, _branch_prices
@@ -151,9 +153,10 @@ def test_long_horizon_means_separate():
 
 
 def _invert(il):
-    """The (below, above) entry prices _branch_prices gives for one loss at DIST."""
-    _, below, above = _branch_prices(np.array([il]), DIST)
-    return float(below[0]), float(above[0])
+    """The (below, above) entry prices of one loss at DIST: _branch_prices' unit-pool
+    prices of the unit loss, times p0."""
+    _, below, above = _branch_prices(to_pool(DIST, np.array([il]), inverse=True))
+    return DIST.p0 * float(below[0]), DIST.p0 * float(above[0])
 
 
 def test_invert_zero_loss_returns_entry_price():
@@ -192,6 +195,16 @@ def test_invert_above_branch_domain_bound():
 
 
 # ---------------------------------------------------------------- loss density
+
+
+def test_the_loss_law_at_a_far_p0_is_the_near_law_at_the_scaled_loss():
+    # both are the unit law at il / (L / sqrt(p0)); the density carries one more 1 / scale
+    far = replace(DIST, p0=1e250)
+    ratio = math.sqrt(DIST.p0 / far.p0)  # far's L / sqrt(p0) over DIST's
+    ils = np.geomspace(1e-6, 990.0, 50)  # losses at DIST, up to near the above branch end, 1000
+    np.testing.assert_allclose(il_cdf(ils * ratio, far), il_cdf(ils, DIST), rtol=1e-12)
+    np.testing.assert_allclose(il_pdf(ils * ratio, far) * ratio, il_pdf(ils, DIST), rtol=1e-12)
+
 
 
 def test_density_rejects_nonpositive_loss():

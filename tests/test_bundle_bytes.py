@@ -16,67 +16,67 @@ PINNED = {
     "simulate --sigma 0.001 --n-steps 200 --n-runs 500 --seed 7": {
         "hist_fees.json": "9fc57f134ac2e5b7fe98f50d1a4200bfd653a0a9356af603e9d74f697aa65552",
         "hist_final_price.json": "1b66d03d3942f19396a1140477869fd7c511bfe5b1970bbb8b332b551bba5135",
-        "hist_il.json": "a9f544196a9332d5baaf0b14f2b6a0403d3bb38868b5090bbf5223ad22013bd5",
-        "hist_il_minus_fees.json": "55f3039bb58d02241788937fe4ac460fb880aa20b0353332923314029752d23d",
-        "hist_lvr.json": "ddef57a739d65a23f7655e5f85bf9948874bee65b6dcb4ee1392d6c09bcb2b9b",
-        "hist_lvr_minus_fees.json": "2cd09e0ff31dac4d94c8b9813c519c3ad98282f42c065b77d6189a4a401cf945",
-        "hist_volume.json": "3d4e402f494e701115309a74d129be5ea9cf6adb54c92b95c2e28efeced487c4",
-        "manifest.json": "28eff608257cb148b64349cdb3f1c530fa0ea934a719c147d0722da7c32d14ed",
+        "hist_il.json": "993d755cb6ea4261d28ad94af02abba92d5409455b977e1f9120c731d9afac11",
+        "hist_il_minus_fees.json": "f4bb6fa60b251cc628343afde2e2a74c40adfdce3222ab3747949b15238c1d68",
+        "hist_lvr.json": "a195c8b56bebae171b40ef544139de02687317971866f6b77d806ff5692de92f",
+        "hist_lvr_minus_fees.json": "f750cb0a4b1739594024f9dce0d45babff3105c1d8d52a4ff6a05e0a2ff27323",
+        "hist_volume.json": "7e20d1d80149454e0430a9bc0d035027cf90da6f26d3cd017d1f98f9f95fb511",
+        "manifest.json": "b76026be46ea8d6829ae0312ea0d953ecda2ef8429f5508460d7a7a7ac3884fc",
         "schema.json": "bb359d0134d1c4defc22291c7ab6137a6d462cc0b8eb91b42c44335a0c475896",
-        "summary.json": "e4747d94e9ad31728ae200897716d90e4cee71ca0757afafbe431d72f31905c3",
-        "table.csv": "d9ecdfa9597a51a649f5822e58a95e43a10dfa87cd6b396f143d9b089a2fa176",
+        "summary.json": "ed16bbc39b36bc217fff5e188f923ebbb4c778fc88301949c86dc41801aa5ea6",
+        "table.csv": "8c0b7268a01c1eb9356cfc11d34df6debe19c4644a3c9d756f1f683c118465b6",
     },
     "simulate --sigma 0.001 --n-steps 200 --n-runs 500 --seed 7 --fee 0.0002 --target marginal --band-rule linearized": {
-        "hist_fees.json": "bcbbae09b995d53e0cd321f9d328034ef8b673f1e78ccc0adb9176a515c725b5",
-        "hist_final_price.json": "94ba21b998d7e08276f23a9f4a139ac08dfb26f5918624a5d9780ec84d0dde85",
-        "hist_il.json": "f781f1b9785cdf4664a83acb13490b5e60c8ad8c00cf921646ec9a15761ac427",
-        "hist_il_minus_fees.json": "677f6e0f21dcff5d5aeaf8dca63d7cfb933026252bd4e42a67a85c9535f65f0b",
-        "hist_lvr.json": "38a9dbf627dfd72dea56e4827f9565a1d3a159d97bd9aad7860cde2ae86705c0",
-        "hist_lvr_minus_fees.json": "068dc473bfa163121ef3a270a771a74feee7675d6010836b0481f8b5474cd8f6",
-        "hist_volume.json": "cc2532c36f25839648f736a1f187282f64015f70d00fbd7b6de423ff8b031ff0",
-        "manifest.json": "c5b28e32074dc562ee1cc3caa0911eb31bef52536fd24a683cb98b2cc8321877",
+        "hist_fees.json": "8a754085961f9128531c58eeb444adeb5adc80beb223668fdfffb08e4bc82db6",
+        "hist_final_price.json": "8497bcdd0a0292fee429d3fea6b022660e81c9539717bb1df5bab5cea55119ef",
+        "hist_il.json": "da5965db748b757a3be88d213c8eb29ab75d452cc803bb3c803c3b9bb2ecc3f5",
+        "hist_il_minus_fees.json": "8744511fa6082f69ff48cdd04417f6ad66d67b2913a83d86f82825421e3fdf74",
+        "hist_lvr.json": "ec33af69d11b4b2ec652806caa448baa73828adbccc56e8c217636f34bd5e4a7",
+        "hist_lvr_minus_fees.json": "37ba7bd8f0c90f76f3308ad7a5d0c75dc5981f1b6f47d40760e2389622863f1b",
+        "hist_volume.json": "50e2f2e10146f34f1454ee395ff07abde934c2f571aa08175e4330d1a455f186",
+        "manifest.json": "2f0789a0972527ea653ec58bfc5d59a19f83e6feda8470038eb4f72fd565c690",
         "schema.json": "bb359d0134d1c4defc22291c7ab6137a6d462cc0b8eb91b42c44335a0c475896",
-        "summary.json": "e79b2bd6e8727e9d6cc09cc99e7d5623b16db4b1102b7658131bb61ed20a849b",
-        "table.csv": "e6290db7bd1b079e9936779ac2c819e5c672ba25177bdc8d494ccac0f9bab5e7",
+        "summary.json": "25da7c0614aea264d7115111e4bdcbb714f6d677572f000069250b0b913a20ff",
+        "table.csv": "07197538b0a803964868d384d8c6eee600b633d554915efcc312626abf42eee9",
     },
     "simulate --process both --observables prices --n-steps 100 --n-runs 500 --seed 3": {
-        "bm_hist_final_price.json": "fc885424d9464164e9d32ff8e72f8a21d09d0e260c29814ed9fd9aa17f5c49f1",
-        "bm_price_density.csv": "998eb2eeaea1c87dafd187543cedc0b954a2ad164d0035727473c0929e47d7fb",
-        "bm_summary.json": "dd55fbb4c0e2b07fdec5415637f2a9c5b0459249859a6c408a57ccdac2224ca7",
-        "compare.json": "dd8c47c2012b7d1a5f38374cccad45ffe5815a88c25b6fda255bafb8be162f88",
+        "bm_hist_final_price.json": "8ead5d36d68b3569693bc9452306d21d2b1d45da510f5491c404f83d338897a8",
+        "bm_price_density.csv": "b80be2cdec583f77b7a125b84553600933d6f1c540e8f904fc44e5d36455679f",
+        "bm_summary.json": "ff1722c02fa8c4ef8d9435ec9c4b316f4561990bf1727933fadb848f84779503",
+        "compare.json": "b5553d4e8e7f593c2cf4ffa8dfa740fb7ae9b081bbfe38308a603a807956b5d0",
         "gbm_hist_final_price.json": "fdc7dd6019fbe1ab5ecf13e5fffbcb82b540021dc7929a2267b089267f11a35c",
         "gbm_price_density.csv": "bf45d012fdc3bc1e797e9a49e30440ff07a1d38d95acf2c8624c7e5d61e3a618",
         "gbm_summary.json": "1fb5ddba8536a4fe9a7ab7bab17bb4015fcbc5a3ba2b73995e2a63d9b3ba9926",
-        "manifest.json": "a931442f6d87e33f37617adeefd2269eddc61cf46f3a6f9045c3c45adeffa898",
+        "manifest.json": "d5f4c28f4aafedd8801996088c4a759f05f3c7f5ae5ccd1cd8a412a9d76dadca",
         "schema.json": "08e28df21dbd1f4035ed091d992d737a71e21fd522b577b2a0400086f447629e",
     },
     "sweep fee --fees 0.0001,0.0004,0.004 --sigma 0.004 --n-runs 300 --n-steps 100 --seed 5": {
-        "baseline.json": "d1177d5321713b5aba0f77c14f0aa918ad73b83d9c389600fad9e68f305e2da9",
+        "baseline.json": "53b9015dc0cfd44c87d4496031a2a001e3cb226fd0558de0c554ac47de6f0a83",
         "fits.json": "0cc7f544b8beea123c8666467dc1194cd70f795e5026cd69f01b4004fc30f80d",
-        "manifest.json": "6a079a8b8e8c2b6c028a3265bb8469021dba20ded00dfe17ccc5ea6f2dc3dc8c",
-        "rows.csv": "ee44d9331470a918af2e0e968fd6bd14ec93a965bc9626df3cd02b943138ca27",
+        "manifest.json": "735de013c268ac7f103c60c9f2cc08e4ef1ccff7b2b14393c0d934c7294391a6",
+        "rows.csv": "a8857a4b12f9b48434b3bceab890b23a418bc6e4b34eeb178363cd30f7b2561f",
         "schema.json": "07086cf4317d6b697a2ffef4bfa044aa1b20882602fb3cef83dabc349d463375",
     },
     "sweep sigma --sigmas 0.0005,0.001,0.002 --n-runs 300 --n-steps 100 --seed 5": {
-        "fits.json": "14710a9a77fd895708a68a93d0b1b550fd9a3bd00902846920a0b1b8b5ba5164",
-        "manifest.json": "5193de5ce4c1d91cf01c3c6e9c637f9474d405ea41bb90cd2f0c15343570a91b",
-        "rows.csv": "499ebd948267dcc4b19b464eb5e9b5ffe1ae963d27b26e7d10184fc61610ef56",
+        "fits.json": "49b08eb04c19ff86017e7c5327e9cf384f16ed4d683f426c84db7b3b8ea792e2",
+        "manifest.json": "4a151c55f414522c53688657fb78c6ee23bec447d6aefb0681b3b73d909af072",
+        "rows.csv": "e56987a7c8e375a9c1f3430c16074eee823f9bb1686e31ba5150be38b66ad7e1",
         "schema.json": "46724af6b5fba5bb0cd5cc042fb1681fcdf8be2ec6370f6ad368485a5cd2c519",
     },
     "sweep steps --steps-list 50,100,200 --total-variance 0.001 --n-runs 300 --seed 5": {
-        "fits.json": "48a92ef5e9388b92e369ceccff0eaaa561d993011895fc936e75a311c957c66b",
-        "manifest.json": "d9f5c691ea143670bbef4f88c72c411960ece3a5d056ed5fe05495109e0968d4",
-        "rows.csv": "57a360f592d3975355431820a200606aa3911d85f5f06a033382aa843bd275a0",
+        "fits.json": "5695ae1f32ca665ed26713692585f02096774c03e097f47f7fb18eb08bc8472a",
+        "manifest.json": "cb07bd33715de1731c23061a9bd143d617938dbddd9f151f3b23f9765e2f1336",
+        "rows.csv": "1839a25a8240db07222a787773d53855072cf7f1b114c5569c8cb6c412d622dc",
         "schema.json": "bdf8ea2a6a99d304b21c3d931915356773f14317cd1c789b92db283cfaa69755",
     },
     "analytic lvr-mean --sigma 0.02 --t 1000": {
         "analytic.json": "1b03cd0da20769e0daf9c5e07152ce8335a5b805e2c0e55852f20e91db570c7a",
-        "manifest.json": "cbe58c63308b84d9adb2f4a57ab42a4704f959962839ca1769a4263217d6e3e1",
+        "manifest.json": "720e12a527f68c947ac6d688e848a16f591110040955748f147c1e44199118e0",
         "schema.json": "1c2dd0ba28e24b4af4a1193df1c349bc729abed0ab682dda6ed0eec172cd4c47",
     },
     "analytic first-passage --k-list 2,6 --n-walks 2000 --seed 11": {
         "fits.json": "4a81c50f3742a6d3f5370a72f302084994d213a6c81dd9e6dae2c922d60ba048",
-        "manifest.json": "83a3b935b25148f83179e06b50442db042baceb713393f81818d5a6b58f677af",
+        "manifest.json": "7183164f9ca2a4bbbeef84d59c37db06cd72ce2ee06b3334bf013eb27da47852",
         "rows.csv": "3f0a70a2710c6be69d678aff51ee5725d036638ee06880c65807b83d29972ef4",
         "schema.json": "3e3aed37388df52fb302825e671f01b9f1fc5dc601afc214a29fa2dd2ef915a5",
     },

@@ -859,14 +859,20 @@ def test_analytic_commands_refuse_a_leaking_additive_law(tmp_path, capsys, comma
     assert _tree(tmp_path) == before
 
 
-@pytest.mark.parametrize("sigma", ["0.12", "0.14", "0.16"])
-def test_additive_law_just_inside_the_leak_bound_converges(tmp_path, sigma):
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(["--sigma", sigma], id=sigma) for sigma in ("0.12", "0.14", "0.16")),
+    # a first pass that misses the bulk returns a small value with a smaller error
+    # estimate, so the convergence test must be relative at every liquidity
+    *(pytest.param(["--sigma", "0.12", "--liquidity", liq], id=f"0.12 --liquidity {liq}")
+      for liq in ("1", "0.01")),
+])
+def test_additive_law_just_inside_the_leak_bound_converges(tmp_path, argv):
     # sigma sqrt(t) up to 0.167 leaks under 1e-9 below zero; there the clamped
     # lower price stretches the loss-mean range to about 1e6, which one
     # quadrature pass misses.  Both mean routes cut the log-divergent tail at
     # p -> 0 at different points, so they agree to 1e-4, not 1e-9.
     out = tmp_path / "b"
-    rc = main(["analytic", "il-mean", "--process", "bm", "--sigma", sigma, "--t", "1",
+    rc = main(["analytic", "il-mean", "--process", "bm", *argv, "--t", "1",
                "--out", str(out)])
     assert rc == 0
     payload = json.loads((out / "analytic.json").read_text())
@@ -1389,11 +1395,11 @@ def test_numerical_failure_exits_4(tmp_path, capsys):
          "sample values are not finite"),
         (["simulate", "--sigma", "100", "--n-runs", "200"],
          "sample moments leave the double range"),
-        # every run's lvr overflows, and the summary names it
+        # the losses scale to doubles, but the third moment of il reaches about 1e444
         (["simulate", "--p0", "1e-300", "--n-runs", "200"],
-         "lvr: 200 of 200 sample values are not finite"),
+         "il: sample moments leave the double range"),
         (["simulate", "--p0", "1e300", "--sigma", "0.5", "--n-runs", "200"],
-         "sample moments leave the double range"),
+         "il: sample moments leave the double range"),
     )
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1416,9 +1422,6 @@ def test_metrics_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason)
         # the baseline trades, but no run trades at the deep fees the slopes are fitted on
         (["sweep", "fee", "--sigma", "0.001", "--fees", "0.05,0.1"],
          "a log-log slope needs positive values, got 0.0"),
-        # at p0 = 1e300 every run's lvr underflows to 0 while its volume does not
-        (["sweep", "steps", "--steps-list", "10,20", "--p0", "1e300", "--total-variance", "2.5"],
-         "the lvr spread divides by the average mean lvr 0.0, which must be positive"),
     )
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1432,6 +1435,21 @@ def test_zero_mean_sweeps_exit_4(tmp_path, capsys, argv, reason):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=" ".join(argv)) for argv in (
+        ["sweep", "steps", "--steps-list", "10,20", "--p0", "1e300", "--total-variance", "2.5"],
+    )
+])
+def test_sweeps_at_a_far_p0_report_a_positive_lvr(tmp_path, argv):
+    # the mean lvr is near 1e-135, where each step's loss computed at the pool's own
+    # prices would underflow to 0; the unit pool's losses are scaled once
+    out = tmp_path / "x"
+    assert main(argv + ["--n-runs", "50", "--out", str(out)]) == 0
+    lines = (out / "rows.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), map(float, line.split(",")))) for line in lines[1:]]
+    assert all(0.0 < row["mean_lvr"] < math.inf for row in rows)
+
+
 _LAW_TAIL = "outside the 12-deviation loss range"
 _LVR_RANGE = "the mean rebalancing loss leaves the double range"
 
@@ -1440,10 +1458,6 @@ _LVR_RANGE = "the mean rebalancing loss leaves the double range"
     *(([command, "--sigma", "1", "--t", t], _LAW_TAIL)
       for command in ("il-pdf", "il-mean", "sample-il", "clt-sum")
       for t in ("37", "100", "200", "500", "700", "1000")),
-    (["il-mean", "--p0", "1e-300", "--sigma", "1", "--t", "30"],
-     "reaches prices outside the double range within 14 standard deviations"),
-    (["il-pdf", "--liquidity", "1e210", "--sigma", "0.1", "--t", "1"],
-     "reaches losses outside the double range within 12 standard deviations"),
     (["lvr-mean", "--sigma", "1", "--t", "1900"], _LVR_RANGE),
     (["lvr-mean", "--sigma", "0.001", "--t", "1e300"], _LVR_RANGE),
     *(pytest.param(argv, reason, id=" ".join(argv)) for argv, reason in (
@@ -1458,28 +1472,49 @@ _LVR_RANGE = "the mean rebalancing loss leaves the double range"
         # sigma sqrt(t) is about 2.3, but sigma^2 overflows
         *(([command, "--sigma", "1.5e154", "--t", "2.3e-308"], "sigma^2 leaves the double range")
           for command in ("il-mean", "il-pdf", "sample-il", "clt-sum")),
-        # the density's prefactor overflows at the smallest losses, or p0^1.25 alone does
-        *(([*command, *law], "the density prefactor p0^1.25 / sqrt(il L) leaves the double range")
-          for command, law in (
-              (["il-pdf"], ["--sigma", "0.1", "--t", "1", "--p0", "1e200"]),
-              (["il-mean"], ["--p0", "1e250"]),
-              (["il-pdf"], ["--p0", "1e250"]),
-              (["il-mean"], ["--p0", "1e246"]),
-              (["il-mean"], ["--liquidity", "1e-200"]),
-          )),
+        # the unit law is fine, but its scale L / sqrt(p0) is not a double
+        (["il-mean", "--liquidity", "1e300", "--p0", "1e-300"], "L / sqrt(p0) = inf"),
     )),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_analytic_means_outside_the_double_range_exit_4(tmp_path, capsys, argv, reason):
     # a gbm law deep in the long regime, whose mean loss reaches past the
-    # 12-deviation loss range from sigma sqrt(t) of about 6 on; a law whose
-    # range prices underflow or whose losses overflow; or a summed
-    # rebalancing loss that overflows
+    # 12-deviation loss range from sigma sqrt(t) of about 6 on; a pool scale
+    # outside the doubles; or a summed rebalancing loss that overflows
     rc = main(["analytic", *argv, "--out", str(tmp_path / "x")])
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and reason in err and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=" ".join(argv)) for argv in (
+        # prices 14 deviations below entry, or losses 12 deviations out, outside the
+        # doubles at this p0 or liquidity but not on the unit pool
+        ["il-mean", "--p0", "1e-300", "--sigma", "1", "--t", "30"],
+        ["il-pdf", "--liquidity", "1e210", "--sigma", "0.1", "--t", "1"],
+        # the pool-scale density prefactor p0^1.25 / sqrt(il L) leaves the doubles here
+        ["il-pdf", "--sigma", "0.1", "--t", "1", "--p0", "1e200"],
+        ["il-mean", "--p0", "1e250"],
+        ["il-pdf", "--p0", "1e250"],
+        ["il-mean", "--p0", "1e246"],
+        ["il-mean", "--liquidity", "1e-200"],
+        # and underflows to 0 here
+        ["il-mean", "--p0", "1e-280"],
+        ["il-pdf", "--p0", "1e-250"],
+    )
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analytic_means_at_a_far_scale_agree(tmp_path, argv):
+    out = tmp_path / "x"
+    assert main(["analytic", *argv, "--out", str(out)]) == 0
+    payload = json.loads((out / ("pdf_meta.json" if argv[0] == "il-pdf" else "analytic.json"))
+                         .read_text())
+    assert 0.0 < payload["mean_via_price_integral"] < math.inf
+    assert payload["mean_via_density"] == pytest.approx(payload["mean_via_price_integral"],
+                                                        rel=1e-6)
+    assert payload.get("mass_under_tabulated_points", 1.0) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_hair_wide_sample_range_exits_0(tmp_path):

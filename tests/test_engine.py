@@ -41,11 +41,17 @@ RULES = [(0.0, BandRule.EXACT, TradeTarget.ORACLE)] + [
 
 
 def _gbm_path(seed: int, sigma: float = 0.004, n_steps: int = 400) -> np.ndarray:
-    return simulate_price_matrix(ProcessKind.GBM, 100.0, sigma, n_steps, [seed])[:, 0]
+    return 100.0 * simulate_price_matrix(ProcessKind.GBM, sigma, n_steps, [seed])[:, 0]
+
+
+def _at_liquidity(rows: np.ndarray) -> np.ndarray:
+    """Kernel rows with their per-unit-L loss, volume and fee columns scaled to L."""
+    rows[:, :N_EV] *= L
+    return rows
 
 
 def _row(prices, fee=0.0, band_rule=BandRule.EXACT, target=TradeTarget.ORACLE) -> np.ndarray:
-    return arbitrage(np.asarray(prices, dtype=float), L, fee, band_rule, target)[0]
+    return _at_liquidity(arbitrage(np.asarray(prices, dtype=float), fee, band_rule, target))[0]
 
 
 def _prefix_states(prices, fee, band_rule, target):
@@ -54,7 +60,7 @@ def _prefix_states(prices, fee, band_rule, target):
     count = np.zeros(prices.shape, dtype=np.int64)
     pool[0] = prices[0]
     for k in range(1, prices.shape[0]):
-        out = arbitrage(prices[: k + 1], L, fee, band_rule, target)
+        out = arbitrage(prices[: k + 1], fee, band_rule, target)
         pool[k] = out[:, FINAL]
         count[k] = out[:, N_EV]
     return pool, count
@@ -72,7 +78,7 @@ def test_config_zero_fee_forces_no_fee_mode():
     assert free[FINAL] == prices[-1] and free[FEES] == 0.0
     for bad in (-0.01, 1.0):
         with pytest.raises(ValueError, match="fee must lie"):
-            arbitrage(prices, L, bad)
+            arbitrage(prices, bad)
 
 
 def test_band_shapes():
@@ -92,7 +98,7 @@ def test_band_shapes():
         for outside in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)):
             assert _row([100.0, outside], fee, band_rule)[N_EV] == 1
     with pytest.raises(ValueError):
-        arbitrage([100.0, 0.0], L, fee)
+        arbitrage([100.0, 0.0], fee)
 
 
 def test_trade_target_conventions():
@@ -143,9 +149,9 @@ def test_no_fee_requires_clean_pool():
 def test_no_fee_rejects_nonpositive_path():
     for fee in (0.0, 0.01):
         with pytest.raises(ValueError, match="positive prices"):
-            arbitrage([100.0, -1.0, 100.0], L, fee)
+            arbitrage([100.0, -1.0, 100.0], fee)
     with pytest.raises(ValueError, match="positive prices"):
-        arbitrage(np.array([[100.0, 100.0], [101.0, 0.0]]), L)
+        arbitrage(np.array([[100.0, 100.0], [101.0, 0.0]]))
     with pytest.raises(ValueError):
         run_no_fee(np.array([100.0, -1.0, 100.0]), POOL)
 
@@ -170,7 +176,7 @@ def test_with_fees_requires_positive_fee():
     with pytest.raises(ValueError):
         run_with_fees(_gbm_path(2), POOL, 0.0)
     with pytest.raises(ValueError):
-        arbitrage(_gbm_path(2), L, -1e-9)
+        arbitrage(_gbm_path(2), -1e-9)
 
 
 def test_path_inside_band_never_trades():
@@ -200,7 +206,7 @@ def test_reference_contained_after_every_step():
     # each step's reference must fall inside the closed band of whatever
     # pool price the kernel holds once that step is done
     seeds = [derive_run_seed(9, i) for i in range(40)]
-    prices = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.004, 100, seeds)
+    prices = 100.0 * simulate_price_matrix(ProcessKind.GBM, 0.004, 100, seeds)
     slack = 1e-12
     for fee in (0.001, 0.004, 0.02):
         for band_rule in BandRule:
@@ -216,9 +222,9 @@ def test_reference_contained_after_every_step():
 @pytest.mark.parametrize("fee, band_rule, target", RULES)
 def test_kernel_matches_scalar_engine_trade_for_trade(kind, fee, band_rule, target):
     seeds = [derive_run_seed(31, i) for i in range(6)]
-    prices = simulate_price_matrix(kind, 100.0, 0.004, 80, seeds)
+    prices = 100.0 * simulate_price_matrix(kind, 0.004, 80, seeds)
     pool, count = _prefix_states(prices, fee, band_rule, target)
-    full = arbitrage(prices, L, fee, band_rule, target)
+    full = _at_liquidity(arbitrage(prices, fee, band_rule, target))
     for j in range(prices.shape[1]):
         path = prices[:, j]
         if fee == 0.0:
@@ -245,10 +251,10 @@ def test_kernel_matches_scalar_engine_trade_for_trade(kind, fee, band_rule, targ
 def test_batch_column_equals_path_alone(fee, band_rule, target):
     # a 1-d path is a batch of one: stepping runs together changes no bit
     seeds = [derive_run_seed(32, i) for i in range(5)]
-    prices = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.004, 120, seeds)
-    batch = arbitrage(prices, L, fee, band_rule, target)
+    prices = 100.0 * simulate_price_matrix(ProcessKind.GBM, 0.004, 120, seeds)
+    batch = arbitrage(prices, fee, band_rule, target)
     for j in range(prices.shape[1]):
-        alone = arbitrage(prices[:, j], L, fee, band_rule, target)
+        alone = arbitrage(prices[:, j], fee, band_rule, target)
         assert alone.shape == (1, len(KERNEL_COLUMNS))
         np.testing.assert_array_equal(alone[0], batch[j])
 

@@ -73,7 +73,7 @@ def test_chunk_size_does_not_change_results(monkeypatch):
 
 def _run_path(config: ExperimentConfig, i: int) -> np.ndarray:
     seed = derive_run_seed(config.seed, i)
-    return simulate_price_matrix(config.kind, config.p0, config.sigma, config.n_steps, [seed])[:, 0]
+    return config.p0 * simulate_price_matrix(config.kind, config.sigma, config.n_steps, [seed])[:, 0]
 
 
 def test_campaign_rows_match_scalar_engine_no_fee():
@@ -106,6 +106,29 @@ def test_campaign_rows_match_scalar_engine_with_fee():
         assert row[3] == pytest.approx(metrics.fees, rel=1e-10)
         assert row[4] == metrics.n_arb_events
         assert row[5] == pytest.approx(metrics.final_price, rel=1e-12)
+
+
+# pools far apart in scale, each with L / sqrt(p0) a double
+_SCALES = [(100.0, 1e4), (1e300, 1e4), (1e-300, 1.0)]
+
+
+@pytest.mark.parametrize("kind", list(ProcessKind))
+@pytest.mark.parametrize("fee, target", [(0.0, TradeTarget.ORACLE), (4e-4, TradeTarget.ORACLE),
+                                         (4e-4, TradeTarget.MARGINAL)])
+def test_a_campaign_is_its_unit_pool_campaign_scaled(kind, fee, target):
+    # same trades at every scale; losses times L / sqrt(p0) and prices times p0, bit for bit,
+    # and a mean lvr that neither underflows to 0 at a far p0 nor overflows at a near one
+    unit_config = replace(BASE, kind=kind, fee=fee, target=target, p0=1.0, liquidity=1.0,
+                          n_steps=100, n_runs=200)
+    unit = run_campaign(unit_config)
+    for p0, liquidity in _SCALES:
+        result = run_campaign(replace(unit_config, p0=p0, liquidity=liquidity))
+        np.testing.assert_array_equal(result.column("n_arb_events"), unit.column("n_arb_events"))
+        assert result.table[:, :4].tobytes() == (
+            unit.table[:, :4] * (liquidity / math.sqrt(p0))).tobytes()
+        np.testing.assert_array_equal(result.column("final_price"),
+                                      p0 * unit.column("final_price"))
+        assert 0.0 < result.summary["mean_lvr"] < math.inf, (p0, liquidity)
 
 
 # -------------------------------------------------------------- resource plan
@@ -574,7 +597,7 @@ def test_a_shared_memo_holds_one_read_only_chunk_matrix(monkeypatch):
     (held,) = paths.values()
     with pytest.raises(ValueError):
         held[0, 0] = 1.0
-    assert arbitrage(held, 1e4, 0.002).tobytes() == arbitrage(held.copy(), 1e4, 0.002).tobytes()
+    assert arbitrage(held, 0.002).tobytes() == arbitrage(held.copy(), 0.002).tobytes()
 
 
 def test_result_column_accessor():

@@ -14,8 +14,10 @@ prices = st.floats(min_value=1e-3, max_value=1e6)
 
 
 def _free(path, liquidity: float) -> dict:
-    """Fee-free kernel metrics of one path, by column name."""
-    row = arbitrage(np.asarray(path, dtype=float), liquidity)[0]
+    """Fee-free kernel metrics of one path, by column name, with the per-unit-L
+    loss, volume and fee columns scaled to liquidity."""
+    row = arbitrage(np.asarray(path, dtype=float))[0]
+    row[:KERNEL_COLUMNS.index("n_arb_events")] *= liquidity
     return dict(zip(KERNEL_COLUMNS, row))
 
 
@@ -158,11 +160,9 @@ def test_accumulate_checkpoints_measure_il_from_start():
 def test_accumulate_checkpoint_bounds():
     # a path needs at least one step, laid out as (n_steps + 1, runs)
     with pytest.raises(ValueError, match="at least two steps"):
-        arbitrage([1.0], 10.0)
+        arbitrage([1.0])
     with pytest.raises(ValueError, match="at least two steps"):
-        arbitrage(np.ones((3, 2, 2)), 10.0)
-    with pytest.raises(ValueError, match="liquidity"):
-        arbitrage([1.0, 2.0], 0.0)
+        arbitrage(np.ones((3, 2, 2)))
 
 
 def test_il_ignores_intermediate_order():
@@ -176,7 +176,7 @@ def test_il_ignores_intermediate_order():
 
 
 def test_accumulate_accepts_price_path():
-    prices = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.01, 50, [12])[:, 0]
+    prices = 100.0 * simulate_price_matrix(ProcessKind.GBM, 0.01, 50, [12])[:, 0]
     m = _free(prices, 10000.0)
     assert m["final_price"] == prices[-1]
     assert m["lvr"] > 0.0 and m["volume"] > 0.0
@@ -184,4 +184,4 @@ def test_accumulate_accepts_price_path():
 
 def test_accumulate_rejects_nonpositive_prices():
     with pytest.raises(ValueError):
-        arbitrage([100.0, -3.0], 10.0)
+        arbitrage([100.0, -3.0])

@@ -48,7 +48,7 @@ def _spawned_seed(seed, index):
 
 
 def _one_step(kind, p0, sigma, dw):
-    prices = prices_from_increments(kind, p0, sigma, [dw])
+    prices = p0 * prices_from_increments(kind, sigma, [dw])
     assert prices.shape == (2,) and prices[0] == p0
     return prices[1]
 
@@ -57,9 +57,9 @@ def test_step_bm_cases():
     assert _one_step(BM, 100.0, 0.001, 0.0) == 100.0
     assert _one_step(BM, 100.0, 0.001, 1.5) == pytest.approx(100.15)
     # additive increments scale with the start price, not the current one
-    two = prices_from_increments(BM, 100.0, 0.01, [-50.0, -2.0])
-    assert two[1] == pytest.approx(50.0)
-    assert two[2] == pytest.approx(48.0)
+    two = prices_from_increments(BM, 0.01, [-50.0, -2.0])
+    assert two[1] == pytest.approx(0.5)
+    assert two[2] == pytest.approx(0.48)
 
 
 def test_step_gbm_cases():
@@ -67,9 +67,10 @@ def test_step_gbm_cases():
     assert _one_step(GBM, 100.0, 0.015, 1.0) == pytest.approx(101.5)
     assert _one_step(GBM, 200.0, 0.015, 1.0) == pytest.approx(203.0)
     # a step-major block: one column per run, the start row prepended
-    block = prices_from_increments(GBM, 100.0, 0.015, [[1.0, -1.0, 0.0]])
+    block = prices_from_increments(GBM, 0.015, [[1.0, -1.0, 0.0]])
     assert block.shape == (2, 3)
-    np.testing.assert_allclose(block[1], [101.5, 98.5, 100.0], rtol=1e-15)
+    np.testing.assert_allclose(block[:, 0], [1.0, 1.015], rtol=1e-15)
+    np.testing.assert_allclose(block[1], [1.015, 0.985, 1.0], rtol=1e-15)
 
 
 def test_step_gbm_clamps_sign_flip():
@@ -82,7 +83,7 @@ def test_prices_from_increments_leaves_its_input_alone(kind, shape):
     # a large sigma so that some gbm factors hit the clamp
     dw = np.random.default_rng(3).standard_normal(shape)
     before = dw.copy()
-    prices_from_increments(kind, 100.0, 0.6, dw)
+    prices_from_increments(kind, 0.6, dw)
     assert np.array_equal(dw, before)
 
 
@@ -91,7 +92,7 @@ def test_gbm_price_build_holds_no_full_size_temporary():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        prices = prices_from_increments(GBM, 100.0, 0.01, dw)
+        prices = prices_from_increments(GBM, 0.01, dw)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -105,7 +106,7 @@ def test_price_matrix_build_holds_no_draw_matrix(kind):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        prices = simulate_price_matrix(kind, 100.0, 0.001, 2000, seeds)
+        prices = simulate_price_matrix(kind, 0.001, 2000, seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -144,20 +145,21 @@ def test_pdf_gbm_domain():
 
 
 def test_zero_sigma_path_is_constant():
-    prices = simulate_price_matrix(GBM, 42.0, 0.0, 25, [5])[:, 0]
+    prices = simulate_price_matrix(GBM, 0.0, 25, [5])[:, 0]
     assert prices.shape == (26,)
-    assert np.all(prices == 42.0)
+    assert np.all(prices == 1.0)
 
 
 def test_same_seed_same_path():
-    a = simulate_price_matrix(GBM, 100.0, 0.01, 300, [99])
-    b = simulate_price_matrix(GBM, 100.0, 0.01, 300, [99])
+    a = simulate_price_matrix(GBM, 0.01, 300, [99])
+    b = simulate_price_matrix(GBM, 0.01, 300, [99])
     assert np.array_equal(a, b)
 
 
 def test_path_starts_at_p0_and_gbm_positive():
-    prices = simulate_price_matrix(GBM, 3.5, 0.2, 500, [3])[:, 0]
-    assert prices[0] == 3.5
+    # every path starts at 1; a pool's paths are its p0 times these
+    prices = simulate_price_matrix(GBM, 0.2, 500, [3])[:, 0]
+    assert prices[0] == 1.0
     assert np.all(prices > 0.0)
 
 
@@ -177,17 +179,17 @@ def test_matrix_rows_match_single_paths(kind, n_steps, n_derived):
     # campaign batching must not change any run's draws: column i depends
     # only on seeds[i], and holds the draws of that seed's own generator
     seeds = [derive_run_seed(17, i) for i in range(n_derived)] + EDGE_SEEDS
-    block = simulate_price_matrix(kind, 100.0, 0.004, n_steps, seeds)
+    block = simulate_price_matrix(kind, 0.004, n_steps, seeds)
     for i, seed in enumerate(seeds):
         dw = make_generator(seed).standard_normal(n_steps)
-        assert np.array_equal(block[:, i], prices_from_increments(kind, 100.0, 0.004, dw))
-        single = simulate_price_matrix(kind, 100.0, 0.004, n_steps, [seed])[:, 0]
+        assert np.array_equal(block[:, i], prices_from_increments(kind, 0.004, dw))
+        single = simulate_price_matrix(kind, 0.004, n_steps, [seed])[:, 0]
         assert np.array_equal(block[:, i], single)
 
 
 def test_empty_seed_list_gives_no_columns():
     for kind in (BM, GBM):
-        assert simulate_price_matrix(kind, 100.0, 0.01, 30, []).shape == (31, 0)
+        assert simulate_price_matrix(kind, 0.01, 30, []).shape == (31, 0)
 
 
 @pytest.mark.parametrize(
@@ -198,7 +200,7 @@ def test_empty_seed_list_gives_no_columns():
 )
 def test_price_matrix_refuses_bad_seeds(seeds):
     with pytest.raises(ValueError, match="seeds"):
-        simulate_price_matrix(GBM, 100.0, 0.01, 5, seeds)
+        simulate_price_matrix(GBM, 0.01, 5, seeds)
 
 
 def test_philox_keys_match_seed_sequence_at_the_edges():
@@ -269,7 +271,7 @@ SEED_DOORS = {
     "ExperimentConfig": (lambda seed: ExperimentConfig(
         kind=GBM, p0=100.0, sigma=0.01, n_steps=5, liquidity=1e4, n_runs=2, seed=seed), "seed"),
     "simulate_price_matrix": (
-        lambda seed: simulate_price_matrix(GBM, 100.0, 0.01, 5, [3, seed]), "seeds[1]"),
+        lambda seed: simulate_price_matrix(GBM, 0.01, 5, [3, seed]), "seeds[1]"),
     "derive_run_seed": (lambda seed: derive_run_seed(seed, 0), "campaign_seed"),
 }
 
@@ -302,6 +304,31 @@ def test_only_stochastic_states_the_seed_domain():
     assert stating <= {"stochastic.py"}
 
 
+# the functions below the scale step: they build and trade unit-pool paths
+_UNIT_POOL_CORE = {"harness": ("arbitrage", "simulate_price_matrix"),
+                   "stochastic": ("prices_from_increments",)}
+
+
+def test_only_the_scale_step_reads_p0_and_liquidity():
+    # the kernel and the price build take neither; in analytics only to_pool
+    # reads them, apart from the record's own check of its fields
+    package = Path(ammlab.__file__).parent
+    for module, names in _UNIT_POOL_CORE.items():
+        defs = {node.name: node for node in ast.walk(ast.parse((package / f"{module}.py")
+                                                               .read_text()))
+                if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            params = {a.arg for a in ast.walk(defs[name].args) if isinstance(a, ast.arg)}
+            assert not params & {"p0", "liquidity"}, (module, name)
+    readers = set()
+    for node in ast.walk(ast.parse((package / "analytics.py").read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Attribute) and inner.attr in ("p0", "liquidity"):
+                    readers.add(node.name)
+    assert readers - {"ILDistParams", "__post_init__"} == {"to_pool"}
+
+
 def test_campaign_builds_no_seed_sequence_per_run(monkeypatch):
     # run seeds restate the hash; only make_generator, once per chunk, builds one
     built = []
@@ -328,25 +355,25 @@ def test_make_generator_reproducible():
 
 def test_final_price_spread_short_horizon():
     seeds = [derive_run_seed(40401, i) for i in range(40000)]
-    block = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.001, 200, seeds)
+    block = simulate_price_matrix(ProcessKind.GBM, 0.001, 200, seeds)
     spread = block[-1].std(ddof=1)
-    assert spread == pytest.approx(100.0 * 0.001 * np.sqrt(200.0), rel=0.02)
+    assert spread == pytest.approx(0.001 * np.sqrt(200.0), rel=0.02)
 
 
 def test_short_horizon_processes_agree():
     # matched seeds: the additive and multiplicative rules stay within a
     # small KS distance while sigma^2 t is tiny
     seeds = [derive_run_seed(40402, i) for i in range(40000)]
-    bm = simulate_price_matrix(ProcessKind.BM, 100.0, 0.001, 200, seeds)[-1]
-    gbm = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.001, 200, seeds)[-1]
+    bm = simulate_price_matrix(ProcessKind.BM, 0.001, 200, seeds)[-1]
+    gbm = simulate_price_matrix(ProcessKind.GBM, 0.001, 200, seeds)[-1]
     stat = scipy.stats.ks_2samp(bm, gbm).statistic
     assert stat < 0.02
 
 
 def test_long_horizon_gbm_grows_right_skew():
     seeds = [derive_run_seed(40403, i) for i in range(40000)]
-    bm = simulate_price_matrix(ProcessKind.BM, 100.0, 0.015, 200, seeds)[-1]
-    gbm = simulate_price_matrix(ProcessKind.GBM, 100.0, 0.015, 200, seeds)[-1]
+    bm = simulate_price_matrix(ProcessKind.BM, 0.015, 200, seeds)[-1]
+    gbm = simulate_price_matrix(ProcessKind.GBM, 0.015, 200, seeds)[-1]
     skew_bm = scipy.stats.skew(bm)
     skew_gbm = scipy.stats.skew(gbm)
     stderr = np.sqrt(6.0 / 40000.0)
@@ -356,8 +383,8 @@ def test_long_horizon_gbm_grows_right_skew():
 
 def test_bm_variance_grows_linearly():
     seeds = [derive_run_seed(40404, i) for i in range(40000)]
-    block = simulate_price_matrix(ProcessKind.BM, 100.0, 0.001, 200, seeds)
+    block = simulate_price_matrix(ProcessKind.BM, 0.001, 200, seeds)
     steps = np.arange(25, 201, 25)
     variances = block[steps].var(axis=1, ddof=1)
     slope = np.polyfit(steps, variances, 1)[0]
-    assert slope == pytest.approx(100.0**2 * 0.001**2, rel=0.05)
+    assert slope == pytest.approx(0.001**2, rel=0.05)
