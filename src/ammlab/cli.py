@@ -236,11 +236,11 @@ BYTE_BUDGET = 1 << 30
 STEP_BUDGET = 10**9  # walks of this cost took 11-28 s on a 2-core x86 host (CHANGES.md)
 # Working bytes per unit of each size, fitted with tracemalloc at two sizes of
 # every command (CHANGES.md), and the part no size scales.  A campaign adds what
-# harness.chunk_working_bytes says one chunk of the command's longest paths
-# holds; process=both counts one campaign, since it frees each once its files
-# are written.  A pass of the walk loop costs about 1000
-# walk-steps and the loop makes several times the mean exit time of passes, so
-# each step of a pair's mean exit costs n_walks + _PASS_WALKS.
+# harness.chunk_working_bytes says the largest chunk over the command's step counts
+# holds, since a shorter path can have the larger chunk; process=both counts one
+# campaign, since it frees each once its files are written.  A pass of the walk
+# loop costs about 1000 walk-steps and the loop makes several times the mean exit
+# time of passes, so each step of a pair's mean exit costs n_walks + _PASS_WALKS.
 _UNIT_BYTES = {"n_runs": 240, "kept_bin": 20, "written_bin": 240, "il_points": 100,
                "n_samples": 36, "n_per_sum": 36, "n_walks": 56}
 _FIXED_BYTES, _PASS_WALKS = 2 << 20, 6000
@@ -262,7 +262,8 @@ def _cast(mode: str, keys: tuple[str, ...], strings: dict[str, str]) -> dict:
         cost["n_per_sum * n_repeats"] = cost.pop("n_per_sum") * max(cfg["n_repeats"], 0)
     if "n_runs" in cfg:
         step_counts = cfg["steps_list"] if "steps_list" in cfg else [cfg["n_steps"]]
-        cost["n_runs"] += chunk_working_bytes(max(cfg["n_runs"], 0), max([0, *step_counts]))
+        cost["n_runs"] += max([chunk_working_bytes(max(cfg["n_runs"], 0), max(n, 0))
+                               for n in step_counts], default=0)
     if "bins" in cfg:
         hists = len(_HISTOGRAMS[Observables(cfg["observables"])]) if "observables" in cfg else 1
         cost["bins"] = cfg["bins"] * (hists * _UNIT_BYTES["kept_bin"] + _UNIT_BYTES["written_bin"])
@@ -416,7 +417,7 @@ def _write_campaign(conf: ExperimentConfig, bins: int, prefix: str, bundle: Bund
         bundle.write_histogram(f"{prefix}hist_{name}.json", name, hists[name])
     if conf.observables is Observables.POOL:
         bundle.write_csv(f"{prefix}table.csv", ["run_index", *TABLE_COLUMNS],
-                         ([i, *row] for i, row in enumerate(result.table)),
+                         ([i, *row] for i, row in enumerate(result.table.tolist())),
                          "per-run metrics, one row per seeded run")
     else:
         bundle.write_csv(

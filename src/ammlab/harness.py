@@ -12,9 +12,10 @@ prices by p0, once, through analytics.to_pool.
 A campaign is one pass over fixed run chunks: each chunk builds a step-major
 price matrix, one column per run, and the arbitrage kernel fills its rows of
 the per-run metric table; then the summary is built from the whole table,
-and binning the table is left to the caller.  Chunks are sized by
-CHUNK_BYTES, one byte budget on the chunk price matrix, so the chunk
-boundaries depend only on n_runs and n_steps.  The matrix is the chunk's
+and binning the table is left to the caller.  A campaign takes the fewest
+chunks whose price matrices fit CHUNK_BYTES, equal to within one run, so
+the chunk boundaries depend only on n_runs and n_steps and no chunk holds
+more paths than the count of chunks needs.  The matrix is the chunk's
 only full-size array: its normal draws are staged through one small reused
 block of runs, and each block's prices are written into its columns before
 the next block is drawn; chunk_working_bytes states what a chunk holds.  A
@@ -226,16 +227,23 @@ def _path_bytes(n_steps: int) -> int:
     return path_bytes
 
 
+def _chunk_count(n_runs: int, path: int) -> int:
+    """The fewest chunks of n_runs paths of path bytes whose matrices fit CHUNK_BYTES."""
+    return -(-n_runs // (CHUNK_BYTES // path))
+
+
 def plan_chunks(n_runs: int, n_steps: int) -> list[tuple[int, int]]:
-    """Fixed [start, stop) run ranges whose price matrices fit CHUNK_BYTES."""
-    runs = CHUNK_BYTES // _path_bytes(n_steps)
-    return [(a, min(a + runs, n_runs)) for a in range(0, n_runs, runs)]
+    """Fixed [start, stop) run ranges: the fewest chunks that fit CHUNK_BYTES,
+    equal to within one run."""
+    k = _chunk_count(n_runs, _path_bytes(n_steps))
+    return [(n_runs * j // k, n_runs * (j + 1) // k) for j in range(k)]
 
 
 def chunk_working_bytes(n_runs: int, n_steps: int) -> int:
-    """Bytes a campaign's chunk holds: its price matrix and three draw blocks of at most a chunk."""
+    """Bytes the largest planned chunk holds: its price matrix and three draw
+    blocks of at most that matrix."""
     path = _path_bytes(n_steps)
-    chunk = min(CHUNK_BYTES, n_runs * path)
+    chunk = -(-n_runs // max(1, _chunk_count(n_runs, path))) * path
     return chunk + 3 * min(max(_DRAW_BLOCK_BYTES, path), chunk)
 
 

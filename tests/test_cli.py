@@ -1193,11 +1193,12 @@ _LONG_PATH = ("a single path of 9000000 steps needs 72000008 bytes, over the 671
          _bytes("bins", 380002156352), "run_campaign"),
         (["simulate", "--bins", "1e8", "--n-runs", "100", "--n-steps", "10"],
          _bytes("bins", 38002156352), "run_campaign"),
+        # 240 B per run and the largest of six chunks of 716667 runs or 716666
         (["simulate", "--n-runs", "4.3e6", "--n-steps", "10"],
-         _bytes("n_runs", 1104370744), "run_campaign"),
+         _bytes("n_runs", 1100328576), "run_campaign"),
         # process=both runs one campaign at a time, so it counts as one
         (["simulate", "--process", "both", "--n-runs", "4.3e6", "--n-steps", "10"],
-         _bytes("n_runs", 1104370744), "run_campaign"),
+         _bytes("n_runs", 1100328576), "run_campaign"),
         # one path over the 64 MiB chunk budget
         (["simulate", "--n-steps", "9000000", "--n-runs", "1"], _LONG_PATH, "run_campaign"),
         # the walk-steps of a scan or a pair: (n_walks + 6000) times the mean exit times
@@ -1274,10 +1275,10 @@ def _budget_verdict(command, **strings):
     pytest.param(command, key, largest, strings,
                  id=" ".join([*command, *(f"--{k}={v}" for k, v in strings.items()), key]))
     for command, key, largest, strings in (
-        (("simulate",), "n_runs", 4172379, {}),
-        (("simulate",), "n_runs", 4172379, {"process": "both"}),
-        (("simulate",), "bins", 2628921, {}),
-        (("simulate",), "bins", 3842269, {"observables": "prices"}),
+        (("simulate",), "n_runs", 4172420, {}),
+        (("simulate",), "n_runs", 4172420, {"process": "both"}),
+        (("simulate",), "bins", 2700155, {}),
+        (("simulate",), "bins", 3946380, {"observables": "prices"}),
         (("analytic", "il-pdf"), "il_points", 10716446, {}),
         (("analytic", "sample-il"), "n_samples", 29767546, {}),
         (("analytic", "clt-sum"), "n_repeats", 29767546, {"n_per_sum": "1"}),
@@ -1291,6 +1292,26 @@ def _budget_verdict(command, **strings):
 def test_each_size_is_accepted_up_to_its_budget_edge(command, key, largest, strings):
     assert _budget_verdict(command, **strings, **{key: str(largest)}) == "ok"
     assert key in _budget_verdict(command, **strings, **{key: str(largest + 1)})
+
+
+def test_the_campaign_term_is_the_largest_chunk_over_the_step_counts(monkeypatch):
+    # at 10000 runs, 1000 steps plan two chunks of 5000 runs and 800 steps one of 10000,
+    # so the shorter paths hold the larger chunk: 64.08 MB against 40.04 MB
+    assert harness.plan_chunks(10000, 1000) == [(0, 5000), (5000, 10000)]
+    assert harness.plan_chunks(10000, 800) == [(0, 10000)]
+    largest = harness.chunk_working_bytes(10000, 800)
+    assert largest - harness.chunk_working_bytes(10000, 1000) == (10000 * 801 - 5000 * 1001) * 8
+    monkeypatch.setattr(cli, "BYTE_BUDGET", 0)  # every command is refused with its bytes
+
+    def stated(runs, steps):
+        verdict = _budget_verdict(("sweep", "steps"), n_runs=runs, steps_list=steps)
+        return int(verdict.removeprefix("n_runs brings the working set to about ").split()[0])
+
+    for steps in ("800,1000", "1000,800"):
+        assert stated("10000", steps) == cli._FIXED_BYTES + 10000 * 240 + largest
+    # sizes the records refuse later are costed first, with no division by zero
+    assert stated("0", "1000") == stated("10000", "") - 10000 * 240 == cli._FIXED_BYTES
+    assert stated("10000", "0,-3") == stated("10000", "0")
 
 
 _SIZE = "{size}"

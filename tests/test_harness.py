@@ -145,14 +145,18 @@ def test_table_over_budget_is_refused(tmp_path, capsys):
 
 
 def test_chunk_plan_partitions_the_runs(monkeypatch):
+    # 7 runs fit, so 1000 runs take the fewest chunks, 143, of 7 runs or 6
     monkeypatch.setattr(harness, "CHUNK_BYTES", TINY_CHUNK)
     chunks = plan_chunks(1000, 257)
     assert chunks[0][0] == 0
     assert chunks[-1][1] == 1000
     for (a0, a1), (b0, b1) in zip(chunks, chunks[1:]):
         assert a1 == b0
-        assert a1 - a0 == 7
-    assert all(b > a for a, b in chunks)
+    assert len(chunks) == 143
+    assert {b - a for a, b in chunks} == {6, 7}
+    # zero runs, which only the command's resource check costs, plan and hold nothing
+    assert plan_chunks(0, 257) == []
+    assert chunk_working_bytes(0, 257) == 0
 
 
 def test_single_path_over_budget_is_an_error():
@@ -168,20 +172,46 @@ def test_single_path_over_budget_is_an_error():
 @pytest.mark.parametrize("n_runs, n_steps, n_chunks", [
     (1, 2**23 - 1, 1),  # one run
     (5, 2**23 - 1, 5),  # one run per chunk
-    (10**6, 10, 2),  # 762600 runs, then a partial chunk
-    (1000, 10**5, 13),  # twelve chunks of 83 runs, then one of 4
+    (10**6, 10, 2),  # two chunks of 500000 runs
+    (1000, 10**5, 13),  # thirteen chunks of 77 runs or 76
     (4 * 8380, 1000, 4),  # four full chunks
+    (10000, 1000, 2),  # the canonical campaign: two chunks of 5000 runs
 ])
 def test_the_planned_chunk_fits_the_stated_chunk(n_runs, n_steps, n_chunks):
-    # at the real budget, with no allocation: the largest planned chunk matrix, with the
-    # draw blocks simulate_price_matrix stages through for it, is within chunk_working_bytes
+    # at the real budget, with no allocation: as many chunks as filling each to the budget
+    # would take (the benchmark's harness.chunks), equal to within one run, and the largest
+    # planned chunk matrix, with the draw blocks simulate_price_matrix stages through for
+    # it, is what chunk_working_bytes states
     chunks = plan_chunks(n_runs, n_steps)
-    assert len(chunks) == n_chunks
-    assert chunks[0][0] == 0 and chunks[-1][1] == n_runs
     path = (n_steps + 1) * 8
-    largest = max(hi - lo for lo, hi in chunks) * path
+    assert len(chunks) == n_chunks == len(range(0, n_runs, harness.CHUNK_BYTES // path))
+    assert chunks[0][0] == 0 and chunks[-1][1] == n_runs
+    assert all(a1 == b0 for (_, a1), (b0, _) in zip(chunks, chunks[1:]))
+    sizes = [hi - lo for lo, hi in chunks]
+    assert max(sizes) - min(sizes) <= 1
+    largest = max(sizes) * path
+    assert largest <= harness.CHUNK_BYTES
     blocks = 3 * min(max(harness._DRAW_BLOCK_BYTES, path), largest)
-    assert largest + blocks <= chunk_working_bytes(n_runs, n_steps)
+    assert largest + blocks == chunk_working_bytes(n_runs, n_steps)
+
+
+def test_a_campaign_one_run_over_a_chunk_holds_half_the_budget(monkeypatch):
+    # 601 runs where 600 fit go as 300 + 301, not as a full chunk and then one run; draw
+    # blocks of one run keep the staging out of the peak, and a first campaign warms the
+    # caches a campaign fills once
+    config = replace(BASE, n_steps=1000, n_runs=601)
+    budget = 600 * (config.n_steps + 1) * 8
+    monkeypatch.setattr(harness, "CHUNK_BYTES", budget)
+    monkeypatch.setattr(harness, "_DRAW_BLOCK_BYTES", 8)
+    assert plan_chunks(config.n_runs, config.n_steps) == [(0, 300), (300, 601)]
+    run_campaign(replace(config, n_runs=1))
+    tracemalloc.start()
+    try:
+        run_campaign(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * budget, (peak, budget)
 
 
 # --------------------------------------------------------------------- regimes
