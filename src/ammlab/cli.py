@@ -417,7 +417,7 @@ def _write_campaign(conf: ExperimentConfig, bins: int, prefix: str, bundle: Bund
         bundle.write_histogram(f"{prefix}hist_{name}.json", name, hists[name])
     if conf.observables is Observables.POOL:
         bundle.write_csv(f"{prefix}table.csv", ["run_index", *TABLE_COLUMNS],
-                         ([i, *row] for i, row in enumerate(result.table.tolist())),
+                         ([i, *row.tolist()] for i, row in enumerate(result.table)),
                          "per-run metrics, one row per seeded run")
     else:
         bundle.write_csv(

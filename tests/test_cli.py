@@ -444,6 +444,25 @@ def test_csv_rows_are_streamed_to_the_file(tmp_path):
     assert peak < (tmp_path / "t.csv").stat().st_size / 10
 
 
+def test_a_campaign_table_is_written_without_a_copy(tmp_path, monkeypatch):
+    # no histograms, so writing table.csv is all the call does; a list of the
+    # whole table would hold about 256 bytes a run next to its 48
+    n_runs = 200_000
+    table = np.random.default_rng(0).standard_normal((n_runs, len(harness.TABLE_COLUMNS)))
+    monkeypatch.setattr(cli, "run_campaign", lambda conf: harness.CampaignResult(table, {}))
+    monkeypatch.setitem(cli._HISTOGRAMS, harness.Observables.POOL, ())
+    conf = ExperimentConfig(kind=ProcessKind.GBM, p0=1.0, sigma=0.01, n_steps=10,
+                            liquidity=1.0, n_runs=n_runs)
+    tracemalloc.start()
+    try:
+        cli._write_campaign(conf, 10, "", cli.Bundle(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "table.csv").read_text().splitlines()) == n_runs + 1
+    assert peak < table.nbytes / 10
+
+
 def test_streaming_is_an_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("streaming=true\n")
