@@ -241,7 +241,7 @@ STEP_BUDGET = 10**9  # walks of this cost took 11-28 s on a 2-core x86 host (CHA
 # campaign, since it frees each once its files are written.  A pass of the walk
 # loop costs about 1000 walk-steps and the loop makes several times the mean exit
 # time of passes, so each step of a pair's mean exit costs n_walks + _PASS_WALKS.
-_UNIT_BYTES = {"n_runs": 240, "kept_bin": 20, "written_bin": 240, "il_points": 100,
+_UNIT_BYTES = {"n_runs": 120, "kept_bin": 20, "written_bin": 240, "il_points": 100,
                "n_samples": 36, "n_per_sum": 36, "n_walks": 56}
 _FIXED_BYTES, _PASS_WALKS = 2 << 20, 6000
 
@@ -262,7 +262,9 @@ def _cast(mode: str, keys: tuple[str, ...], strings: dict[str, str]) -> dict:
         cost["n_per_sum * n_repeats"] = cost.pop("n_per_sum") * max(cfg["n_repeats"], 0)
     if "n_runs" in cfg:
         step_counts = cfg["steps_list"] if "steps_list" in cfg else [cfg["n_steps"]]
-        cost["n_runs"] += max([chunk_working_bytes(max(cfg["n_runs"], 0), max(n, 0))
+        # fee-free campaigns stream; a fee sweep's campaigns hold their matrices
+        streamed = Observables(cfg.get("observables", "pool")) if cfg.get("fee") == 0.0 else None
+        cost["n_runs"] += max([chunk_working_bytes(max(cfg["n_runs"], 0), max(n, 0), streamed)
                                for n in step_counts], default=0)
     if "bins" in cfg:
         hists = len(_HISTOGRAMS[Observables(cfg["observables"])]) if "observables" in cfg else 1

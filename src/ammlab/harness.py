@@ -9,20 +9,22 @@ p0 = L = 1: the processes and the band test are scale-free, so run_campaign
 scales the loss, volume and fee columns by L / sqrt(p0) and the final
 prices by p0, once, through analytics.to_pool.
 
-A campaign is one pass over fixed run chunks: each chunk builds a step-major
-price matrix, one column per run, and the arbitrage kernel fills its rows of
-the per-run metric table; then the summary is built from the whole table,
-and binning the table is left to the caller.  A campaign takes the fewest
+A campaign is one pass over fixed run chunks, each filling its rows of the
+per-run metric table; then the summary is built from the whole table, and
+binning the table is left to the caller.  A campaign takes the fewest
 chunks whose price matrices fit CHUNK_BYTES, equal to within one run, so
 the chunk boundaries depend only on n_runs and n_steps and no chunk holds
-more paths than the count of chunks needs.  The matrix is the chunk's
-only full-size array: its normal draws are staged through one small reused
-block of runs, and each block's prices are written into its columns before
-the next block is drawn; chunk_working_bytes states what a chunk holds.  A
+more paths than the count of chunks needs.  A chunk's paths are built by
+_price_blocks, one small reused block of runs at a time.  With a fee, each
+block is written into the chunk's step-major price matrix, one column per
+run, for the arbitrage kernel, which steps all runs together.  At fee 0 the
+pool replays the path, so a run's losses depend on its own path alone, and
+_replay reduces each block as soon as it is built: a fee-free chunk holds no
+matrix.  chunk_working_bytes states what either kind of chunk holds.  A
 sweep builds and checks every campaign's record first, then hands its
 campaigns one memo of the last chunk matrix, keyed on the arguments that
 built it, so when consecutive campaigns share their paths (a fee sweep's
-do) each chunk's paths are built once.
+do, its fee-free baseline last) each chunk's paths are built once.
 
 Arbitrage against the reference price.  With a proportional fee f the pool
 is only worth trading once the reference price leaves a no-trade band
@@ -239,44 +241,67 @@ def plan_chunks(n_runs: int, n_steps: int) -> list[tuple[int, int]]:
     return [(n_runs * j // k, n_runs * (j + 1) // k) for j in range(k)]
 
 
-def chunk_working_bytes(n_runs: int, n_steps: int) -> int:
-    """Bytes the largest planned chunk holds: its price matrix and three draw
-    blocks of at most that matrix."""
+def _block_runs(n_runs: int, n_steps: int) -> int:
+    """Runs per draw block: about _DRAW_BLOCK_BYTES of draws, at least one run, at most n_runs."""
+    return min(n_runs, max(1, _DRAW_BLOCK_BYTES // (8 * n_steps or 1)))
+
+
+def chunk_working_bytes(n_runs: int, n_steps: int, streamed: Observables | None = None) -> int:
+    """Bytes the largest planned chunk holds: its runs' seeds, keys and kernel rows and state
+    (16 B a column, fitted), plus its price matrix and three draw blocks of at most that
+    matrix; or, for a fee-free campaign's streamed observables, one block of draws and its
+    prices, never less than one path, and for pool metrics the three buffers _replay reuses."""
     path = _path_bytes(n_steps)
-    chunk = -(-n_runs // max(1, _chunk_count(n_runs, path))) * path
-    return chunk + 3 * min(max(_DRAW_BLOCK_BYTES, path), chunk)
+    runs = -(-n_runs // max(1, _chunk_count(n_runs, path)))
+    if streamed is None:
+        return runs * (path + 16 * _N_COLS) + 3 * min(max(_DRAW_BLOCK_BYTES, path), runs * path)
+    block = _block_runs(runs, n_steps) * path
+    return runs * 16 * _N_COLS + (5 if streamed is Observables.POOL else 2) * block
+
+
+def _view(buffer: np.ndarray, rows: int, runs: int) -> np.ndarray:
+    return buffer[:rows * runs].reshape(rows, runs)
+
+
+def _price_blocks(kind: ProcessKind, sigma: float, n_steps: int, seeds: np.ndarray):
+    """Yield (lo, hi, prices), the paths from 1 of uint64 seeds[lo:hi], block by block: run j
+    draws make_generator(seeds[j])'s normals, from one generator re-keyed per run with a
+    fresh counter, and the draws and prices reuse one buffer each, so prices, shape
+    (n_steps + 1, hi - lo), is overwritten by the next block."""
+    if not seeds.size:
+        return
+    rng = make_generator(seeds[0])
+    fresh = rng.bit_generator.state  # zero counter, empty buffer
+    keys = philox_keys(seeds)
+    runs = _block_runs(seeds.size, n_steps)
+    block = np.empty((runs, n_steps))
+    prices = np.empty((n_steps + 1) * runs)
+    for lo in range(0, seeds.size, runs):
+        hi = min(lo + runs, seeds.size)
+        for row, key in zip(block, keys[lo:hi]):
+            fresh["state"]["key"] = key
+            rng.bit_generator.state = fresh
+            rng.standard_normal(out=row)
+        yield lo, hi, prices_from_increments(kind, sigma, block[:hi - lo].T,
+                                             _view(prices, n_steps + 1, hi - lo))
 
 
 def simulate_price_matrix(kind: ProcessKind, sigma: float, n_steps: int, seeds) -> np.ndarray:
     """Price paths from 1 for the given per-run seeds, shape (n_steps + 1, runs).
 
     seeds is a 1-d sequence of seeds, each checked as make_generator checks
-    one.  Column j depends only on seeds[j]: it holds exactly the draws of
-    make_generator(seeds[j]), from one generator whose Philox is re-keyed per
-    run with a fresh counter and buffer.  The draws pass through one reused
-    block of about 1 MiB (never less than one run), and each block's prices
-    are written into its columns before the next block is drawn, so the
-    price matrix is the only full-size array.  A single run from p0 is
-    p0 * simulate_price_matrix(kind, sigma, n_steps, [seed])[:, 0].
+    one.  Column j depends only on seeds[j]: the paths come from
+    _price_blocks, and each block is written into its columns before the
+    next block is drawn, so the price matrix is the only full-size array.  A
+    single run from p0 is p0 * simulate_price_matrix(kind, sigma, n_steps, [seed])[:, 0].
     """
     if np.ndim(seeds) != 1:
         raise ConfigError(f"seeds must be a 1-d sequence, got {np.ndim(seeds)} dimensions")
     seeds = np.array([_checked_int(s, f"seeds[{j}]") for j, s in enumerate(seeds)],
                      dtype=np.uint64)
     prices = np.empty((n_steps + 1, seeds.size))
-    if seeds.size:
-        rng = make_generator(seeds[0])
-        fresh = rng.bit_generator.state  # zero counter, empty buffer
-        keys = philox_keys(seeds)
-        runs = min(seeds.size, max(1, _DRAW_BLOCK_BYTES // (8 * n_steps or 1)))
-        block = np.empty((runs, n_steps))
-        for lo in range(0, seeds.size, runs):
-            hi = min(lo + runs, seeds.size)
-            for row, key in zip(block, keys[lo:hi]):
-                fresh["state"]["key"] = key
-                rng.bit_generator.state = fresh
-                rng.standard_normal(out=row)
-            prices[:, lo:hi] = prices_from_increments(kind, sigma, block[:hi - lo].T)
+    for lo, hi, block in _price_blocks(kind, sigma, n_steps, seeds):
+        prices[:, lo:hi] = block
     return prices
 
 
@@ -369,6 +394,38 @@ def arbitrage(
     return out
 
 
+def _step_sum(terms: np.ndarray) -> np.ndarray:
+    # numpy adds rows in step order, as arbitrage does, but sums a lone column pairwise
+    return terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms, axis=0)[-1]
+
+
+def _replay(prices: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """arbitrage(prices, 0.0), bit for bit: at fee 0 the pool holds the path's own price at
+    every step, so the roots, their differences and both loss terms are formed for the whole
+    block at once, then summed step by step along each run.  scratch, three rows of
+    prices.size floats or more, holds every block-size temporary and is reused across blocks."""
+    if not prices.min() > 0.0:
+        raise ValueError("pool arbitrage requires positive prices")
+    rows, runs = prices.shape
+    root = _view(scratch[0], rows, runs)
+    term, den = _view(scratch[1], rows - 1, runs), _view(scratch[2], rows - 1, runs)
+    np.sqrt(prices, out=root)
+    ra, rh = root[:-1], root[1:]
+    out = np.empty((runs, _N_COLS))
+    np.multiply(np.subtract(rh, ra, out=term), term, out=term)
+    np.multiply(np.multiply(ra, rh, out=den), rh, out=den)
+    out[:, 1] = _step_sum(np.divide(term, den, out=term))
+    np.abs(np.subtract(rh, ra, out=term), out=term)
+    out[:, 2] = _step_sum(np.divide(term, np.multiply(ra, rh, out=den), out=term))
+    np.not_equal(prices[1:], prices[:-1], out=term)  # 1 where the price moved: a trade
+    out[:, 4] = term.sum(axis=0)
+    out[:, _LAST_EVENT] = np.multiply(term, np.arange(1.0, rows)[:, None], out=term).max(axis=0)
+    out[:, 0] = (1.0 - root[0] / root[-1]) ** 2 / root[0]
+    out[:, 3] = 0.0 * out[:, 2]
+    out[:, 5] = prices[-1]
+    return out
+
+
 def _metrics_prices_only(prices: np.ndarray) -> np.ndarray:
     out = np.full((prices.shape[1], _N_COLS), np.nan)
     out[:, 4] = 0.0
@@ -380,16 +437,25 @@ def _metrics_prices_only(prices: np.ndarray) -> np.ndarray:
 def _compute_chunk(config: ExperimentConfig, lo: int, hi: int, paths: dict) -> np.ndarray:
     seeds = _chunk_seeds(config, lo, hi)
     # paths holds one matrix under simulate_price_matrix's arguments; a miss drops it
-    # before the next build, so at most one chunk of paths is ever alive
+    # before the next build, so at most one chunk of paths is ever alive, and while it
+    # holds none a fee-free chunk builds none: each block is reduced as it is built
     key = (config.kind, config.sigma, config.n_steps, seeds.tobytes())
     prices = paths.get(key)
-    if prices is None:
-        paths.clear()
-        prices = paths[key] = simulate_price_matrix(*key[:3], seeds)
-        prices.flags.writeable = False  # shared with later campaigns; arbitrage only reads
-    if config.observables is Observables.PRICES:
-        return _metrics_prices_only(prices)
     try:
+        if prices is None and not paths and config.fee == 0.0:
+            out = np.empty((hi - lo, _N_COLS))
+            size = (config.n_steps + 1) * _block_runs(hi - lo, config.n_steps)
+            scratch = None if config.observables is Observables.PRICES else np.empty((3, size))
+            for a, b, block in _price_blocks(*key[:3], seeds):
+                out[a:b] = (_metrics_prices_only(block) if scratch is None
+                            else _replay(block, scratch))
+            return out
+        if prices is None:
+            paths.clear()
+            prices = paths[key] = simulate_price_matrix(*key[:3], seeds)
+            prices.flags.writeable = False  # shared with later campaigns; arbitrage only reads
+        if config.observables is Observables.PRICES:
+            return _metrics_prices_only(prices)
         return arbitrage(prices, config.fee, config.band_rule, config.target)
     except ValueError:
         # ExperimentConfig and plan_chunks checked fee and shape, so the
@@ -527,7 +593,8 @@ def sweep_fee(base: ExperimentConfig, fees) -> dict:
         raise ConfigError("fees must be strictly increasing")
     if base.sigma <= 0.0:
         raise ConfigError("fee sweep needs a positive sigma: its rows report f / sigma")
-    baseline, *summaries = _sweep_summaries(base, [{"fee": f} for f in [0.0, *fee_list]])
+    # the fee-free baseline runs last, on the paths the fee campaigns left in the memo
+    *summaries, baseline = _sweep_summaries(base, [{"fee": f} for f in [*fee_list, 0.0]])
     if not (baseline["mean_lvr"] > 0.0 and baseline["mean_volume"] > 0.0):
         raise NumericalError(f"fee rows divide by the fee-free mean lvr {baseline['mean_lvr']} "
                              f"and mean volume {baseline['mean_volume']}; both must be positive")

@@ -158,15 +158,16 @@ def pdf_gbm(p, p0: float, sigma: float, t: float):
     return out.item() if out.ndim == 0 else out
 
 
-def prices_from_increments(kind: ProcessKind, sigma: float, dw: np.ndarray) -> np.ndarray:
+def prices_from_increments(kind: ProcessKind, sigma: float, dw: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Apply the update rule from a start at 1 along the first axis of a block of increments.
 
     Accepts either a single path of draws (shape (n,)) or a step-major batch
     (shape (n, runs), one column per run); returns prices with the start row
-    prepended, shape (n + 1,) or (n + 1, runs).
+    prepended, shape (n + 1,) or (n + 1, runs), written into out when given.
     """
     dw = np.asarray(dw, dtype=float)
-    out = np.empty((dw.shape[0] + 1,) + dw.shape[1:], dtype=float)
+    out = np.empty((dw.shape[0] + 1,) + dw.shape[1:], dtype=float) if out is None else out
     out[0] = 1.0
     body = out[1:]
     if kind is ProcessKind.BM:

@@ -1209,15 +1209,16 @@ _LONG_PATH = ("a single path of 9000000 steps needs 72000008 bytes, over the 671
          _bytes("n_walks", 560002097152), "first_passage"),
         # seven histograms kept at 20 B per bin and one written at 240 B per bin
         (["simulate", "--bins", "1e9", "--n-runs", "100", "--n-steps", "10"],
-         _bytes("bins", 380002156352), "run_campaign"),
+         _bytes("bins", 380002164352), "run_campaign"),
         (["simulate", "--bins", "1e8", "--n-runs", "100", "--n-steps", "10"],
-         _bytes("bins", 38002156352), "run_campaign"),
-        # 240 B per run and the largest of six chunks of 716667 runs or 716666
-        (["simulate", "--n-runs", "4.3e6", "--n-steps", "10"],
-         _bytes("n_runs", 1100328576), "run_campaign"),
+         _bytes("bins", 38002164352), "run_campaign"),
+        # 120 B per run, 112 B per run of the largest of twelve chunks of 750000 runs,
+        # and the fee-free campaign streams one block of 13107 runs
+        (["simulate", "--n-runs", "9e6", "--n-steps", "10"],
+         _bytes("n_runs", 1171883232), "run_campaign"),
         # process=both runs one campaign at a time, so it counts as one
-        (["simulate", "--process", "both", "--n-runs", "4.3e6", "--n-steps", "10"],
-         _bytes("n_runs", 1100328576), "run_campaign"),
+        (["simulate", "--process", "both", "--n-runs", "9e6", "--n-steps", "10"],
+         _bytes("n_runs", 1171883232), "run_campaign"),
         # one path over the 64 MiB chunk budget
         (["simulate", "--n-steps", "9000000", "--n-runs", "1"], _LONG_PATH, "run_campaign"),
         # the walk-steps of a scan or a pair: (n_walks + 6000) times the mean exit times
@@ -1294,10 +1295,10 @@ def _budget_verdict(command, **strings):
     pytest.param(command, key, largest, strings,
                  id=" ".join([*command, *(f"--{k}={v}" for k, v in strings.items()), key]))
     for command, key, largest, strings in (
-        (("simulate",), "n_runs", 4172420, {}),
-        (("simulate",), "n_runs", 4172420, {"process": "both"}),
-        (("simulate",), "bins", 2700155, {}),
-        (("simulate",), "bins", 3946380, {"observables": "prices"}),
+        (("simulate",), "n_runs", 8878685, {}),
+        (("simulate",), "n_runs", 8878685, {"process": "both"}),
+        (("simulate",), "bins", 2801682, {}),
+        (("simulate",), "bins", 4106871, {"observables": "prices"}),
         (("analytic", "il-pdf"), "il_points", 10716446, {}),
         (("analytic", "sample-il"), "n_samples", 29767546, {}),
         (("analytic", "clt-sum"), "n_repeats", 29767546, {"n_per_sum": "1"}),
@@ -1315,21 +1316,28 @@ def test_each_size_is_accepted_up_to_its_budget_edge(command, key, largest, stri
 
 def test_the_campaign_term_is_the_largest_chunk_over_the_step_counts(monkeypatch):
     # at 10000 runs, 1000 steps plan two chunks of 5000 runs and 800 steps one of 10000,
-    # so the shorter paths hold the larger chunk: 64.08 MB against 40.04 MB
+    # so the shorter paths hold the larger chunk: with a fee, its paths and 112 B a run of
+    # seeds, keys and kernel state come to 65.20 MB against 40.60 MB
     assert harness.plan_chunks(10000, 1000) == [(0, 5000), (5000, 10000)]
     assert harness.plan_chunks(10000, 800) == [(0, 10000)]
     largest = harness.chunk_working_bytes(10000, 800)
-    assert largest - harness.chunk_working_bytes(10000, 1000) == (10000 * 801 - 5000 * 1001) * 8
+    assert largest - harness.chunk_working_bytes(10000, 1000) == (10000 * 815 - 5000 * 1015) * 8
+    # fee-free, each streams one draw block of about 1 MiB, 163 runs or 131, beside the
+    # chunk's 112 B a run
+    streamed = harness.chunk_working_bytes(10000, 800, harness.Observables.POOL)
+    assert streamed == 10000 * 112 + 5 * 163 * 801 * 8
+    assert streamed > harness.chunk_working_bytes(10000, 1000, harness.Observables.POOL)
     monkeypatch.setattr(cli, "BYTE_BUDGET", 0)  # every command is refused with its bytes
 
-    def stated(runs, steps):
-        verdict = _budget_verdict(("sweep", "steps"), n_runs=runs, steps_list=steps)
+    def stated(runs, steps, fee="0.001"):
+        verdict = _budget_verdict(("sweep", "steps"), n_runs=runs, steps_list=steps, fee=fee)
         return int(verdict.removeprefix("n_runs brings the working set to about ").split()[0])
 
     for steps in ("800,1000", "1000,800"):
-        assert stated("10000", steps) == cli._FIXED_BYTES + 10000 * 240 + largest
+        assert stated("10000", steps) == cli._FIXED_BYTES + 10000 * 120 + largest
+        assert stated("10000", steps, fee="0") == cli._FIXED_BYTES + 10000 * 120 + streamed
     # sizes the records refuse later are costed first, with no division by zero
-    assert stated("0", "1000") == stated("10000", "") - 10000 * 240 == cli._FIXED_BYTES
+    assert stated("0", "1000") == stated("10000", "") - 10000 * 120 == cli._FIXED_BYTES
     assert stated("10000", "0,-3") == stated("10000", "0")
 
 

@@ -27,6 +27,7 @@ from ammlab import (
     simulate_price_matrix,
     sweep_fee,
 )
+from ammlab import harness
 from ammlab.harness import KERNEL_COLUMNS
 
 L = 10000.0
@@ -257,6 +258,61 @@ def test_batch_column_equals_path_alone(fee, band_rule, target):
         alone = arbitrage(prices[:, j], fee, band_rule, target)
         assert alone.shape == (1, len(KERNEL_COLUMNS))
         np.testing.assert_array_equal(alone[0], batch[j])
+
+
+# every band shape and trade rule at fee 0, where all four trade to the reference price
+FEE_FREE_RULES = [(band_rule, target) for band_rule in BandRule for target in TradeTarget]
+
+
+def _replay(prices: np.ndarray) -> np.ndarray:
+    return harness._replay(prices, np.empty((3, prices.size)))
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.GBM, ProcessKind.BM])
+@pytest.mark.parametrize("runs, sigma", [(1, 0.004), (2, 0.004), (13, 0.004), (300, 0.004),
+                                         (7, 0.0)])
+def test_replay_is_the_fee_free_kernel_bit_for_bit(kind, runs, sigma):
+    # one run is summed by accumulation, since numpy sums a lone column pairwise;
+    # sigma 0 never trades, so the kernel skips every step that replay sums as zeros
+    prices = simulate_price_matrix(kind, sigma, 400, [derive_run_seed(34, i) for i in range(runs)])
+    replayed = _replay(prices)
+    for band_rule, target in FEE_FREE_RULES:
+        assert replayed.tobytes() == arbitrage(prices, 0.0, band_rule, target).tobytes()
+    if sigma == 0.0:
+        assert not replayed[:, [LVR, VOL, N_EV, LAST]].any()
+
+
+def test_replay_gives_the_kernel_nan_where_a_path_overflows():
+    # factors of about 1e200 overflow a path to inf within two steps, where both
+    # loss sums turn NaN in the kernel, and the rest of those runs stays finite
+    seeds = [derive_run_seed(35, i) for i in range(12)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        prices = simulate_price_matrix(ProcessKind.GBM, 1e200, 6, seeds)
+        replayed = _replay(prices)
+        assert replayed.tobytes() == arbitrage(prices, 0.0).tobytes()
+        for j in range(prices.shape[1]):
+            assert _replay(prices[:, j:j + 1]).tobytes() == arbitrage(
+                prices[:, j], 0.0).tobytes()
+    overflowed = np.isinf(prices).any(axis=0)
+    assert overflowed.any() and not overflowed.all() and prices.min() > 0.0
+    np.testing.assert_array_equal(np.isnan(replayed[:, LVR]), overflowed)
+    np.testing.assert_array_equal(np.isnan(replayed[:, VOL]), overflowed)
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.GBM, ProcessKind.BM])
+def test_a_streamed_chunk_is_the_kernel_over_its_matrix(monkeypatch, kind):
+    # blocks of 4 runs over 13 leave a last block of one run, and each block
+    # reuses the scratch buffers of the first
+    monkeypatch.setattr(harness, "_DRAW_BLOCK_BYTES", 8 * 400 * 4)
+    config = ExperimentConfig(kind=kind, p0=1.0, sigma=0.004, n_steps=400, liquidity=1.0,
+                              n_runs=13, seed=36)
+    seeds = harness._chunk_seeds(config, 0, config.n_runs)
+    assert harness._block_runs(seeds.size, config.n_steps) == 4
+    matrix = simulate_price_matrix(kind, config.sigma, config.n_steps, seeds)
+    paths: dict = {}  # nothing held, so the chunk streams and holds nothing after
+    streamed = harness._compute_chunk(config, 0, config.n_runs, paths)
+    assert streamed.tobytes() == arbitrage(matrix, 0.0).tobytes()
+    assert paths == {}
 
 
 @given(seed=st.integers(min_value=0, max_value=2_000))

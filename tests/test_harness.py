@@ -163,7 +163,7 @@ def test_single_path_over_budget_is_an_error():
     # the real 64 MiB budget holds a path of 2**23 - 1 steps, and 2**23 steps are one
     # 8-byte price past it: the plan and the stated bytes accept and refuse the same paths
     assert plan_chunks(3, 2**23 - 1) == [(0, 1), (1, 2), (2, 3)]
-    assert chunk_working_bytes(3, 2**23 - 1) == 4 * harness.CHUNK_BYTES
+    assert chunk_working_bytes(3, 2**23 - 1) == 4 * harness.CHUNK_BYTES + 112
     for refuse in (plan_chunks, chunk_working_bytes):
         with pytest.raises(ResourceLimitError, match="chunk budget; lower n_steps$"):
             refuse(3, 2**23)
@@ -180,8 +180,10 @@ def test_single_path_over_budget_is_an_error():
 def test_the_planned_chunk_fits_the_stated_chunk(n_runs, n_steps, n_chunks):
     # at the real budget, with no allocation: as many chunks as filling each to the budget
     # would take (the benchmark's harness.chunks), equal to within one run, and the largest
-    # planned chunk matrix, with the draw blocks simulate_price_matrix stages through for
-    # it, is what chunk_working_bytes states
+    # planned chunk matrix, with 112 B a run of seeds, keys and kernel state and the draw
+    # blocks simulate_price_matrix stages through for it, is what chunk_working_bytes
+    # states; a fee-free chunk streams one block of about 1 MiB of draws, never less than
+    # one path, in place of the matrix and its blocks
     chunks = plan_chunks(n_runs, n_steps)
     path = (n_steps + 1) * 8
     assert len(chunks) == n_chunks == len(range(0, n_runs, harness.CHUNK_BYTES // path))
@@ -192,7 +194,10 @@ def test_the_planned_chunk_fits_the_stated_chunk(n_runs, n_steps, n_chunks):
     largest = max(sizes) * path
     assert largest <= harness.CHUNK_BYTES
     blocks = 3 * min(max(harness._DRAW_BLOCK_BYTES, path), largest)
-    assert largest + blocks == chunk_working_bytes(n_runs, n_steps)
+    assert largest + max(sizes) * 112 + blocks == chunk_working_bytes(n_runs, n_steps)
+    block = min(max(sizes), max(1, harness._DRAW_BLOCK_BYTES // (8 * n_steps))) * path
+    assert chunk_working_bytes(n_runs, n_steps, Observables.POOL) == max(sizes) * 112 + 5 * block
+    assert chunk_working_bytes(n_runs, n_steps, Observables.PRICES) == max(sizes) * 112 + 2 * block
 
 
 def test_a_campaign_one_run_over_a_chunk_holds_half_the_budget(monkeypatch):
@@ -212,6 +217,23 @@ def test_a_campaign_one_run_over_a_chunk_holds_half_the_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.6 * budget, (peak, budget)
+
+
+def test_a_fee_free_campaign_holds_no_chunk_matrix():
+    # the canonical campaign plans two chunks of 5000 runs, 40.04 MB of paths each; at
+    # fee 0 each draw block is reduced as soon as it is built, so the campaign peaks
+    # under a quarter of one chunk matrix, and holds the streamed chunk it states
+    config = replace(BASE, fee=0.0, sigma=0.001, n_steps=1000, n_runs=10000)
+    assert plan_chunks(config.n_runs, config.n_steps) == [(0, 5000), (5000, 10000)]
+    run_campaign(replace(config, n_runs=1))
+    tracemalloc.start()
+    try:
+        run_campaign(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5000 * 1001 * 8 / 4, peak
+    assert chunk_working_bytes(config.n_runs, config.n_steps, Observables.POOL) < peak
 
 
 # --------------------------------------------------------------------- regimes
@@ -562,21 +584,22 @@ _SEAM_BASE = replace(BASE, fee=0.0, sigma=0.01, n_steps=16, n_runs=20, seed=7100
 
 
 @pytest.mark.parametrize("sweep, base, values, changes, keys, builds", [
-    (sweep_fee, _SEAM_BASE, [0.001, 0.01], [{"fee": 0.0}, {"fee": 0.001}, {"fee": 0.01}],
+    (sweep_fee, _SEAM_BASE, [0.001, 0.01], [{"fee": 0.001}, {"fee": 0.01}, {"fee": 0.0}],
      {"rows", "fits", "baseline"}, 1),
     (sweep_volume_vs_sigma, _SEAM_BASE, [0.002, 0.001], [{"sigma": 0.002}, {"sigma": 0.001}],
-     {"rows", "fits"}, 2),
+     {"rows", "fits"}, 0),
     (partial(sweep_volume_vs_steps, total_variance=_SEAM_BASE.sigma2_t), _SEAM_BASE, [64, 4],
      [{"n_steps": n, "sigma": math.sqrt(_SEAM_BASE.sigma2_t / n)} for n in (64, 4)],
-     {"rows", "fits"}, 2),
+     {"rows", "fits"}, 0),
     (sweep_fee, replace(_SEAM_BASE, target=TradeTarget.MARGINAL), [0.001, 0.002, 0.01],
-     [{"fee": 0.0}, {"fee": 0.001}, {"fee": 0.002}, {"fee": 0.01}],
+     [{"fee": 0.001}, {"fee": 0.002}, {"fee": 0.01}, {"fee": 0.0}],
      {"rows", "fits", "baseline"}, 1),
 ], ids=["fee", "sigma", "steps", "fee-marginal"])
 def test_sweep_runs_one_campaign_per_point_in_order(monkeypatch, sweep, base, values, changes,
                                                     keys, builds):
-    # the fee sweep's fee-free baseline runs first; every campaign keeps base.seed, and
-    # one that shares the previous campaign's paths reuses its price matrix (one chunk each)
+    # the fee sweep's fee-free baseline runs last; every campaign keeps base.seed, and
+    # one that shares the previous campaign's paths reuses its price matrix (one chunk
+    # each), while fee-free campaigns with nothing held build no matrix at all
     seen, built = [], []
 
     def counting(config, **memo):
@@ -596,7 +619,7 @@ def test_sweep_runs_one_campaign_per_point_in_order(monkeypatch, sweep, base, va
     # every row is what its campaign gives when it runs alone
     alone = [run_campaign(config).summary for config in seen]
     if "baseline" in swept:
-        assert swept["baseline"] == alone.pop(0)
+        assert swept["baseline"] == alone.pop()
     assert [{k: row[k] for k in _ROW_KEYS} for row in swept["rows"]] == [
         {k: summary[k] for k in _ROW_KEYS} for summary in alone]
 
