@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .stats import Histogram, mean_stderr
-from .stochastic import ProcessKind, make_generator, pdf_bm, pdf_gbm
+from .stochastic import ProcessKind, _integer, make_generator, pdf_bm, pdf_gbm
 
 __all__ = [
     "ILDistParams",
@@ -326,6 +326,7 @@ def sample_il(params: ILDistParams, n: int, seed: int) -> np.ndarray:
     from scipy.special import ndtri
 
     mass = _check_law(params)
+    n = _integer(n, "n")
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
     u = (make_generator(seed).integers(0, 2**52, n) + 0.5) * 2.0**-52
@@ -388,6 +389,8 @@ def clt_sum_experiment(
     single-draw distribution has finite variance, so the sums pull into a
     Gaussian shape.
     """
+    n_per_sum, n_repeats = _integer(n_per_sum, "n_per_sum"), _integer(n_repeats, "n_repeats")
+    bins = _integer(bins, "bins")
     if n_per_sum < 1 or n_repeats < 1:
         raise ConfigError("n_per_sum and n_repeats must be positive")
     if bins < 1:
@@ -431,6 +434,7 @@ def first_passage(spec: BarrierSpec, n_walks: int, seed: int) -> FirstPassageRes
     mean exit time is |lower| * upper and the lower barrier is hit with
     probability upper / (upper + |lower|).
     """
+    n_walks = _integer(n_walks, "n_walks")
     if n_walks < 1:
         raise ConfigError(f"n_walks must be positive, got {n_walks}")
     rng = make_generator(seed)

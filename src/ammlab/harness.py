@@ -21,10 +21,12 @@ run, for the arbitrage kernel, which steps all runs together.  At fee 0 the
 pool replays the path, so a run's losses depend on its own path alone, and
 _replay reduces each block as soon as it is built: a fee-free chunk holds no
 matrix.  chunk_working_bytes states what either kind of chunk holds.  A
-sweep builds and checks every campaign's record first, then hands its
-campaigns one memo of the last chunk matrix, keyed on the arguments that
-built it, so when consecutive campaigns share their paths (a fee sweep's
-do, its fee-free baseline last) each chunk's paths are built once.
+sweep checks every campaign's record first, then hands its campaigns one
+memo of a chunk matrix, keyed on the arguments that built it: a chunk whose
+paths it holds reads them, and any other drops them, then streams at fee 0
+or builds its matrix into the memo.  So a fee sweep of one-chunk campaigns,
+its fee-free baseline last, builds its paths once; a campaign run alone
+gives each chunk a fresh memo, and no matrix outlives its chunk.
 
 Arbitrage against the reference price.  With a proportional fee f the pool
 is only worth trading once the reference price leaves a no-trade band
@@ -68,6 +70,7 @@ from .stochastic import (
     GBM_FACTOR_FLOOR,
     ProcessKind,
     _checked_int,
+    _integer,
     derive_run_seed,
     make_generator,
     philox_keys,
@@ -178,6 +181,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        for name in ("n_steps", "n_runs"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.p0 <= 0.0 or self.liquidity <= 0.0:
             raise ConfigError("p0 and liquidity must be positive")
         if self.sigma < 0.0:
@@ -250,7 +255,7 @@ def chunk_working_bytes(n_runs: int, n_steps: int, streamed: Observables | None 
     """Bytes the largest planned chunk holds: its runs' seeds, keys and kernel rows and state
     (16 B a column, fitted), plus its price matrix and three draw blocks of at most that
     matrix; or, for a fee-free campaign's streamed observables, one block of draws and its
-    prices, never less than one path, and for pool metrics the three buffers _replay reuses."""
+    prices, never less than one path, and for pool metrics the three rows _replay allocates."""
     path = _path_bytes(n_steps)
     runs = -(-n_runs // max(1, _chunk_count(n_runs, path)))
     if streamed is None:
@@ -399,17 +404,16 @@ def _step_sum(terms: np.ndarray) -> np.ndarray:
     return terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms, axis=0)[-1]
 
 
-def _replay(prices: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _replay(prices: np.ndarray) -> np.ndarray:
     """arbitrage(prices, 0.0), bit for bit: at fee 0 the pool holds the path's own price at
     every step, so the roots, their differences and both loss terms are formed for the whole
-    block at once, then summed step by step along each run.  scratch, three rows of
-    prices.size floats or more, holds every block-size temporary and is reused across blocks."""
+    block at once, then summed step by step along each run.  The roots and two rows of terms
+    are the only block-size temporaries."""
     if not prices.min() > 0.0:
         raise ValueError("pool arbitrage requires positive prices")
     rows, runs = prices.shape
-    root = _view(scratch[0], rows, runs)
-    term, den = _view(scratch[1], rows - 1, runs), _view(scratch[2], rows - 1, runs)
-    np.sqrt(prices, out=root)
+    root = np.sqrt(prices)
+    term, den = np.empty((2, rows - 1, runs))
     ra, rh = root[:-1], root[1:]
     out = np.empty((runs, _N_COLS))
     np.multiply(np.subtract(rh, ra, out=term), term, out=term)
@@ -436,22 +440,19 @@ def _metrics_prices_only(prices: np.ndarray) -> np.ndarray:
 
 def _compute_chunk(config: ExperimentConfig, lo: int, hi: int, paths: dict) -> np.ndarray:
     seeds = _chunk_seeds(config, lo, hi)
-    # paths holds one matrix under simulate_price_matrix's arguments; a miss drops it
-    # before the next build, so at most one chunk of paths is ever alive, and while it
-    # holds none a fee-free chunk builds none: each block is reduced as it is built
+    # paths holds one matrix under simulate_price_matrix's arguments; a chunk it does not
+    # hold drops it first, so at most one chunk of paths is ever alive
     key = (config.kind, config.sigma, config.n_steps, seeds.tobytes())
     prices = paths.get(key)
+    reduce = _metrics_prices_only if config.observables is Observables.PRICES else _replay
     try:
-        if prices is None and not paths and config.fee == 0.0:
-            out = np.empty((hi - lo, _N_COLS))
-            size = (config.n_steps + 1) * _block_runs(hi - lo, config.n_steps)
-            scratch = None if config.observables is Observables.PRICES else np.empty((3, size))
-            for a, b, block in _price_blocks(*key[:3], seeds):
-                out[a:b] = (_metrics_prices_only(block) if scratch is None
-                            else _replay(block, scratch))
-            return out
         if prices is None:
             paths.clear()
+            if config.fee == 0.0:  # each block is reduced as it is built
+                out = np.empty((hi - lo, _N_COLS))
+                for a, b, block in _price_blocks(*key[:3], seeds):
+                    out[a:b] = reduce(block)
+                return out
             prices = paths[key] = simulate_price_matrix(*key[:3], seeds)
             prices.flags.writeable = False  # shared with later campaigns; arbitrage only reads
         if config.observables is Observables.PRICES:
@@ -487,19 +488,18 @@ def _summarize(config: ExperimentConfig, table: np.ndarray) -> dict:
 def run_campaign(config: ExperimentConfig, *, paths: dict | None = None) -> CampaignResult:
     """Evaluate the configuration over its run ensemble: its per-run table and summary.
 
-    paths, when given, holds the last chunk's price matrix between calls, so a
-    campaign on the same paths as the previous one reuses it instead of
-    building it again; None starts empty.  Raises ResourceLimitError when one
-    path alone overflows the chunk budget, and NumericalError when to_pool
-    refuses the scale or, naming the metric, when a summarized column is not
-    finite or its mean or standard error leaves the double range.
+    paths, when given, is a memo of one chunk matrix shared between calls: a chunk whose
+    paths it holds reads them, and any other drops them, then streams at fee 0 or builds
+    its matrix into the memo at a fee.  None gives each chunk a fresh memo, so no matrix
+    outlives its chunk.  Raises ResourceLimitError when one path alone overflows the chunk
+    budget, and NumericalError when to_pool refuses the scale or, naming the metric, when
+    a summarized column is not finite or its mean or standard error leaves the double range.
     """
-    paths = {} if paths is None else paths
     full = np.empty((config.n_runs, _N_COLS), dtype=float)
     # mean_stderr, not numpy warnings, reports paths leaving the double range
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo, hi in plan_chunks(config.n_runs, config.n_steps):
-            full[lo:hi] = _compute_chunk(config, lo, hi, paths)
+            full[lo:hi] = _compute_chunk(config, lo, hi, {} if paths is None else paths)
         full[:, :4] = to_pool(config, full[:, :4])
         full[:, 5] *= config.p0
     return CampaignResult(table=full[:, : len(TABLE_COLUMNS)].copy(),
@@ -517,7 +517,7 @@ def _sweep_summaries(base: ExperimentConfig, changes: list[dict]) -> list[dict]:
         raise ConfigError("sweeps report pool metrics, so observables must be pool")
     configs = [replace(base, **change) for change in changes]  # built before any campaign runs
     _path_bytes(max(config.n_steps for config in configs))  # the longest path, as cli._cast does
-    paths: dict = {}  # consecutive campaigns on the same paths build each chunk once
+    paths: dict = {}  # consecutive one-chunk campaigns on the same paths build it once
     return [run_campaign(config, paths=paths).summary for config in configs]
 
 
@@ -550,7 +550,8 @@ def sweep_volume_vs_steps(base: ExperimentConfig, steps_list, total_variance: fl
     Returns per-step-count rows plus fits: the log-log volume slope and the
     relative spread of the mean loss.
     """
-    steps = distinct_positive([int(v) for v in steps_list], "step counts")
+    steps = distinct_positive([_integer(v, f"steps_list[{j}]") for j, v in enumerate(steps_list)],
+                              "step counts")
     if total_variance <= 0.0:
         raise ConfigError("total_variance must be positive")
     changes = [{"n_steps": n, "sigma": sqrt(total_variance / n)} for n in steps]
@@ -593,7 +594,7 @@ def sweep_fee(base: ExperimentConfig, fees) -> dict:
         raise ConfigError("fees must be strictly increasing")
     if base.sigma <= 0.0:
         raise ConfigError("fee sweep needs a positive sigma: its rows report f / sigma")
-    # the fee-free baseline runs last, on the paths the fee campaigns left in the memo
+    # the fee-free baseline runs last, so a one-chunk sweep's reads the fee campaigns' paths
     *summaries, baseline = _sweep_summaries(base, [{"fee": f} for f in [*fee_list, 0.0]])
     if not (baseline["mean_lvr"] > 0.0 and baseline["mean_volume"] > 0.0):
         raise NumericalError(f"fee rows divide by the fee-free mean lvr {baseline['mean_lvr']} "

@@ -19,7 +19,8 @@ it) on ints, with a campaign seed's pool cached, and on whole seed arrays, so
 per-run streams are cheap to derive and independent of execution order; a
 batch re-keys one generator per run, and each run draws make_generator(seed)'s.
 A seed is an integer in [0, 2**64), not a bool: _checked_int is that rule, and
-every door that takes a seed checks it there and raises ConfigError otherwise.
+every door that takes a seed checks it there and raises ConfigError otherwise;
+_integer is its integer half, which every integer size at a door passes too.
 """
 
 from __future__ import annotations
@@ -53,13 +54,24 @@ class ProcessKind(str, Enum):
     GBM = "gbm"
 
 
-def _checked_int(value, name: str = "seed", bits: int = 64) -> int:
-    """value as a plain int if it is an integer, not a bool, in [0, 2**bits), else ConfigError."""
+def _integer(value, name: str) -> int:
+    """value as a plain int if it is an integer (operator.index takes it) and not a bool, else
+    ConfigError: the rule for every integer size and seed at a library entry point."""
     try:
-        index = operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _checked_int(value, name: str = "seed", bits: int = 64) -> int:
+    """value as a plain int if _integer takes it and it lies in [0, 2**bits), else ConfigError."""
+    try:
+        index = _integer(value, name)
+    except ConfigError:
         index = -1
-    if isinstance(value, bool) or not 0 <= index < 1 << bits:
+    if not 0 <= index < 1 << bits:
         raise ConfigError(f"{name} must fit in an unsigned {bits}-bit integer, got {value!r}")
     return index
 

@@ -28,7 +28,7 @@ from ammlab import (
     sweep_fee,
 )
 from ammlab import harness
-from ammlab.harness import KERNEL_COLUMNS
+from ammlab.harness import KERNEL_COLUMNS, _replay
 
 L = 10000.0
 POOL = Pool.from_price(L, 100.0)
@@ -262,10 +262,6 @@ def test_batch_column_equals_path_alone(fee, band_rule, target):
 
 # every band shape and trade rule at fee 0, where all four trade to the reference price
 FEE_FREE_RULES = [(band_rule, target) for band_rule in BandRule for target in TradeTarget]
-
-
-def _replay(prices: np.ndarray) -> np.ndarray:
-    return harness._replay(prices, np.empty((3, prices.size)))
 
 
 @pytest.mark.parametrize("kind", [ProcessKind.GBM, ProcessKind.BM])

@@ -626,7 +626,7 @@ def test_sweep_runs_one_campaign_per_point_in_order(monkeypatch, sweep, base, va
 
 def test_a_shared_memo_holds_one_read_only_chunk_matrix(monkeypatch):
     # three chunks each, so the second campaign's first chunk misses the held last chunk
-    # of the first: the held matrix is dropped before the build, so no two chunk
+    # of the first: the held matrix is dropped before that chunk streams, so no two chunk
     # matrices are ever alive and the pair peaks like one campaign alone
     config = replace(BASE, n_steps=1000, n_runs=1800)
     other = replace(config, fee=0.0)
@@ -640,17 +640,90 @@ def test_a_shared_memo_holds_one_read_only_chunk_matrix(monkeypatch):
         config_alone = run_campaign(config).table
         alone_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        shared = [run_campaign(c, paths=paths).table for c in (config, other)]
-        pair_peak = tracemalloc.get_traced_memory()[1]
+        shared = [run_campaign(config, paths=paths).table]
+        fee_peak = tracemalloc.get_traced_memory()[1]
+        # the fee campaign leaves its last chunk matrix, read-only, for the next campaign
+        (held,) = paths.values()
+        with pytest.raises(ValueError):
+            held[0, 0] = 1.0
+        assert arbitrage(held, 0.002).tobytes() == arbitrage(held.copy(), 0.002).tobytes()
+        del held
+        tracemalloc.reset_peak()
+        shared.append(run_campaign(other, paths=paths).table)
+        pair_peak = max(fee_peak, tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert [t.tobytes() for t in shared] == [config_alone.tobytes(), other_alone.tobytes()]
     assert pair_peak <= 1.05 * alone_peak, (pair_peak, alone_peak)
     assert alone_peak < 2 * budget, (alone_peak, budget)
+    assert paths == {}  # the fee-free campaign streamed every chunk
+
+
+def _counting_builds(monkeypatch) -> list:
+    """The argument tuples of every simulate_price_matrix call the harness makes from now on."""
+    built: list = []
+
+    def building(*args):
+        built.append(args)
+        return simulate_price_matrix(*args)
+
+    monkeypatch.setattr(harness, "simulate_price_matrix", building)
+    return built
+
+
+def test_a_two_chunk_fee_sweep_builds_each_fee_campaign_and_streams_its_baseline(monkeypatch):
+    # the memo holds only the last chunk, so no chunk of a later campaign finds its
+    # paths there: each fee campaign builds its two chunks, and the baseline streams
+    base = replace(BASE, n_steps=100, n_runs=1200, fee=0.0)
+    monkeypatch.setattr(harness, "CHUNK_BYTES", 600 * (base.n_steps + 1) * 8)
+    assert len(plan_chunks(base.n_runs, base.n_steps)) == 2
+    fees = [0.001, 0.004]
+    built = _counting_builds(monkeypatch)
+    swept = sweep_fee(base, fees)
+    assert len(built) == 4
+    alone = [run_campaign(replace(base, fee=f)).summary for f in fees]
+    assert swept["baseline"] == run_campaign(base).summary
+    assert [{k: row[k] for k in _ROW_KEYS} for row in swept["rows"]] == [
+        {k: summary[k] for k in _ROW_KEYS} for summary in alone]
+
+
+def test_a_fee_campaign_run_alone_holds_no_chunk_matrix_when_it_summarizes(monkeypatch):
+    config = replace(BASE, n_steps=1000, n_runs=1200)
+    matrix = 600 * (config.n_steps + 1) * 8  # each of its two chunks
+    monkeypatch.setattr(harness, "CHUNK_BYTES", matrix)
+    assert len(plan_chunks(config.n_runs, config.n_steps)) == 2
+    held = []
+    summarize = harness._summarize
+
+    def measuring(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return summarize(*args)
+
+    run_campaign(config)  # the first campaign of a process also imports what it needs
+    monkeypatch.setattr(harness, "_summarize", measuring)
+    tracemalloc.start()
+    try:
+        run_campaign(config)
+    finally:
+        tracemalloc.stop()
+    assert held[0] < matrix / 10, (held, matrix)
+
+
+def test_a_price_only_campaign_reads_the_matrix_the_memo_holds(monkeypatch):
+    # only a library caller gets here: a fee campaign, then the price-only campaign on
+    # its paths with the same memo, which reads the held matrix and builds nothing
+    config = replace(BASE, n_steps=200, n_runs=300)
+    prices = replace(config, fee=0.0, observables=Observables.PRICES)
+    alone = run_campaign(prices).table
+    paths: dict = {}
+    run_campaign(config, paths=paths)
     (held,) = paths.values()
-    with pytest.raises(ValueError):
-        held[0, 0] = 1.0
-    assert arbitrage(held, 0.002).tobytes() == arbitrage(held.copy(), 0.002).tobytes()
+    built = _counting_builds(monkeypatch)
+    shared = run_campaign(prices, paths=paths).table
+    assert built == []
+    (still,) = paths.values()
+    assert still is held
+    assert shared.tobytes() == alone.tobytes()
 
 
 def test_result_column_accessor():

@@ -28,6 +28,7 @@ from ammlab import (
     run_campaign,
     sample_il,
     simulate_price_matrix,
+    sweep_volume_vs_steps,
 )
 import ammlab
 from ammlab import harness
@@ -283,6 +284,40 @@ def test_every_seed_door_gives_the_same_refusal(door, seed):
     message = f"{name} must fit in an unsigned 64-bit integer, got {seed!r}"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call(seed)
+
+
+_CONFIG = dict(kind=GBM, p0=100.0, sigma=0.01, n_steps=5, liquidity=1e4, n_runs=2)
+
+
+# every library door that takes an integer size, given one that is not an integer; the
+# id is the call, and the refusal comes before the door's own positivity check
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: ExperimentConfig(**{**_CONFIG, "n_steps": 10.5}),
+                 "n_steps must be an integer, got 10.5", id="ExperimentConfig(n_steps=10.5)"),
+    pytest.param(lambda: ExperimentConfig(**{**_CONFIG, "n_runs": 20.0}),
+                 "n_runs must be an integer, got 20.0", id="ExperimentConfig(n_runs=20.0)"),
+    pytest.param(lambda: ExperimentConfig(**{**_CONFIG, "n_steps": True}),
+                 "n_steps must be an integer, got True", id="ExperimentConfig(n_steps=True)"),
+    pytest.param(lambda: ExperimentConfig(**{**_CONFIG, "n_runs": -0.5}),
+                 "n_runs must be an integer, got -0.5", id="ExperimentConfig(n_runs=-0.5)"),
+    pytest.param(lambda: sample_il(_LAW, 2.5, 0), "n must be an integer, got 2.5",
+                 id="sample_il(params, 2.5, 0)"),
+    pytest.param(lambda: first_passage(BarrierSpec(-3, 3), 2.5, 0),
+                 "n_walks must be an integer, got 2.5", id="first_passage(spec, 2.5, 0)"),
+    pytest.param(lambda: clt_sum_experiment(_LAW, 2.5, 3, 0),
+                 "n_per_sum must be an integer, got 2.5",
+                 id="clt_sum_experiment(params, 2.5, 3, 0)"),
+    pytest.param(lambda: clt_sum_experiment(_LAW, 10, 3, 0, bins=2.5),
+                 "bins must be an integer, got 2.5",
+                 id="clt_sum_experiment(params, 10, 3, 0, bins=2.5)"),
+    pytest.param(lambda: sweep_volume_vs_steps(ExperimentConfig(**_CONFIG), [10.5, 20], 1e-3),
+                 "steps_list[0] must be an integer, got 10.5",
+                 id="sweep_volume_vs_steps(base, [10.5, 20], 1e-3)"),
+])
+def test_every_integer_size_refuses_a_value_that_is_not_an_integer(monkeypatch, call, message):
+    monkeypatch.setattr(harness, "run_campaign", None)  # refused before any campaign runs
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _integers_in_code(tree):
