@@ -19,8 +19,9 @@ _price_blocks, one small reused block of runs at a time.  With a fee, each
 block is written into the chunk's step-major price matrix, one column per
 run, for the arbitrage kernel, which steps all runs together.  At fee 0 the
 pool replays the path, so a run's losses depend on its own path alone, and
-_replay reduces each block as soon as it is built: a fee-free chunk holds no
-matrix.  chunk_working_bytes states what either kind of chunk holds.  A
+arbitrage reduces each block as it is built: a fee-free chunk holds no matrix.
+The kernel works through a reused step block of about 128 KiB a buffer, and
+chunk_working_bytes states what either kind of chunk holds.  A
 sweep checks every campaign's record first, then hands its campaigns one
 memo of a chunk matrix, keyed on the arguments that built it: a chunk whose
 paths it holds reads them, and any other drops them, then streams at fee 0
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from math import isfinite, log, sqrt
 
 import numpy as np
@@ -242,6 +244,7 @@ def _chunk_count(n_runs: int, path: int) -> int:
 def plan_chunks(n_runs: int, n_steps: int) -> list[tuple[int, int]]:
     """Fixed [start, stop) run ranges: the fewest chunks that fit CHUNK_BYTES,
     equal to within one run."""
+    n_runs, n_steps = _integer(n_runs, "n_runs"), _integer(n_steps, "n_steps")
     k = _chunk_count(n_runs, _path_bytes(n_steps))
     return [(n_runs * j // k, n_runs * (j + 1) // k) for j in range(k)]
 
@@ -251,21 +254,27 @@ def _block_runs(n_runs: int, n_steps: int) -> int:
     return min(n_runs, max(1, _DRAW_BLOCK_BYTES // (8 * n_steps or 1)))
 
 
+def _step_rows(runs: int) -> int:
+    """Steps per arbitrage block: rows of runs doubles of about an eighth of _DRAW_BLOCK_BYTES,
+    at least one and at most 255, so a run's trades in a block fit in a byte."""
+    return min(255, max(1, _DRAW_BLOCK_BYTES // (64 * max(runs, 1))))
+
+
 def chunk_working_bytes(n_runs: int, n_steps: int, streamed: Observables | None = None) -> int:
     """Bytes the largest planned chunk holds: its runs' seeds, keys and kernel rows and state
     (16 B a column, fitted), plus its price matrix and three draw blocks of at most that
-    matrix; or, for a fee-free campaign's streamed observables, one block of draws and its
-    prices, never less than one path, and for pool metrics the three rows _replay allocates."""
+    matrix, or, for a fee-free campaign's streamed observables, one block of draws and its
+    prices, never less than one path; and for pool metrics the kernel's step block over the
+    runs it steps, five doubles and two bytes a run for one step more than _step_rows."""
+    n_runs, n_steps = _integer(n_runs, "n_runs"), _integer(n_steps, "n_steps")
     path = _path_bytes(n_steps)
     runs = -(-n_runs // max(1, _chunk_count(n_runs, path)))
     if streamed is None:
-        return runs * (path + 16 * _N_COLS) + 3 * min(max(_DRAW_BLOCK_BYTES, path), runs * path)
-    block = _block_runs(runs, n_steps) * path
-    return runs * 16 * _N_COLS + (5 if streamed is Observables.POOL else 2) * block
-
-
-def _view(buffer: np.ndarray, rows: int, runs: int) -> np.ndarray:
-    return buffer[:rows * runs].reshape(rows, runs)
+        held, stepped = runs * path + 3 * min(max(_DRAW_BLOCK_BYTES, path), runs * path), runs
+    else:
+        block = _block_runs(runs, n_steps)
+        held, stepped = 2 * block * path, block if streamed is Observables.POOL else 0
+    return runs * 16 * _N_COLS + held + 42 * (min(n_steps, _step_rows(stepped)) + 1) * stepped
 
 
 def _price_blocks(kind: ProcessKind, sigma: float, n_steps: int, seeds: np.ndarray):
@@ -287,8 +296,8 @@ def _price_blocks(kind: ProcessKind, sigma: float, n_steps: int, seeds: np.ndarr
             fresh["state"]["key"] = key
             rng.bit_generator.state = fresh
             rng.standard_normal(out=row)
-        yield lo, hi, prices_from_increments(kind, sigma, block[:hi - lo].T,
-                                             _view(prices, n_steps + 1, hi - lo))
+        view = prices[:(n_steps + 1) * (hi - lo)].reshape(n_steps + 1, hi - lo)
+        yield lo, hi, prices_from_increments(kind, sigma, block[:hi - lo].T, view)
 
 
 def simulate_price_matrix(kind: ProcessKind, sigma: float, n_steps: int, seeds) -> np.ndarray:
@@ -348,6 +357,11 @@ def arbitrage(
     trade.  Losses and volumes, per unit of L, are summed step by step; fees
     are tallied on the x leg without compounding; il runs from the path start
     prices[0] to the final pool price.
+
+    Only the band recursion steps row by row, writing the pool price after each
+    step where some run trades, and the trade flags, into a reused block of
+    _step_rows(runs) steps; at fee 0 the block is a slice of prices.  Whole-block
+    passes turn it into loss terms, added in step order to sums in its first row.
     """
     prices = np.asarray(prices, dtype=float)
     if prices.ndim == 1:
@@ -358,76 +372,65 @@ def arbitrage(
         raise ValueError(f"fee must lie in [0, 1), got {fee}")
     if not prices.min() > 0.0:
         raise ValueError("pool arbitrage requires positive prices")
-    keep = 1.0 - fee
-    p_amm = prices[0].copy()
-    r0 = ra = np.sqrt(p_amm)
-    lvr = np.zeros(p_amm.size)
-    vol = np.zeros(p_amm.size)
-    n_ev = np.zeros(p_amm.size, dtype=np.int64)
-    last_ev = np.zeros(p_amm.size, dtype=np.int64)
-    for step in range(1, prices.shape[0]):
-        p_ref = prices[step]
-        lower = p_amm * keep
-        upper = p_amm / keep if band_rule is BandRule.EXACT else p_amm * (1.0 + fee)
-        up = p_ref > upper
-        hit = up | (p_ref < lower)
-        if not hit.any():
-            continue
-        if target is TradeTarget.ORACLE:
-            tgt = p_ref
-        elif band_rule is BandRule.EXACT:
-            tgt = np.where(up, p_ref * keep, p_ref / keep)
-        else:
-            tgt = np.where(up, p_ref / (1.0 + fee), p_ref / keep)
-        p_amm = np.where(hit, tgt, p_amm)
-        rh = np.sqrt(p_amm)
-        dr = rh - ra
-        lvr += dr * dr / (ra * rh * rh)
-        vol += np.abs(dr) / (ra * rh)
-        n_ev += hit
-        np.putmask(last_ev, hit, step)
-        ra = rh
-    out = np.empty((p_amm.size, _N_COLS), dtype=float)
-    # ra is now the root of the final pool price
-    out[:, 0] = (1.0 - r0 / ra) ** 2 / r0
-    out[:, 1] = lvr
-    out[:, 2] = vol
-    out[:, 3] = fee * vol
-    out[:, 4] = n_ev
-    out[:, 5] = p_amm
-    out[:, _LAST_EVENT] = last_ev
-    return out
+    n_steps, runs = prices.shape[0] - 1, prices.shape[1]
+    rows = min(n_steps, _step_rows(runs))
+    pool, roots, lvr_terms, vol_terms = np.empty((4, rows + 1, runs))
+    den, flags = np.empty((rows, runs)), np.empty((rows, runs), dtype=bool)
+    marks, rank = np.empty((rows, runs), np.uint8), np.arange(1, rows + 1, dtype=np.uint8)[:, None]
+    lvr, vol, n_ev, last_ev, lower, upper = np.zeros((6, runs))
+    r0 = roots[0] = np.sqrt(prices[0])
 
+    def book(after: np.ndarray, hit: np.ndarray, steps: np.ndarray) -> None:
+        # after[k] is the pool price once steps[k] is done, roots[0] the root before steps[0]
+        m = steps.size
+        root, lt, vt, d = roots[:m + 1], lvr_terms[:m + 1], vol_terms[:m + 1], den[:m]
+        ra, rh = root[:-1], np.sqrt(after, out=root[1:])
+        dr = np.subtract(rh, ra, out=lt[1:])
+        np.divide(np.abs(dr, out=vt[1:]), np.multiply(ra, rh, out=d), out=vt[1:])
+        np.divide(np.multiply(dr, dr, out=dr), np.multiply(d, rh, out=d), out=dr)
+        for terms, total in ((lt, lvr), (vt, vol)):
+            terms[0] = total  # numpy adds rows in step order, but a lone column pairwise
+            total[:] = np.add.reduce(terms, axis=0) if runs > 1 else np.cumsum(terms, axis=0)[-1]
+        hit = hit.view(np.uint8)  # at most 255 steps, so a run's count fits in a byte
+        np.add(n_ev, np.add.reduce(hit, axis=0, dtype=np.uint8), out=n_ev)
+        at = np.maximum.reduce(np.multiply(hit, rank[:m], out=marks[:m]), axis=0)
+        np.maximum(last_ev, np.concatenate(([0], steps))[at], out=last_ev)
+        roots[0] = root[m]
 
-def _step_sum(terms: np.ndarray) -> np.ndarray:
-    # numpy adds rows in step order, as arbitrage does, but sums a lone column pairwise
-    return terms.sum(axis=0) if terms.shape[1] > 1 else np.cumsum(terms, axis=0)[-1]
-
-
-def _replay(prices: np.ndarray) -> np.ndarray:
-    """arbitrage(prices, 0.0), bit for bit: at fee 0 the pool holds the path's own price at
-    every step, so the roots, their differences and both loss terms are formed for the whole
-    block at once, then summed step by step along each run.  The roots and two rows of terms
-    are the only block-size temporaries."""
-    if not prices.min() > 0.0:
-        raise ValueError("pool arbitrage requires positive prices")
-    rows, runs = prices.shape
-    root = np.sqrt(prices)
-    term, den = np.empty((2, rows - 1, runs))
-    ra, rh = root[:-1], root[1:]
-    out = np.empty((runs, _N_COLS))
-    np.multiply(np.subtract(rh, ra, out=term), term, out=term)
-    np.multiply(np.multiply(ra, rh, out=den), rh, out=den)
-    out[:, 1] = _step_sum(np.divide(term, den, out=term))
-    np.abs(np.subtract(rh, ra, out=term), out=term)
-    out[:, 2] = _step_sum(np.divide(term, np.multiply(ra, rh, out=den), out=term))
-    np.not_equal(prices[1:], prices[:-1], out=term)  # 1 where the price moved: a trade
-    out[:, 4] = term.sum(axis=0)
-    out[:, _LAST_EVENT] = np.multiply(term, np.arange(1.0, rows)[:, None], out=term).max(axis=0)
-    out[:, 0] = (1.0 - root[0] / root[-1]) ** 2 / root[0]
-    out[:, 3] = 0.0 * out[:, 2]
-    out[:, 5] = prices[-1]
-    return out
+    if fee == 0.0:  # a trade wherever the price moves
+        for lo in range(0, n_steps, rows):
+            block = prices[lo:lo + rows + 1]
+            hit = np.not_equal(block[1:], block[:-1], out=flags[:len(block) - 1])
+            moved = hit.any(axis=1)  # a step where no run trades adds nothing
+            steps = np.arange(lo + 1, lo + len(block))
+            if moved.all():
+                book(block[1:], hit, steps)
+            elif moved.any():
+                book(block[1:][moved], hit[moved], steps[moved])
+        final = prices[-1]
+    else:
+        keep, exact = 1.0 - fee, band_rule is BandRule.EXACT
+        widen, by = (np.divide, keep) if exact else (np.multiply, 1.0 + fee)
+        up, steps = np.empty(runs, dtype=bool), np.empty(rows, dtype=np.int64)
+        after, hit_rows = list(pool), list(flags)
+        pool[0], r = prices[0], 0
+        for step in range(1, n_steps + 1):
+            p_ref, p_amm, hit = prices[step], after[r], hit_rows[r]
+            np.multiply(p_amm, keep, out=lower)
+            widen(p_amm, by, out=upper)
+            np.greater(p_ref, upper, out=up)
+            np.logical_or(up, np.less(p_ref, lower, out=hit), out=hit)
+            if np.count_nonzero(hit):
+                tgt = p_ref if target is TradeTarget.ORACLE else np.where(
+                    up, p_ref * keep if exact else p_ref / (1.0 + fee), p_ref / keep)
+                r += 1
+                after[r][:], steps[r - 1] = np.where(hit, tgt, p_amm), step
+            if r == rows or r and step == n_steps:
+                book(pool[1:r + 1], flags[:r], steps[:r])
+                pool[0], r = pool[r], 0
+        final = pool[0]
+    il = (1.0 - r0 / roots[0]) ** 2 / r0  # roots[0] is now the root of the final pool price
+    return np.stack([il, lvr, vol, fee * vol, n_ev, final, last_ev], axis=1)
 
 
 def _metrics_prices_only(prices: np.ndarray) -> np.ndarray:
@@ -444,7 +447,8 @@ def _compute_chunk(config: ExperimentConfig, lo: int, hi: int, paths: dict) -> n
     # hold drops it first, so at most one chunk of paths is ever alive
     key = (config.kind, config.sigma, config.n_steps, seeds.tobytes())
     prices = paths.get(key)
-    reduce = _metrics_prices_only if config.observables is Observables.PRICES else _replay
+    reduce = (_metrics_prices_only if config.observables is Observables.PRICES else
+              partial(arbitrage, fee=config.fee, band_rule=config.band_rule, target=config.target))
     try:
         if prices is None:
             paths.clear()
@@ -455,9 +459,7 @@ def _compute_chunk(config: ExperimentConfig, lo: int, hi: int, paths: dict) -> n
                 return out
             prices = paths[key] = simulate_price_matrix(*key[:3], seeds)
             prices.flags.writeable = False  # shared with later campaigns; arbitrage only reads
-        if config.observables is Observables.PRICES:
-            return _metrics_prices_only(prices)
-        return arbitrage(prices, config.fee, config.band_rule, config.target)
+        return reduce(prices)
     except ValueError:
         # ExperimentConfig and plan_chunks checked fee and shape, so the
         # kernel can only have refused nonpositive prices; say why paths reached them

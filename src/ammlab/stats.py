@@ -8,6 +8,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .stochastic import _integer
 
 __all__ = ["Histogram", "mean_stderr", "distinct_positive", "fit_loglog"]
 
@@ -77,6 +78,7 @@ class Histogram:
         a few ulps apart) gets a hair-width wider range.
         """
         arr = _finite_sample(values, "histogram")
+        bins = _integer(bins, "bins")
         if bins < 1:
             raise ValueError(f"bins must be positive, got {bins}")
         with np.errstate(all="ignore"):

@@ -1209,16 +1209,17 @@ _LONG_PATH = ("a single path of 9000000 steps needs 72000008 bytes, over the 671
          _bytes("n_walks", 560002097152), "first_passage"),
         # seven histograms kept at 20 B per bin and one written at 240 B per bin
         (["simulate", "--bins", "1e9", "--n-runs", "100", "--n-steps", "10"],
-         _bytes("bins", 380002164352), "run_campaign"),
+         _bytes("bins", 380002184152), "run_campaign"),
         (["simulate", "--bins", "1e8", "--n-runs", "100", "--n-steps", "10"],
-         _bytes("bins", 38002164352), "run_campaign"),
+         _bytes("bins", 38002184152), "run_campaign"),
         # 120 B per run, 112 B per run of the largest of twelve chunks of 750000 runs,
-        # and the fee-free campaign streams one block of 13107 runs
+        # and the fee-free campaign streams one block of 13107 runs and the kernel's step
+        # block over them
         (["simulate", "--n-runs", "9e6", "--n-steps", "10"],
-         _bytes("n_runs", 1171883232), "run_campaign"),
+         _bytes("n_runs", 1169523972), "run_campaign"),
         # process=both runs one campaign at a time, so it counts as one
         (["simulate", "--process", "both", "--n-runs", "9e6", "--n-steps", "10"],
-         _bytes("n_runs", 1171883232), "run_campaign"),
+         _bytes("n_runs", 1169523972), "run_campaign"),
         # one path over the 64 MiB chunk budget
         (["simulate", "--n-steps", "9000000", "--n-runs", "1"], _LONG_PATH, "run_campaign"),
         # the walk-steps of a scan or a pair: (n_walks + 6000) times the mean exit times
@@ -1295,9 +1296,9 @@ def _budget_verdict(command, **strings):
     pytest.param(command, key, largest, strings,
                  id=" ".join([*command, *(f"--{k}={v}" for k, v in strings.items()), key]))
     for command, key, largest, strings in (
-        (("simulate",), "n_runs", 8878685, {}),
-        (("simulate",), "n_runs", 8878685, {"process": "both"}),
-        (("simulate",), "bins", 2801682, {}),
+        (("simulate",), "n_runs", 8899131, {}),
+        (("simulate",), "n_runs", 8899131, {"process": "both"}),
+        (("simulate",), "bins", 2808140, {}),
         (("simulate",), "bins", 4106871, {"observables": "prices"}),
         (("analytic", "il-pdf"), "il_points", 10716446, {}),
         (("analytic", "sample-il"), "n_samples", 29767546, {}),
@@ -1322,10 +1323,11 @@ def test_the_campaign_term_is_the_largest_chunk_over_the_step_counts(monkeypatch
     assert harness.plan_chunks(10000, 800) == [(0, 10000)]
     largest = harness.chunk_working_bytes(10000, 800)
     assert largest - harness.chunk_working_bytes(10000, 1000) == (10000 * 815 - 5000 * 1015) * 8
-    # fee-free, each streams one draw block of about 1 MiB, 163 runs or 131, beside the
-    # chunk's 112 B a run
+    # fee-free, each streams one draw block of about 1 MiB, 163 runs or 131, and its prices,
+    # with the kernel's step block over them (100 steps of 163 runs, 42 B a run and step for
+    # one step more), beside the chunk's 112 B a run
     streamed = harness.chunk_working_bytes(10000, 800, harness.Observables.POOL)
-    assert streamed == 10000 * 112 + 5 * 163 * 801 * 8
+    assert streamed == 10000 * 112 + 2 * 163 * 801 * 8 + 42 * 101 * 163
     assert streamed > harness.chunk_working_bytes(10000, 1000, harness.Observables.POOL)
     monkeypatch.setattr(cli, "BYTE_BUDGET", 0)  # every command is refused with its bytes
 

@@ -15,6 +15,7 @@ from scalar_engine import (
     run_with_fees,
     trade_target,
 )
+from step_kernel import arbitrage as step_kernel
 
 from ammlab import (
     BandRule,
@@ -28,7 +29,7 @@ from ammlab import (
     sweep_fee,
 )
 from ammlab import harness
-from ammlab.harness import KERNEL_COLUMNS, _replay
+from ammlab.harness import KERNEL_COLUMNS
 
 L = 10000.0
 POOL = Pool.from_price(L, 100.0)
@@ -268,37 +269,63 @@ FEE_FREE_RULES = [(band_rule, target) for band_rule in BandRule for target in Tr
 @pytest.mark.parametrize("runs, sigma", [(1, 0.004), (2, 0.004), (13, 0.004), (300, 0.004),
                                          (7, 0.0)])
 def test_replay_is_the_fee_free_kernel_bit_for_bit(kind, runs, sigma):
-    # one run is summed by accumulation, since numpy sums a lone column pairwise;
-    # sigma 0 never trades, so the kernel skips every step that replay sums as zeros
+    # at fee 0 the pool replays the path, with no band recursion, and the blocked kernel
+    # gives the step loop's bytes: one run is summed by accumulation, since numpy sums a
+    # lone column pairwise; sigma 0 never trades, so no step adds a term
     prices = simulate_price_matrix(kind, sigma, 400, [derive_run_seed(34, i) for i in range(runs)])
-    replayed = _replay(prices)
+    free = arbitrage(prices, 0.0)
     for band_rule, target in FEE_FREE_RULES:
-        assert replayed.tobytes() == arbitrage(prices, 0.0, band_rule, target).tobytes()
+        assert free.tobytes() == step_kernel(prices, 0.0, band_rule, target).tobytes()
     if sigma == 0.0:
-        assert not replayed[:, [LVR, VOL, N_EV, LAST]].any()
+        assert not free[:, [LVR, VOL, N_EV, LAST]].any()
 
 
 def test_replay_gives_the_kernel_nan_where_a_path_overflows():
     # factors of about 1e200 overflow a path to inf within two steps, where both
-    # loss sums turn NaN in the kernel, and the rest of those runs stays finite
+    # loss sums turn NaN, and the rest of those runs stays finite; the NaN's sign
+    # bit depends on where the run sits in numpy's vector loops, so the 12 runs are
+    # also compared one at a time
     seeds = [derive_run_seed(35, i) for i in range(12)]
     with np.errstate(over="ignore", invalid="ignore"):
         prices = simulate_price_matrix(ProcessKind.GBM, 1e200, 6, seeds)
-        replayed = _replay(prices)
-        assert replayed.tobytes() == arbitrage(prices, 0.0).tobytes()
-        for j in range(prices.shape[1]):
-            assert _replay(prices[:, j:j + 1]).tobytes() == arbitrage(
-                prices[:, j], 0.0).tobytes()
+        free = arbitrage(prices, 0.0)
+        for fee in (0.0, 0.003):
+            assert arbitrage(prices, fee).tobytes() == step_kernel(prices, fee).tobytes()
+            for j in range(prices.shape[1]):
+                assert arbitrage(prices[:, j], fee).tobytes() == step_kernel(
+                    prices[:, j], fee).tobytes()
     overflowed = np.isinf(prices).any(axis=0)
     assert overflowed.any() and not overflowed.all() and prices.min() > 0.0
-    np.testing.assert_array_equal(np.isnan(replayed[:, LVR]), overflowed)
-    np.testing.assert_array_equal(np.isnan(replayed[:, VOL]), overflowed)
+    np.testing.assert_array_equal(np.isnan(free[:, LVR]), overflowed)
+    np.testing.assert_array_equal(np.isnan(free[:, VOL]), overflowed)
+
+
+@pytest.mark.parametrize("kind", [ProcessKind.GBM, ProcessKind.BM])
+@pytest.mark.parametrize("runs, n_steps, rows", [
+    (1, 600, 255),  # the most steps a block holds
+    (2, 600, 255),
+    (13, 600, 255),
+    (300, 200, 54),
+    (16385, 3, 1),  # more runs than a block row of 16384 doubles: one step per block
+])
+def test_the_blocked_kernel_is_the_step_loop_bit_for_bit(kind, runs, n_steps, rows):
+    # no step count is a multiple of a block of more than one step; sigma 0 never
+    # trades, and the fee 1e-12 trades almost every step, 0.05 almost never
+    seeds = [derive_run_seed(37, i) for i in range(runs)]
+    assert harness._step_rows(runs) == rows and (n_steps % rows or rows == 1)
+    for sigma in (0.004, 0.0):
+        prices = simulate_price_matrix(kind, sigma, n_steps, seeds)
+        for fee in (0.0, 1e-12, 0.002, 0.05):
+            for band_rule in BandRule:
+                for target in TradeTarget:
+                    assert arbitrage(prices, fee, band_rule, target).tobytes() == step_kernel(
+                        prices, fee, band_rule, target).tobytes(), (sigma, fee, band_rule, target)
 
 
 @pytest.mark.parametrize("kind", [ProcessKind.GBM, ProcessKind.BM])
 def test_a_streamed_chunk_is_the_kernel_over_its_matrix(monkeypatch, kind):
-    # blocks of 4 runs over 13 leave a last block of one run, and each block
-    # reuses the scratch buffers of the first
+    # blocks of 4 runs over 13 leave a last block of one run; each block's prices
+    # overwrite the previous block's in one reused buffer before the kernel reads them
     monkeypatch.setattr(harness, "_DRAW_BLOCK_BYTES", 8 * 400 * 4)
     config = ExperimentConfig(kind=kind, p0=1.0, sigma=0.004, n_steps=400, liquidity=1.0,
                               n_runs=13, seed=36)

@@ -163,7 +163,8 @@ def test_single_path_over_budget_is_an_error():
     # the real 64 MiB budget holds a path of 2**23 - 1 steps, and 2**23 steps are one
     # 8-byte price past it: the plan and the stated bytes accept and refuse the same paths
     assert plan_chunks(3, 2**23 - 1) == [(0, 1), (1, 2), (2, 3)]
-    assert chunk_working_bytes(3, 2**23 - 1) == 4 * harness.CHUNK_BYTES + 112
+    # a one-run chunk's kernel block holds 255 steps, 42 B a step and one step more
+    assert chunk_working_bytes(3, 2**23 - 1) == 4 * harness.CHUNK_BYTES + 112 + 42 * 256
     for refuse in (plan_chunks, chunk_working_bytes):
         with pytest.raises(ResourceLimitError, match="chunk budget; lower n_steps$"):
             refuse(3, 2**23)
@@ -181,9 +182,11 @@ def test_the_planned_chunk_fits_the_stated_chunk(n_runs, n_steps, n_chunks):
     # at the real budget, with no allocation: as many chunks as filling each to the budget
     # would take (the benchmark's harness.chunks), equal to within one run, and the largest
     # planned chunk matrix, with 112 B a run of seeds, keys and kernel state and the draw
-    # blocks simulate_price_matrix stages through for it, is what chunk_working_bytes
-    # states; a fee-free chunk streams one block of about 1 MiB of draws, never less than
-    # one path, in place of the matrix and its blocks
+    # blocks simulate_price_matrix stages through for it and the kernel's step block, 42 B
+    # a run and step for one step more than it holds, is what chunk_working_bytes states;
+    # a fee-free chunk streams one block of about 1 MiB of draws and its prices, never less
+    # than one path, in place of the matrix and its blocks, and the kernel's step block
+    # over that block's runs
     chunks = plan_chunks(n_runs, n_steps)
     path = (n_steps + 1) * 8
     assert len(chunks) == n_chunks == len(range(0, n_runs, harness.CHUNK_BYTES // path))
@@ -194,10 +197,18 @@ def test_the_planned_chunk_fits_the_stated_chunk(n_runs, n_steps, n_chunks):
     largest = max(sizes) * path
     assert largest <= harness.CHUNK_BYTES
     blocks = 3 * min(max(harness._DRAW_BLOCK_BYTES, path), largest)
-    assert largest + max(sizes) * 112 + blocks == chunk_working_bytes(n_runs, n_steps)
-    block = min(max(sizes), max(1, harness._DRAW_BLOCK_BYTES // (8 * n_steps))) * path
-    assert chunk_working_bytes(n_runs, n_steps, Observables.POOL) == max(sizes) * 112 + 5 * block
-    assert chunk_working_bytes(n_runs, n_steps, Observables.PRICES) == max(sizes) * 112 + 2 * block
+
+    def step_block(runs):
+        return 42 * (min(n_steps, max(1, min(255, harness._DRAW_BLOCK_BYTES // (64 * runs))))
+                     + 1) * runs
+
+    assert (largest + max(sizes) * 112 + blocks + step_block(max(sizes))
+            == chunk_working_bytes(n_runs, n_steps))
+    runs = min(max(sizes), max(1, harness._DRAW_BLOCK_BYTES // (8 * n_steps)))
+    assert (chunk_working_bytes(n_runs, n_steps, Observables.POOL)
+            == max(sizes) * 112 + 2 * runs * path + step_block(runs))
+    assert (chunk_working_bytes(n_runs, n_steps, Observables.PRICES)
+            == max(sizes) * 112 + 2 * runs * path)
 
 
 def test_a_campaign_one_run_over_a_chunk_holds_half_the_budget(monkeypatch):
@@ -598,8 +609,9 @@ _SEAM_BASE = replace(BASE, fee=0.0, sigma=0.01, n_steps=16, n_runs=20, seed=7100
 def test_sweep_runs_one_campaign_per_point_in_order(monkeypatch, sweep, base, values, changes,
                                                     keys, builds):
     # the fee sweep's fee-free baseline runs last; every campaign keeps base.seed, and
-    # one that shares the previous campaign's paths reuses its price matrix (one chunk
-    # each), while fee-free campaigns with nothing held build no matrix at all
+    # these campaigns are one chunk each, so a chunk whose paths the memo holds reads
+    # them and the fee campaigns build once, while fee-free campaigns with nothing held
+    # build no matrix at all
     seen, built = [], []
 
     def counting(config, **memo):

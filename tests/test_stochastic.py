@@ -17,14 +17,17 @@ from ammlab import (
     BarrierSpec,
     ConfigError,
     ExperimentConfig,
+    Histogram,
     ILDistParams,
     ProcessKind,
+    chunk_working_bytes,
     clt_sum_experiment,
     derive_run_seed,
     first_passage,
     make_generator,
     pdf_bm,
     pdf_gbm,
+    plan_chunks,
     run_campaign,
     sample_il,
     simulate_price_matrix,
@@ -313,6 +316,16 @@ _CONFIG = dict(kind=GBM, p0=100.0, sigma=0.01, n_steps=5, liquidity=1e4, n_runs=
     pytest.param(lambda: sweep_volume_vs_steps(ExperimentConfig(**_CONFIG), [10.5, 20], 1e-3),
                  "steps_list[0] must be an integer, got 10.5",
                  id="sweep_volume_vs_steps(base, [10.5, 20], 1e-3)"),
+    pytest.param(lambda: Histogram.from_samples([1.0, 2.0], bins=2.5),
+                 "bins must be an integer, got 2.5", id="Histogram.from_samples(v, bins=2.5)"),
+    pytest.param(lambda: Histogram.from_samples([1.0, 2.0], bins=True),
+                 "bins must be an integer, got True", id="Histogram.from_samples(v, bins=True)"),
+    pytest.param(lambda: plan_chunks(10.5, 100), "n_runs must be an integer, got 10.5",
+                 id="plan_chunks(10.5, 100)"),
+    pytest.param(lambda: plan_chunks(10, 100.0), "n_steps must be an integer, got 100.0",
+                 id="plan_chunks(10, 100.0)"),
+    pytest.param(lambda: chunk_working_bytes(10.5, 100), "n_runs must be an integer, got 10.5",
+                 id="chunk_working_bytes(10.5, 100)"),
 ])
 def test_every_integer_size_refuses_a_value_that_is_not_an_integer(monkeypatch, call, message):
     monkeypatch.setattr(harness, "run_campaign", None)  # refused before any campaign runs
